@@ -32,6 +32,7 @@ from .serialization import (
     splitting_report_to_obj,
     weighting_from_obj,
     weighting_to_obj,
+    write_canonical,
 )
 from .splitting import color_classes, split_forest_into_matchings, split_into_matchings
 from .variety import (
@@ -290,10 +291,10 @@ def main(argv=None):
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(canonical_dumps(err))
         return 1
-    text = canonical_dumps(payload)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            write_canonical(payload, f)
         print(summary)
     else:
-        sys.stdout.write(text)
+        write_canonical(payload, sys.stdout)
     return 0

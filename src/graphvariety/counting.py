@@ -1,23 +1,39 @@
 """Exact point counts of the variety over prime fields.
 
-The counter walks a degeneracy order from the oldest vertex down.  At each
-vertex the constraints coming from already assigned neighbors are linear, so
-the admissible vectors form a kernel that is enumerated exactly; the very
-last vertex contributes a power of q without enumeration.  The result is an
-exact integer, usable as an oracle for the expected dimension: the ratio
-count / q^d should drift toward 1 as q grows when the variety behaves like an
-irreducible variety of dimension d.  The ratio is reported, never judged.
+The counter is a forward dynamic programme over the reversed degeneracy
+order.  After each step the *frontier* is the set of assigned vertices that
+still have unassigned neighbours; only their vectors constrain what comes
+next, so partial assignments are grouped by a key of the frontier tuple and
+carried as (representative tuple, multiplicity).  At each vertex the edge
+equations to assigned neighbours are linear in the new vector, and the
+admissible vectors form a kernel.  A vertex that enters the frontier has its
+kernel enumerated exactly; a vertex with no later neighbours is not
+enumerated and multiplies the state's multiplicity by q^dim(kernel).
+
+The key is the isometry orbit of the frontier tuple where Witt's extension
+theorem applies, that is for alternating forms and for symmetric forms in
+odd characteristic: there two tuples with the same Gram matrix and the same
+linear relations are carried onto each other by an isometry of the whole
+space, so they have the same number of completions.  The orbit key is that
+pair: the full Gram matrix of the tuple and the nonzero rows of the reduced
+echelon form of the n x k matrix whose columns are the tuple.  Otherwise (a
+non-alternating form over F_2, such as the identity) the key is the raw
+vectors.  All arithmetic runs on ints in [0, p).
+
+The result is an exact integer, usable as an oracle for the expected
+dimension: the ratio count / q^d should drift toward 1 as q grows when the
+variety behaves like an irreducible variety of dimension d.  The ratio is
+reported, never judged.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .bilinear import standard_space
 from .errors import WorkCapExceededError
 from .fields import PrimeField
 from .graphs import degeneracy_order
-from .linalg import Matrix
+from .linalg import kernel_mod_p, rref_mod_p
 from .variety import expected_dimension
 
 DEFAULT_WORK_CAP = 10**7
@@ -44,55 +60,90 @@ class CountReport:
     ratio: Fraction
 
 
-def _constraint_rows(space, v, neighbors, vectors):
-    rows = []
-    for u in neighbors:
-        wu = vectors[u]
-        if v < u:
-            rows.append(space.gram_times(wu))
-        else:
-            rows.append(space.gram_transpose_times(wu))
-    return rows
+class ResidueForm:
+    """A prime-field space's form on ints in [0, p), with the frontier key
+    it admits.  Vectors are tuples of ints in [0, p)."""
+
+    def __init__(self, space):
+        self.p = space.field.p
+        self.n = space.n
+        self.gram = [[x.value for x in row] for row in space.gram.rows]
+        self.gram_t = [list(col) for col in zip(*self.gram)]
+        # Witt's extension theorem: alternating forms, or odd characteristic
+        self.orbit_keys = self.p != 2 or all(self.gram[i][i] == 0 for i in range(self.n))
+
+    def times(self, matrix, w):
+        p = self.p
+        return [sum(a * b for a, b in zip(row, w)) % p for row in matrix]
+
+    def key(self, vectors):
+        """The memo key of a frontier tuple: its (Gram matrix, linear
+        relations) pair where orbit keys apply, else the tuple itself."""
+        if not self.orbit_keys or not vectors:
+            return vectors
+        p = self.p
+        images = [self.times(self.gram, w) for w in vectors]
+        pairs = tuple(sum(a * b for a, b in zip(u, gw)) % p for u in vectors for gw in images)
+        rref, pivots = rref_mod_p(list(zip(*vectors)), len(vectors), p)
+        return pairs, tuple(tuple(row) for row in rref[: len(pivots)])
+
+
+def _span(basis, n, p):
+    """Every vector of the span of `basis`, as tuples."""
+    vecs = [(0,) * n]
+    for b in basis:
+        vecs = [tuple((a + c * x) % p for a, x in zip(v, b)) for v in vecs for c in range(p)]
+    return vecs
+
+
+def _frontier_count(g, order, form):
+    """The number of member points, by the frontier DP over `order`."""
+    n, p = form.n, form.p
+    position = {v: i for i, v in enumerate(order)}
+    last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
+    frontier = []
+    states = {(): ((), 1)}
+    for i, v in enumerate(order):
+        # the edge (lo, hi) reads w(lo) . gram w(hi) = 0, linear in w(v)
+        slots = [(frontier.index(u), form.gram if v < u else form.gram_t)
+                 for u in g.adjacency[v] if position[u] < i]
+        keep = [k for k, u in enumerate(frontier) if last[u] > i]
+        enters = last[v] > i
+        unchanged = not enters and len(keep) == len(frontier)
+        nxt = {}
+        for key, (rep, mult) in states.items():
+            kernel = kernel_mod_p([form.times(m, rep[k]) for k, m in slots], n, p)
+            kept = tuple(rep[k] for k in keep)
+            if enters:
+                extended = [kept + (x,) for x in _span(kernel, n, p)]
+            else:
+                extended = [kept]
+                mult *= p ** len(kernel)
+            for t in extended:
+                new_key = key if unchanged else form.key(t)
+                if new_key in nxt:
+                    nxt[new_key] = (nxt[new_key][0], nxt[new_key][1] + mult)
+                else:
+                    nxt[new_key] = (t, mult)
+        states = nxt
+        frontier = [frontier[k] for k in keep] + ([v] if enters else [])
+    return sum(mult for _, mult in states.values())
 
 
 def count_points(req):
-    """The exact number of member points, by kernel enumeration.
+    """The exact number of member points, by a frontier DP (module docstring).
 
-    The work estimate is the worst case q^(n |V|) (every kernel full), so a
-    request either finishes quickly or is rejected up front.
+    The work estimate is the worst case q^(n |V|) of a full enumeration, kept
+    as the admission rule: a request over the cap is rejected up front even
+    though the DP usually does far less work.
     """
     g, space = req.graph, req.space
-    field = space.field
-    q = field.order
+    q = space.field.order
     estimate = q ** (space.n * g.num_vertices)
     if estimate > req.cap:
         raise WorkCapExceededError(estimate, req.cap)
     og, _ = degeneracy_order(g)
-    order = list(reversed(og.order))
-    scalars = field.elements()
-    vectors = {}
-
-    def recurse(i):
-        v = order[i]
-        assigned = [u for u in g.adjacency[v] if u in vectors]
-        rows = _constraint_rows(space, v, assigned, vectors)
-        if rows:
-            kernel = Matrix.from_rows(field, rows, ncols=space.n).kernel_basis()
-        else:
-            kernel = list(Matrix.identity(field, space.n).rows)
-        if i == len(order) - 1:
-            return q ** len(kernel)
-        total = 0
-        for coeffs in product(scalars, repeat=len(kernel)):
-            vec = [field.zero()] * space.n
-            for c, basis_vec in zip(coeffs, kernel):
-                vec = [a + c * b for a, b in zip(vec, basis_vec)]
-            vectors[v] = vec
-            total += recurse(i + 1)
-        del vectors[v]
-        return total
-
-    count = 1 if not order else recurse(0)
+    count = _frontier_count(g, list(reversed(og.order)), ResidueForm(space))
     d = expected_dimension(g, space)
     return CountReport(
         count=count,

@@ -11,18 +11,34 @@ from fractions import Fraction
 from .errors import FieldMismatchError
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_WITNESS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; moduli at or above the bound are refused."""
+    if p >= _WITNESS_BOUND:
+        raise ValueError(f"modulus {p} is too large to be proved prime (limit {_WITNESS_BOUND})")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,20 +1,69 @@
 """Exact dense linear algebra over a field object from `fields`.
 
-The only algorithm here is fraction-free-free, plain Gaussian elimination to
-reduced row echelon form.  Over the rationals the pivot in each column is the
-entry of largest height (max of |numerator| and |denominator|), which keeps
-intermediate fractions from blowing up on the mildly structured matrices this
-package produces.  Over a prime field any nonzero entry works, so the first
-one is taken.
+The only algorithm here is plain Gaussian elimination to reduced row echelon
+form, in two arithmetic settings.  Over a prime field it runs on ints in
+`[0, p)` (`rref_mod_p`), so no `FpElement` is built inside the loop; the
+pivot in each column is the first nonzero entry.  The point counter calls
+that core directly, and `Matrix` converts to and from residues around it.
+Over the rationals the pivot in each column is the entry of largest height
+(max of |numerator| and |denominator|), which keeps intermediate fractions
+from blowing up on the mildly structured matrices this package produces.
 """
 
-from fractions import Fraction
-
-from .fields import RationalField
+from .fields import FpElement, PrimeField
 
 
 def _height(x):
     return max(abs(x.numerator), abs(x.denominator))
+
+
+def rref_mod_p(rows, ncols, p):
+    """Reduced row echelon form over F_p, as (row list, pivot column list).
+
+    `rows` are sequences of ints in [0, p); the result is new lists of ints
+    in [0, p).  The pivot in each column is the first nonzero entry at or
+    below the current row.  Left of the pivot column the pivot row is zero,
+    so row updates touch only the columns from the pivot on.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(rows):
+            break
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        tail = [x * inv % p for x in rows[r][c:]]
+        rows[r][c:] = tail
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def kernel_mod_p(rows, ncols, p):
+    """A basis of the right kernel over F_p of int rows, one vector per free
+    column, as `Matrix.kernel_basis` orders it."""
+    rref, pivots = rref_mod_p(rows, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][f] % p
+        basis.append(vec)
+    return basis
 
 
 class Matrix:
@@ -71,25 +120,24 @@ class Matrix:
         return out
 
     def _pick_pivot(self, rows, col, start):
-        """Index of the pivot row for `col` among rows[start:], or None."""
-        if isinstance(self.field, RationalField):
-            best = None
-            best_h = None
-            for i in range(start, len(rows)):
-                x = rows[i][col]
-                if x == 0:
-                    continue
-                h = _height(x)
-                if best is None or h > best_h:
-                    best, best_h = i, h
-            return best
+        """Index of the rational pivot row for `col` among rows[start:], or None."""
+        best = None
+        best_h = None
         for i in range(start, len(rows)):
-            if rows[i][col] != 0:
-                return i
-        return None
+            x = rows[i][col]
+            if x == 0:
+                continue
+            h = _height(x)
+            if best is None or h > best_h:
+                best, best_h = i, h
+        return best
 
     def _rref(self):
         """Reduced row echelon form, as (row list, pivot column list)."""
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            rows, pivots = rref_mod_p([[x.value for x in r] for r in self.rows], self.ncols, p)
+            return [[FpElement(x, p) for x in r] for r in rows], pivots
         rows = [list(r) for r in self.rows]
         pivots = []
         r = 0

@@ -3,19 +3,36 @@
 Every number travels as a decimal string so arbitrarily large integers and
 exact rationals survive any JSON parser untouched; booleans stay booleans.
 `canonical_dumps` fixes key order and layout, making repeated runs
-byte-identical.
+byte-identical; `write_canonical` streams the same text.
 """
 
+import io
 import json
 from fractions import Fraction
+from itertools import islice
 
 from .fields import FpElement, field_from_spec
 from .splitting import VertexWeighting
 from .variety import SingularityCertificate, VertexAssignment
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def canonical_dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out = io.StringIO()
+    write_canonical(obj, out)
+    return out.getvalue()
+
+
+def write_canonical(obj, stream):
+    """Write the canonical JSON of `obj` and a newline to a text stream, in
+    pieces of a few thousand encoder chunks, so neither the document nor the
+    list of all its chunks is held in memory at once."""
+    chunks = _CANONICAL.iterencode(obj)
+    while piece := list(islice(chunks, 4096)):
+        stream.write("".join(piece))
+    stream.write("\n")
 
 
 def scalar_to_str(x):
@@ -71,11 +88,11 @@ def certificate_from_obj(obj):
 
 
 def weighting_to_obj(weighting):
+    # a vertex's weights repeat heavily over the palette: one string per value
+    text = {x: str(x) for vec in weighting.weights.values() for x in set(vec)}
     return {
         "colors": list(weighting.colors),
-        "weights": {
-            str(v): [str(x) for x in vec] for v, vec in weighting.weights.items()
-        },
+        "weights": {str(v): [text[x] for x in vec] for v, vec in weighting.weights.items()},
     }
 
 
@@ -116,17 +133,16 @@ def count_report_to_obj(report):
 
 
 def equations_to_obj(eqs):
-    return {
-        "equations": [
-            {
-                "edge": [str(eq.edge[0]), str(eq.edge[1])],
-                "terms": [
-                    [str(i), str(j), scalar_to_str(c)] for i, j, c in eq.terms
-                ],
-            }
-            for eq in eqs
-        ]
-    }
+    # edges share their Gram terms: each distinct term tuple is encoded once
+    encoded = {}
+    out = []
+    for eq in eqs:
+        terms = encoded.get(eq.terms)
+        if terms is None:
+            terms = [[str(i), str(j), scalar_to_str(c)] for i, j, c in eq.terms]
+            encoded[eq.terms] = terms
+        out.append({"edge": [str(eq.edge[0]), str(eq.edge[1])], "terms": terms})
+    return {"equations": out}
 
 
 def gram_to_obj(space):

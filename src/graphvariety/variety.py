@@ -225,16 +225,13 @@ def equations(ctx):
     """The defining equations, one per edge in canonical order."""
     gram = ctx.space.gram.rows
     n = ctx.space.n
-    out = []
-    for lo, hi in ctx.edge_order:
-        terms = tuple(
-            (i, j, gram[i][j])
-            for i in range(n)
-            for j in range(n)
-            if gram[i][j] != 0
-        )
-        out.append(EdgeEquation(edge=(lo, hi), terms=terms))
-    return out
+    terms = tuple(
+        (i, j, gram[i][j])
+        for i in range(n)
+        for j in range(n)
+        if gram[i][j] != 0
+    )
+    return [EdgeEquation(edge=(lo, hi), terms=terms) for lo, hi in ctx.edge_order]
 
 
 def canonical_degrees(graph, n):

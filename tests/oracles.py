@@ -7,7 +7,7 @@ search, direct definitions.  Slow but obviously correct on small inputs.
 import itertools
 from fractions import Fraction
 
-from graphvariety import Graph, VertexAssignment
+from graphvariety import Graph, Matrix, VertexAssignment, degeneracy_order
 
 
 def naive_point_count(graph, space):
@@ -18,6 +18,38 @@ def naive_point_count(graph, space):
         if all(space.pair(assign[lo], assign[hi]) == 0 for lo, hi in graph.edges):
             total += 1
     return total
+
+
+def enumerate_point_count(graph, space):
+    """Count points by walking the reversed degeneracy order and enumerating
+    every admissible vector, one kernel per search-tree node; the last vertex
+    contributes q^dim(kernel) without enumeration."""
+    field = space.field
+    q = field.order
+    order = list(reversed(degeneracy_order(graph)[0].order))
+    vectors = {}
+
+    def recurse(i):
+        v = order[i]
+        rows = [
+            space.gram_times(vectors[u]) if v < u else space.gram_transpose_times(vectors[u])
+            for u in graph.adjacency[v]
+            if u in vectors
+        ]
+        kernel = Matrix.from_rows(field, rows, ncols=space.n).kernel_basis()
+        if i == len(order) - 1:
+            return q ** len(kernel)
+        total = 0
+        for coeffs in itertools.product(field.elements(), repeat=len(kernel)):
+            vec = [field.zero()] * space.n
+            for c, basis_vec in zip(coeffs, kernel):
+                vec = [a + c * b for a, b in zip(vec, basis_vec)]
+            vectors[v] = vec
+            total += recurse(i + 1)
+        del vectors[v]
+        return total
+
+    return recurse(0) if order else 1
 
 
 def brute_degeneracy(graph):
@@ -82,8 +114,6 @@ def random_tree(rng, num_vertices):
 
 def random_graph_with_degeneracy_at_most(rng, num_vertices, cap, extra_edges):
     """Retry random connected graphs until the degeneracy fits under cap."""
-    from graphvariety import degeneracy_order
-
     while True:
         g = random_connected_graph(rng, num_vertices, extra_edges)
         _, d = degeneracy_order(g)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from graphvariety import (
     standard_space,
     star_graph,
 )
-from oracles import naive_point_count
+from graphvariety.counting import ResidueForm
+from oracles import enumerate_point_count, naive_point_count
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
 
@@ -113,6 +115,88 @@ class TestCountAgainstEnumeration:
         a = count_points(CountRequest(g, space)).count
         b = count_points(CountRequest(relabeled, space)).count
         assert a == b == naive_point_count(g, space)
+
+
+def random_graph(rng, num_vertices):
+    """Each pair an edge with probability 1/2: often disconnected, sometimes
+    edgeless."""
+    pairs = [(a, b) for a in range(num_vertices) for b in range(a + 1, num_vertices)]
+    return Graph(num_vertices, [e for e in pairs if rng.random() < 0.5])
+
+
+class TestFrontierCount:
+    # (form, n, q, largest vertex count); every case keeps q^(n |V|) <= 4096
+    # so the naive oracle stays quick.  Symmetric over F_2 is the identity
+    # form (raw keys); hyperbolic over F_2 is alternating (orbit keys).
+    FORMS = [
+        ("symmetric", 1, 2, 5),
+        ("symmetric", 2, 2, 5),
+        ("symmetric", 3, 2, 4),
+        ("symmetric", 1, 3, 5),
+        ("symmetric", 2, 3, 3),
+        ("symmetric", 1, 5, 5),
+        ("symplectic", 2, 3, 3),
+        ("symplectic", 2, 5, 2),
+        ("hyperbolic", 2, 2, 5),
+        ("hyperbolic", 4, 2, 3),
+        ("hyperbolic", 2, 3, 3),
+        ("hyperbolic", 2, 5, 2),
+    ]
+
+    @pytest.mark.parametrize("seed,case", list(enumerate(FORMS)))
+    def test_random_graphs_match_naive(self, seed, case):
+        form, n, q, max_vertices = case
+        space = standard_space(form, n, PrimeField(q))
+        rng = random.Random(seed)
+        graphs = [Graph(max_vertices, []), random_graph(rng, 0)]
+        graphs += [random_graph(rng, rng.randint(1, max_vertices)) for _ in range(6)]
+        for g in graphs:
+            assert count_points(CountRequest(g, space)).count == naive_point_count(g, space), g
+
+    @pytest.mark.parametrize("graph,form,n,q", [
+        (path_graph(3), "symplectic", 4, 3),
+        (cycle_graph(5), "symmetric", 2, 7),
+    ])
+    def test_matches_enumeration(self, graph, form, n, q):
+        space = standard_space(form, n, PrimeField(q))
+        report = count_points(CountRequest(graph, space, cap=q ** (n * graph.num_vertices)))
+        assert report.count == enumerate_point_count(graph, space)
+
+
+class TestFrontierKey:
+    def test_isometric_tuples_share_a_key(self):
+        f = PrimeField(5)
+        form = ResidueForm(standard_space("symplectic", 4, f))
+        assert form.orbit_keys
+
+        def omega(x, y):
+            return sum(a * b for a, b in zip(x, form.times(form.gram, y))) % 5
+
+        u, c = (1, 2, 0, 3), 2
+
+        def transvection(x):  # x + c <x, u> u preserves the symplectic form
+            t = c * omega(x, u)
+            return tuple((a + t * b) % 5 for a, b in zip(x, u))
+
+        w1, w2 = (1, 0, 0, 0), (0, 1, 4, 0)
+        w3 = tuple((a + 2 * b) % 5 for a, b in zip(w1, w2))
+        vectors = (w1, w2, w3, (0, 0, 0, 0))
+        image = tuple(transvection(w) for w in vectors)
+        assert image != vectors
+        assert form.key(image) == form.key(vectors)
+        # the same vectors with another linear relation pattern
+        assert form.key((w1, w2, w1, (0, 0, 0, 0))) != form.key(vectors)
+
+    def test_identity_form_over_f2_uses_raw_vectors(self):
+        form = ResidueForm(standard_space("symmetric", 3, PrimeField(2)))
+        assert not form.orbit_keys
+        vectors = ((1, 0, 0), (0, 1, 1))
+        assert form.key(vectors) == vectors
+
+    def test_hyperbolic_over_f2_is_alternating(self):
+        form = ResidueForm(standard_space("hyperbolic", 2, PrimeField(2)))
+        assert form.orbit_keys
+        assert form.key(((1, 0),)) == form.key(((0, 1),))
 
 
 class TestDimensionProbe:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from graphvariety import (
     field_from_spec,
     vectors_independent,
 )
+from graphvariety.fields import _is_prime
+from graphvariety.linalg import kernel_mod_p
 
 
 class TestRationalField:
@@ -98,6 +101,48 @@ class TestPrimeField:
         assert a - a == f(0)
         if b != f(0):
             assert (a / b) * b == a
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        assert [n for n in range(10**4) if _is_prime(n)] == [
+            n for n in range(10**4) if trial_division(n)
+        ]
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                                   321197185])
+    def test_carmichael_numbers_are_composite(self, n):
+        assert not _is_prime(n)
+
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                                   3474749660383, 341550071728321, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+
+    def test_large_primes(self):
+        assert _is_prime(2**61 - 1)
+        assert _is_prime(100000000000031)
+        assert not _is_prime((2**19 - 1) * (2**61 - 1))
+        assert PrimeField(2**61 - 1).order == 2**61 - 1
+
+    def test_moduli_past_the_proven_range_are_rejected(self):
+        with pytest.raises(ValueError):
+            PrimeField(2**89 - 1)
+        with pytest.raises(ValueError):
+            field_from_spec("Fp:170141183460469231731687303715884105727")
 
 
 class TestFieldFromSpec:
@@ -207,6 +252,15 @@ class TestKernel:
                 assert any(x != zero for x in vec)
                 assert all(x == zero for x in m.mul_vector(vec))
             assert vectors_independent(field, basis, m.ncols) or not basis
+
+    def test_residue_kernel_matches_matrix_kernel(self):
+        rng = random.Random(3)
+        for p in (2, 3, 7):
+            f = PrimeField(p)
+            for _ in range(30):
+                rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rng.randint(0, 4))]
+                expected = Matrix.from_rows(f, rows, ncols=5).kernel_basis()
+                assert kernel_mod_p(rows, 5, p) == [[x.value for x in v] for v in expected]
 
     def test_left_kernel(self):
         m = q_matrix([[1, 2], [2, 4], [0, 0]])

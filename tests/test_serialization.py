@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from graphvariety.serialization import (
     splitting_report_to_obj,
     weighting_from_obj,
     weighting_to_obj,
+    write_canonical,
 )
 
 
@@ -53,6 +55,14 @@ class TestCanonicalDumps:
     def test_sorted_keys_and_trailing_newline(self):
         text = canonical_dumps({"b": "1", "a": "2"})
         assert text == '{\n  "a": "2",\n  "b": "1"\n}\n'
+
+    @pytest.mark.parametrize("size", [0, 3, 5000])
+    def test_streamed_text_equals_dumps(self, size):
+        # 5000 list items give more encoder chunks than one streamed piece
+        obj = {"b": [str(i) for i in range(size)], "a": {"k": True}}
+        out = io.StringIO()
+        write_canonical(obj, out)
+        assert out.getvalue() == canonical_dumps(obj)
 
     def test_identical_objects_give_identical_bytes(self):
         obj = {"x": ["1", "2"], "y": {"k": "3"}}
