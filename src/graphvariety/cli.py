@@ -39,6 +39,7 @@ from .variety import (
     VarietyContext,
     canonical_degrees,
     equations,
+    expected_dimension,
     is_anti_ample,
     projective_smoothness,
     residual,
@@ -87,7 +88,7 @@ def cmd_analyze(args):
         "is_forest": is_forest(g),
         "dimension": str(n),
         "form_kind": kind,
-        "expected_dimension": str(g.num_vertices * n - g.num_edges),
+        "expected_dimension": str(expected_dimension(g, space)),
         "canonical_degrees": [str(x) for x in degrees],
         "anti_ample": is_anti_ample(degrees),
         "bounds": {

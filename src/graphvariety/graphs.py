@@ -5,6 +5,7 @@ Vertices are always 0..n-1 and edges are stored sorted as (lo, hi) pairs, so
 every function that reports per-edge data does so in one canonical order.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import BoundTooSmallError, DisconnectedGraphError
@@ -110,26 +111,42 @@ class OrderedGraph:
 def degeneracy_order(graph):
     """A degeneracy ordering, as (OrderedGraph, degeneracy).
 
-    Repeatedly removes a vertex of minimum remaining degree (smallest index on
-    ties).  The returned order lists vertices in removal order, so each
+    Repeatedly removes a vertex of minimum remaining degree, smallest index
+    on ties.  The returned order lists vertices in removal order, so each
     vertex's older neighbors are the ones still present when it was removed,
     and the degeneracy is the largest such count.
+
+    A heap of (degree, vertex) entries with lazy deletion finds each vertex
+    in O(log V): a neighbor whose degree drops gets a fresh entry, which
+    pops before its older, larger ones, so an entry is stale exactly when
+    its vertex is gone.  That is O((V + E) log V) in all.  The result is
+    memoized on the graph, so every caller on the same graph shares one
+    peel.
     """
-    n = graph.num_vertices
-    remaining = set(range(n))
-    deg = [graph.degree(v) for v in range(n)]
+    cached = getattr(graph, "_degeneracy_cache", None)
+    if cached is not None:
+        return cached
+    adjacency = graph.adjacency
+    deg = [len(ns) for ns in adjacency]
+    removed = [False] * graph.num_vertices
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     degeneracy = 0
-    for _ in range(n):
-        v = min(remaining, key=lambda u: (deg[u], u))
-        degeneracy = max(degeneracy, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        degeneracy = max(degeneracy, d)
         order.append(v)
-        remaining.remove(v)
-        for u in graph.adjacency[v]:
-            if u in remaining:
+        removed[v] = True
+        for u in adjacency[v]:
+            if not removed[u]:
                 deg[u] -= 1
-    og = OrderedGraph(graph, order)
-    return og, degeneracy
+                heapq.heappush(heap, (deg[u], u))
+    cached = (OrderedGraph(graph, order), degeneracy)
+    graph._degeneracy_cache = cached
+    return cached
 
 
 @dataclass(frozen=True)

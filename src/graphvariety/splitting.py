@@ -30,6 +30,7 @@ inter-level edge wins its own pool color with margin at least 5.  The
 verifier `color_classes` re-checks the outcome from scratch on every run.
 """
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
@@ -296,7 +297,8 @@ def _split_with_trace(graph):
 def split_forest_into_matchings(forest):
     """A splitting of a forest into at most D matchings.
 
-    Leaves are peeled off one at a time; rebuilding in reverse, each leaf
+    Leaves are peeled off one at a time, smallest index first, in
+    O((V + E) log V) (see `_leaf_peel`); rebuilding in reverse, each leaf
     edge takes the smallest color still free at the attachment vertex and a
     weight one larger than everything the attachment vertex carries, which
     makes the new edge win exactly its own color.
@@ -309,19 +311,7 @@ def split_forest_into_matchings(forest):
         return VertexWeighting(colors=(), weights={v: () for v in range(n)})
     colors = tuple(f"c{k}" for k in range(1, big_d + 1))
 
-    deg = [forest.degree(v) for v in range(n)]
-    removed = [False] * n
-    parent = [None] * n
-    peel = []
-    for _ in range(n):
-        v = min(u for u in range(n) if not removed[u] and deg[u] <= 1)
-        removed[v] = True
-        peel.append(v)
-        for u in forest.adjacency[v]:
-            if not removed[u]:
-                parent[v] = u
-                deg[u] -= 1
-
+    peel, parent = _leaf_peel(forest)
     weights = {v: [0] * big_d for v in range(n)}
     used = {v: set() for v in range(n)}
     for v in reversed(peel):
@@ -333,6 +323,34 @@ def split_forest_into_matchings(forest):
         used[y].add(c)
         used[v].add(c)
     return VertexWeighting(colors=colors, weights={v: tuple(w) for v, w in weights.items()})
+
+
+def _leaf_peel(forest):
+    """The leaf-peel order of a forest and the vertex each leaf hung from.
+
+    Removes a vertex of remaining degree at most 1 at every step, smallest
+    index first; parent[v] is v's one remaining neighbor when it went, or
+    None.  The candidates sit on a heap: every vertex enters it once, when
+    its degree first reaches 1 (or at the start), so the peel is
+    O((V + E) log V).
+    """
+    adjacency = forest.adjacency
+    deg = [len(ns) for ns in adjacency]
+    removed = [False] * forest.num_vertices
+    parent = [None] * forest.num_vertices
+    heap = [v for v, d in enumerate(deg) if d <= 1]  # ascending, so a heap
+    peel = []
+    while heap:
+        v = heapq.heappop(heap)
+        removed[v] = True
+        peel.append(v)
+        for u in adjacency[v]:
+            if not removed[u]:
+                parent[v] = u
+                deg[u] -= 1
+                if deg[u] == 1:
+                    heapq.heappush(heap, u)
+    return peel, parent
 
 
 def brute_force_min_colors(graph, max_colors, max_weight, cap=BRUTE_FORCE_CAP):

@@ -62,10 +62,6 @@ class VarietyContext:
     def field(self):
         return self.space.field
 
-    @property
-    def expected_dimension(self):
-        return self.graph.num_vertices * self.space.n - self.graph.num_edges
-
 
 def expected_dimension(graph, space):
     return graph.num_vertices * space.n - graph.num_edges
@@ -129,9 +125,6 @@ class SingularityCertificate:
 
     edges: tuple
     values: tuple
-
-    def value_on(self, lo, hi):
-        return self.values[self.edges.index((lo, hi))]
 
 
 def verify_certificate(ctx, assignment, certificate):

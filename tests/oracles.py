@@ -66,6 +66,46 @@ def brute_degeneracy(graph):
     return best
 
 
+def scan_degeneracy_order(graph):
+    """The degeneracy order by a full min-scan of the remaining vertices per
+    step, O(V^2): minimum remaining degree, smallest index on ties.  Returns
+    (order, degeneracy)."""
+    n = graph.num_vertices
+    remaining = set(range(n))
+    deg = [graph.degree(v) for v in range(n)]
+    order = []
+    degeneracy = 0
+    for _ in range(n):
+        v = min(remaining, key=lambda u: (deg[u], u))
+        degeneracy = max(degeneracy, deg[v])
+        order.append(v)
+        remaining.remove(v)
+        for u in graph.adjacency[v]:
+            if u in remaining:
+                deg[u] -= 1
+    return tuple(order), degeneracy
+
+
+def scan_leaf_peel(forest):
+    """The leaf peel of a forest by a full scan per step, O(V^2): the
+    smallest-index vertex of remaining degree at most 1 goes next.  Returns
+    (peel, parent) with parent[v] the neighbor v still had when removed."""
+    n = forest.num_vertices
+    deg = [forest.degree(v) for v in range(n)]
+    removed = [False] * n
+    parent = [None] * n
+    peel = []
+    for _ in range(n):
+        v = min(u for u in range(n) if not removed[u] and deg[u] <= 1)
+        removed[v] = True
+        peel.append(v)
+        for u in forest.adjacency[v]:
+            if not removed[u]:
+                parent[v] = u
+                deg[u] -= 1
+    return peel, parent
+
+
 def _all_simple_cycles(graph):
     """Yield simple cycles as vertex tuples, one representative each."""
     seen = set()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,13 @@ from graphvariety import (
     proper_vertex_numbering,
     star_graph,
 )
-from oracles import brute_degeneracy, brute_has_even_cycle
-from strategies import connected_graphs, graphs
+from oracles import (
+    brute_degeneracy,
+    brute_has_even_cycle,
+    random_connected_graph,
+    scan_degeneracy_order,
+)
+from strategies import connected_graphs, forests, graphs
 
 
 class TestGraphConstruction:
@@ -145,6 +152,30 @@ class TestDegeneracy:
     def test_width_equals_max_back_degree(self):
         og, d = degeneracy_order(complete_bipartite_graph(2, 4))
         assert og.width() == d == 2
+
+    @given(graphs(max_vertices=12, min_vertices=0))
+    @settings(max_examples=100, deadline=None)
+    def test_order_matches_min_scan_oracle(self, g):
+        og, d = degeneracy_order(g)
+        assert (og.order, d) == scan_degeneracy_order(g)
+
+    @given(forests())
+    @settings(max_examples=60, deadline=None)
+    def test_forest_order_matches_min_scan_oracle(self, g):
+        og, d = degeneracy_order(g)
+        assert (og.order, d) == scan_degeneracy_order(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_random_order_matches_min_scan_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(100, 300)
+        g = random_connected_graph(rng, n, rng.randint(0, 3 * n))
+        og, d = degeneracy_order(g)
+        assert (og.order, d) == scan_degeneracy_order(g)
+
+    def test_memoized_on_the_graph(self):
+        g = cycle_graph(5)
+        assert degeneracy_order(g) is degeneracy_order(g)
 
 
 class TestBfsLayers:

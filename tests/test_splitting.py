@@ -22,8 +22,9 @@ from graphvariety import (
     split_into_matchings,
     star_graph,
 )
-from graphvariety.splitting import _split_with_trace
-from oracles import random_connected_graph, random_tree
+from graphvariety.splitting import _leaf_peel, _split_with_trace
+from oracles import random_connected_graph, random_tree, scan_leaf_peel
+from strategies import forests
 
 
 def check_split_by_hand(graph, weighting):
@@ -240,6 +241,25 @@ class TestForestSplitter:
     def test_cycle_rejected(self):
         with pytest.raises(NotAForestError):
             split_forest_into_matchings(cycle_graph(3))
+
+    @given(forests())
+    @settings(max_examples=100, deadline=None)
+    def test_leaf_peel_matches_scan_oracle(self, g):
+        assert _leaf_peel(g) == scan_leaf_peel(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_tree_leaf_peel_matches_scan_oracle(self, seed):
+        rng = random.Random(seed)
+        g = random_tree(rng, rng.randint(100, 400))
+        assert _leaf_peel(g) == scan_leaf_peel(g)
+
+    @given(forests())
+    @settings(max_examples=60, deadline=None)
+    def test_random_forests_split_validly(self, g):
+        w = split_forest_into_matchings(g)
+        rep = color_classes(g, w)
+        assert rep.valid
+        assert rep.color_count <= g.max_degree()
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=30, deadline=None)
