@@ -33,7 +33,7 @@ from .bilinear import standard_space
 from .errors import WorkCapExceededError
 from .fields import PrimeField
 from .graphs import degeneracy_order
-from .linalg import kernel_mod_p, rref_mod_p
+from .linalg import kernel, rref
 from .variety import expected_dimension
 
 DEFAULT_WORK_CAP = 10**7
@@ -84,8 +84,8 @@ class ResidueForm:
         p = self.p
         images = [self.times(self.gram, w) for w in vectors]
         pairs = tuple(sum(a * b for a, b in zip(u, gw)) % p for u in vectors for gw in images)
-        rref, pivots = rref_mod_p(list(zip(*vectors)), len(vectors), p)
-        return pairs, tuple(tuple(row) for row in rref[: len(pivots)])
+        reduced, pivots = rref(list(zip(*vectors)), len(vectors), p)
+        return pairs, tuple(tuple(row) for row in reduced[: len(pivots)])
 
 
 def _span(basis, n, p):
@@ -112,13 +112,13 @@ def _frontier_count(g, order, form):
         unchanged = not enters and len(keep) == len(frontier)
         nxt = {}
         for key, (rep, mult) in states.items():
-            kernel = kernel_mod_p([form.times(m, rep[k]) for k, m in slots], n, p)
+            basis = kernel([form.times(m, rep[k]) for k, m in slots], n, p)
             kept = tuple(rep[k] for k in keep)
             if enters:
-                extended = [kept + (x,) for x in _span(kernel, n, p)]
+                extended = [kept + (x,) for x in _span(basis, n, p)]
             else:
                 extended = [kept]
-                mult *= p ** len(kernel)
+                mult *= p ** len(basis)
             for t in extended:
                 new_key = key if unchanged else form.key(t)
                 if new_key in nxt:

@@ -1,29 +1,31 @@
 """Exact dense linear algebra over a field object from `fields`.
 
-The only algorithm here is plain Gaussian elimination to reduced row echelon
-form, in two arithmetic settings.  Over a prime field it runs on ints in
-`[0, p)` (`rref_mod_p`), so no `FpElement` is built inside the loop; the
-pivot in each column is the first nonzero entry.  The point counter calls
-that core directly, and `Matrix` converts to and from residues around it.
-Over the rationals the pivot in each column is the entry of largest height
-(max of |numerator| and |denominator|), which keeps intermediate fractions
-from blowing up on the mildly structured matrices this package produces.
+The only algorithm here is Gauss-Jordan elimination to reduced row echelon
+form (`rref`), with one pivot rule for both fields: the first nonzero entry
+of the column at or below the current row.  Over a prime field it runs on
+ints in `[0, p)`, so no `FpElement` is built inside the loop; over the
+rationals it runs on `Fraction`s.  No pivot rule keeps the fractions smaller
+than another: by Cramer's rule each intermediate entry of exact
+Gauss-Jordan is a ratio of two minors of the input, whichever nonzero pivot
+is taken, and the reduced form itself is unique.  `kernel` reads a
+right-kernel basis off the reduced form.  The point counter calls both
+directly on residues, and `Matrix` converts its rows to raw scalars once
+around them.
 """
+
+from fractions import Fraction
 
 from .fields import FpElement, PrimeField
 
 
-def _height(x):
-    return max(abs(x.numerator), abs(x.denominator))
+def rref(rows, ncols, p=None):
+    """Reduced row echelon form, as (row list, pivot column list).
 
-
-def rref_mod_p(rows, ncols, p):
-    """Reduced row echelon form over F_p, as (row list, pivot column list).
-
-    `rows` are sequences of ints in [0, p); the result is new lists of ints
-    in [0, p).  The pivot in each column is the first nonzero entry at or
-    below the current row.  Left of the pivot column the pivot row is zero,
-    so row updates touch only the columns from the pivot on.
+    `rows` are sequences of ints in [0, p) for a prime `p`, or of
+    `Fraction`s when `p` is None; the result is new lists of the same kind.
+    The pivot in each column is the first nonzero entry at or below the
+    current row.  Left of the pivot column the pivot row is zero, so row
+    updates touch only the columns from the pivot on.
     """
     rows = [list(r) for r in rows]
     pivots = []
@@ -37,31 +39,39 @@ def rref_mod_p(rows, ncols, p):
         else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        tail = [x * inv % p for x in rows[r][c:]]
+        if p is None:
+            inv = Fraction(1) / rows[r][c]
+            tail = [x * inv for x in rows[r][c:]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            tail = [x * inv % p for x in rows[r][c:]]
         rows[r][c:] = tail
         for j, row in enumerate(rows):
             f = row[c]
             if f and j != r:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+                if p is None:
+                    row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
+                else:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
     return rows, pivots
 
 
-def kernel_mod_p(rows, ncols, p):
-    """A basis of the right kernel over F_p of int rows, one vector per free
-    column, as `Matrix.kernel_basis` orders it."""
-    rref, pivots = rref_mod_p(rows, ncols, p)
+def kernel(rows, ncols, p=None):
+    """A basis of the right kernel of `rows` (scalars as in `rref`), one
+    vector per free column in increasing order, with a 1 in that column."""
+    reduced, pivots = rref(rows, ncols, p)
     pivot_set = set(pivots)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [0] * ncols
-        vec[f] = 1
+        vec = [zero] * ncols
+        vec[f] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][f] % p
+            vec[pc] = -reduced[r][f] if p is None else -reduced[r][f] % p
         basis.append(vec)
     return basis
 
@@ -119,62 +129,23 @@ class Matrix:
             out.append(acc)
         return out
 
-    def _pick_pivot(self, rows, col, start):
-        """Index of the rational pivot row for `col` among rows[start:], or None."""
-        best = None
-        best_h = None
-        for i in range(start, len(rows)):
-            x = rows[i][col]
-            if x == 0:
-                continue
-            h = _height(x)
-            if best is None or h > best_h:
-                best, best_h = i, h
-        return best
-
-    def _rref(self):
-        """Reduced row echelon form, as (row list, pivot column list)."""
+    def _scalars(self):
+        """The rows as raw scalars for `rref`, and the modulus (None over Q)."""
         if isinstance(self.field, PrimeField):
-            p = self.field.p
-            rows, pivots = rref_mod_p([[x.value for x in r] for r in self.rows], self.ncols, p)
-            return [[FpElement(x, p) for x in r] for r in rows], pivots
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r >= len(rows):
-                break
-            i = self._pick_pivot(rows, c, r)
-            if i is None:
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            inv = self.field.one() / rows[r][c]
-            rows[r] = [inv * x for x in rows[r]]
-            for j in range(len(rows)):
-                if j != r and rows[j][c] != 0:
-                    f = rows[j][c]
-                    rows[j] = [a - f * b for a, b in zip(rows[j], rows[r])]
-            pivots.append(c)
-            r += 1
-        return rows, pivots
+            return [[x.value for x in r] for r in self.rows], self.field.p
+        return self.rows, None
 
     def rank(self):
-        return len(self._rref()[1])
+        rows, p = self._scalars()
+        return len(rref(rows, self.ncols, p)[1])
 
     def kernel_basis(self):
         """A basis of the right kernel, one vector per free column."""
-        rows, pivots = self._rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        z, o = self.field.zero(), self.field.one()
-        basis = []
-        for f in free:
-            vec = [z] * self.ncols
-            vec[f] = o
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][f]
-            basis.append(vec)
-        return basis
+        rows, p = self._scalars()
+        basis = kernel(rows, self.ncols, p)
+        if p is None:
+            return basis
+        return [[FpElement(x, p) for x in vec] for vec in basis]
 
     def left_kernel_basis(self):
         """A basis of the left kernel: vectors y with y * self = 0."""

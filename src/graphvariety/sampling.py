@@ -24,7 +24,7 @@ from .errors import (
 from .fields import PrimeField, RationalField
 from .graphs import cycle_graph
 from .linalg import Matrix, vectors_independent
-from .variety import SingularityCertificate, VertexAssignment
+from .variety import SingularityCertificate, VertexAssignment, edge_gradient
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,6 @@ class SamplerConfig:
             raise ValueError("bound must be at least 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
-
-
-def _constraint_rows(space, v, assigned_neighbors, vectors):
-    """Rows whose kernel is the admissible space for w(v).
-
-    For a neighbor u with an assigned vector, the edge equation linearized in
-    w(v) reads differently depending on which endpoint is smaller: the edge is
-    stored as (min, max) and the form need not be symmetric.
-    """
-    rows = []
-    for u in assigned_neighbors:
-        wu = vectors[u]
-        if v < u:
-            rows.append(space.gram_times(wu))
-        else:
-            rows.append(space.gram_transpose_times(wu))
-    return rows
 
 
 def _draw(field, kernel, rng, bound):
@@ -102,7 +85,7 @@ def sample_regular_point(og, space, cfg=None):
     # oldest vertex first
     for v in reversed(og.order):
         older = og.older_neighbors(v)
-        rows = _constraint_rows(space, v, older, vectors)
+        rows = [edge_gradient(space, v, u, vectors[u]) for u in older]
         if rows:
             kernel = Matrix.from_rows(field, rows, ncols=space.n).kernel_basis()
         else:

@@ -176,7 +176,7 @@ def split_into_matchings(graph):
         failure = None
         for root in range(sub.num_vertices):
             try:
-                comp_weights = _split_component(sub, big_d, colors, index, root)
+                comp_weights, _ = _split_component(sub, big_d, colors, index, root)
                 break
             except InternalConflictError as exc:
                 failure = exc
@@ -191,7 +191,11 @@ def split_into_matchings(graph):
 
 
 def _split_component(sub, big_d, colors, index, root):
-    """Stages 1-4 on one connected component; returns vertex -> weight list."""
+    """Stages 1-4 on one connected component, rooted at `root`.
+
+    Returns (vertex -> weight list, the `BfsLayering` whose levels the
+    stages used).
+    """
     base_size = len(palette(big_d - 1))
     layering = bfs_layers(sub, root)
     levels = layering.layers
@@ -265,33 +269,7 @@ def _split_component(sub, big_d, colors, index, root):
         max_base_upper = max(weights[upper][:base_size])
         weights[upper][c] = max_base_upper + level_max[i] + 5
         weights[lower][c] = 5
-    return weights
-
-
-def _split_with_trace(graph):
-    """split_into_matchings plus the level structure, for structural tests."""
-    weighting = split_into_matchings(graph)
-    big_d = graph.max_degree()
-    trace = []
-    if big_d <= 1:
-        return weighting, trace
-    for comp in connected_components(graph):
-        sub, _, new_to_old = induced_subgraph_with_map(graph, comp)
-        for root in range(sub.num_vertices):
-            try:
-                _split_component(sub, big_d, weighting.colors,
-                                 {c: i for i, c in enumerate(weighting.colors)}, root)
-                break
-            except InternalConflictError:
-                continue
-        layering = bfs_layers(sub, root)
-        kinds = {}
-        for lo, hi in sub.edges:
-            glo, ghi = new_to_old[lo], new_to_old[hi]
-            same = layering.level[lo] == layering.level[hi]
-            kinds[(min(glo, ghi), max(glo, ghi))] = "intra" if same else "inter"
-        trace.append({"root": new_to_old[root], "edge_kinds": kinds})
-    return weighting, trace
+    return weights, layering
 
 
 def split_forest_into_matchings(forest):

@@ -88,11 +88,21 @@ def is_member(ctx, assignment):
     return all(r == 0 for r in residual(ctx, assignment))
 
 
+def edge_gradient(space, v, u, wu):
+    """The gradient in w(v) of the equation of edge {v, u}, at w(u) = wu.
+
+    The edge is stored as (min, max) and the form need not be symmetric, so
+    the equation <w(lo), w(hi)> = 0 is linear in w(v) with coefficients
+    gram * w(u) when v < u and gram^T * w(u) when v > u.
+    """
+    return space.gram_times(wu) if v < u else space.gram_transpose_times(wu)
+
+
 def jacobian(ctx, assignment):
     """The |E| x (|V| * n) Jacobian of the edge equations at the assignment.
 
-    The row of edge (lo, hi) carries gram * w(hi) in lo's coordinate block and
-    gram^T * w(lo) in hi's block.
+    The row of edge (lo, hi) carries the edge's gradients in w(lo) and w(hi)
+    in the two endpoints' coordinate blocks.
     """
     _check_shape(ctx, assignment)
     n = ctx.space.n
@@ -101,10 +111,8 @@ def jacobian(ctx, assignment):
     rows = []
     for lo, hi in ctx.edge_order:
         row = [z] * (ctx.graph.num_vertices * n)
-        for k, x in enumerate(ctx.space.gram_times(w[hi])):
-            row[lo * n + k] = row[lo * n + k] + x
-        for k, x in enumerate(ctx.space.gram_transpose_times(w[lo])):
-            row[hi * n + k] = row[hi * n + k] + x
+        row[lo * n:lo * n + n] = edge_gradient(ctx.space, lo, hi, w[hi])
+        row[hi * n:hi * n + n] = edge_gradient(ctx.space, hi, lo, w[lo])
         rows.append(row)
     m = Matrix(ctx.field, rows)
     if not rows:

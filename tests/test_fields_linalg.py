@@ -17,7 +17,7 @@ from graphvariety import (
     vectors_independent,
 )
 from graphvariety.fields import _is_prime
-from graphvariety.linalg import kernel_mod_p
+from graphvariety.linalg import kernel
 
 
 class TestRationalField:
@@ -260,7 +260,7 @@ class TestKernel:
             for _ in range(30):
                 rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rng.randint(0, 4))]
                 expected = Matrix.from_rows(f, rows, ncols=5).kernel_basis()
-                assert kernel_mod_p(rows, 5, p) == [[x.value for x in v] for v in expected]
+                assert kernel(rows, 5, p) == [[x.value for x in v] for v in expected]
 
     def test_left_kernel(self):
         m = q_matrix([[1, 2], [2, 4], [0, 0]])

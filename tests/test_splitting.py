@@ -14,6 +14,7 @@ from graphvariety import (
     color_classes,
     complete_bipartite_graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     degeneracy_order,
     palette,
@@ -22,7 +23,7 @@ from graphvariety import (
     split_into_matchings,
     star_graph,
 )
-from graphvariety.splitting import _leaf_peel, _split_with_trace
+from graphvariety.splitting import _leaf_peel, _split_component
 from oracles import random_connected_graph, random_tree, scan_leaf_peel
 from strategies import forests
 
@@ -200,13 +201,19 @@ class TestSplitIntoMatchings:
         g = complete_bipartite_graph(3, 3)
         big_d = g.max_degree()
         small = set(palette(big_d - 1))
-        w, traces = _split_with_trace(g)
-        assert len(traces) == 1
+        colors = palette(big_d)
+        assert len(connected_components(g)) == 1
+        weights, layering = _split_component(
+            g, big_d, colors, {c: i for i, c in enumerate(colors)}, 0
+        )
+        w = split_into_matchings(g)
+        # root 0 admits a pool assignment, so its layering is the split's own
+        assert w == VertexWeighting(colors, {v: tuple(vec) for v, vec in weights.items()})
         rep = color_classes(g, w)
         by_edge = {v.edge: v.argmax[0] for v in rep.per_edge}
-        for edge, kind in traces[0]["edge_kinds"].items():
-            color = by_edge[edge]
-            if kind == "intra":
+        for lo, hi in g.edges:
+            color = by_edge[(lo, hi)]
+            if layering.level[lo] == layering.level[hi]:
                 assert color in small
             else:
                 assert color.startswith(f"a{big_d}.")
