@@ -21,7 +21,6 @@ from .counting import (
 from .errors import (
     BoundTooSmallError,
     DisconnectedGraphError,
-    FieldMismatchError,
     GraphVarietyError,
     InternalConflictError,
     NotAForestError,
@@ -33,7 +32,7 @@ from .errors import (
     UnsupportedCombinationError,
     WorkCapExceededError,
 )
-from .fields import RATIONALS, FpElement, PrimeField, RationalField, field_from_spec
+from .fields import RATIONALS, PrimeField, RationalField, field_from_spec
 from .graphs import (
     BfsLayering,
     Graph,

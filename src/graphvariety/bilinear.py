@@ -27,7 +27,7 @@ class BilinearSpace:
                 raise UnsupportedCombinationError(
                     "symplectic spaces over characteristic 2 are not supported"
                 )
-            neg = Matrix(field, [[-x for x in row] for row in m.rows])
+            neg = Matrix(field, [[field(-x) for x in row] for row in m.rows])
             if t != neg:
                 raise ValueError("symplectic gram matrix must be antisymmetric")
             if n % 2 != 0:
@@ -89,7 +89,7 @@ def standard_space(form, n, field=RATIONALS):
         gram = [[z] * n for _ in range(n)]
         for i in range(half):
             gram[i][i + half] = o
-            gram[i + half][i] = -o
+            gram[i + half][i] = field(-1)
         return BilinearSpace(n, "symplectic", gram, field)
     if form == "symmetric":
         gram = [[o if i == j else z for j in range(n)] for i in range(n)]

@@ -16,7 +16,7 @@ from pathlib import Path
 from .bilinear import BilinearSpace, standard_space
 from .counting import DEFAULT_WORK_CAP, CountRequest, count_points
 from .errors import GraphVarietyError
-from .fields import RATIONALS, PrimeField, field_from_spec
+from .fields import RATIONALS, field_from_spec
 from .graphs import degeneracy_order, is_forest, parse_edge_list
 from .sampling import SamplerConfig, sample_regular_point
 from .serialization import (
@@ -182,7 +182,7 @@ def cmd_verify_split(args):
 def cmd_count(args):
     g = _load_graph(args)
     field = field_from_spec(args.field)
-    if not isinstance(field, PrimeField):
+    if field.p is None:
         raise ValueError("count requires a prime field, e.g. --field Fp:5")
     space = _resolve_space(args, field)
     report = count_points(CountRequest(g, space, args.cap))

@@ -33,8 +33,8 @@ from .bilinear import standard_space
 from .errors import WorkCapExceededError
 from .fields import PrimeField
 from .graphs import degeneracy_order
-from .linalg import kernel, rref
-from .variety import expected_dimension
+from .linalg import dot, kernel, rref
+from .variety import edge_gradient, expected_dimension
 
 DEFAULT_WORK_CAP = 10**7
 
@@ -46,7 +46,7 @@ class CountRequest:
     cap: int = DEFAULT_WORK_CAP
 
     def __post_init__(self):
-        if not isinstance(self.space.field, PrimeField):
+        if self.space.field.p is None:
             raise ValueError("point counting needs a prime field")
         if self.cap < 1:
             raise ValueError("work cap must be at least 1")
@@ -61,30 +61,26 @@ class CountReport:
 
 
 class ResidueForm:
-    """A prime-field space's form on ints in [0, p), with the frontier key
-    it admits.  Vectors are tuples of ints in [0, p)."""
+    """A prime-field space with the frontier key its form admits.  Vectors
+    are tuples of ints in [0, p)."""
 
     def __init__(self, space):
+        self.space = space
         self.p = space.field.p
         self.n = space.n
-        self.gram = [[x.value for x in row] for row in space.gram.rows]
-        self.gram_t = [list(col) for col in zip(*self.gram)]
+        gram = space.gram.rows
         # Witt's extension theorem: alternating forms, or odd characteristic
-        self.orbit_keys = self.p != 2 or all(self.gram[i][i] == 0 for i in range(self.n))
-
-    def times(self, matrix, w):
-        p = self.p
-        return [sum(a * b for a, b in zip(row, w)) % p for row in matrix]
+        self.orbit_keys = self.p != 2 or all(gram[i][i] == 0 for i in range(self.n))
 
     def key(self, vectors):
         """The memo key of a frontier tuple: its (Gram matrix, linear
         relations) pair where orbit keys apply, else the tuple itself."""
         if not self.orbit_keys or not vectors:
             return vectors
-        p = self.p
-        images = [self.times(self.gram, w) for w in vectors]
-        pairs = tuple(sum(a * b for a, b in zip(u, gw)) % p for u in vectors for gw in images)
-        reduced, pivots = rref(list(zip(*vectors)), len(vectors), p)
+        field = self.space.field
+        images = [self.space.gram_times(w) for w in vectors]
+        pairs = tuple(dot(field, u, gw) for u in vectors for gw in images)
+        reduced, pivots = rref(list(zip(*vectors)), len(vectors), self.p)
         return pairs, tuple(tuple(row) for row in reduced[: len(pivots)])
 
 
@@ -98,21 +94,19 @@ def _span(basis, n, p):
 
 def _frontier_count(g, order, form):
     """The number of member points, by the frontier DP over `order`."""
-    n, p = form.n, form.p
+    n, p, space = form.n, form.p, form.space
     position = {v: i for i, v in enumerate(order)}
     last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
     frontier = []
     states = {(): ((), 1)}
     for i, v in enumerate(order):
-        # the edge (lo, hi) reads w(lo) . gram w(hi) = 0, linear in w(v)
-        slots = [(frontier.index(u), form.gram if v < u else form.gram_t)
-                 for u in g.adjacency[v] if position[u] < i]
+        slots = [(frontier.index(u), u) for u in g.adjacency[v] if position[u] < i]
         keep = [k for k, u in enumerate(frontier) if last[u] > i]
         enters = last[v] > i
         unchanged = not enters and len(keep) == len(frontier)
         nxt = {}
         for key, (rep, mult) in states.items():
-            basis = kernel([form.times(m, rep[k]) for k, m in slots], n, p)
+            basis = kernel([edge_gradient(space, v, u, rep[k]) for k, u in slots], n, p)
             kept = tuple(rep[k] for k in keep)
             if enters:
                 extended = [kept + (x,) for x in _span(basis, n, p)]

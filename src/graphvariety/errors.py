@@ -17,10 +17,6 @@ class BoundTooSmallError(GraphVarietyError):
     """A numbering or palette bound is too small for the given graph."""
 
 
-class FieldMismatchError(GraphVarietyError):
-    """Scalars from different fields were mixed in one computation."""
-
-
 class OddDimensionError(GraphVarietyError):
     """A construction requiring even dimension was asked for an odd one."""
 

@@ -1,15 +1,20 @@
-"""Exact scalar arithmetic over the rationals and prime fields.
+"""Exact scalars: the rationals and the prime fields.
 
-All computations in this package are exact: rationals are represented by
-`fractions.Fraction` and prime-field elements by `FpElement`.  Floats are
-rejected at the boundary so rounding error can never leak into a rank
-computation or a certificate check.
+A rational is a `fractions.Fraction`; an element of F_p is a plain `int` in
+[0, p).  Calling a field object is the one place a scalar is made or
+reduced: `field(x)` coerces an int or a decimal string, and over F_p it is
+also how raw int arithmetic is brought back into [0, p), which must happen
+before a result is compared or stored.  Floats are rejected at the boundary
+so rounding error can never leak into a rank computation or a certificate
+check.
 """
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError
 
+# A decimal string's exponent is capped at Python's default limit on the
+# digits of an int string, so "1e100000000" cannot build a huge power of 10.
+MAX_EXPONENT = 4300
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the prime bases 2..41 is exact below this bound
@@ -42,93 +47,12 @@ def _is_prime(p):
     return True
 
 
-class FpElement:
-    """An element of the field with p elements, stored as a reduced residue."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    f"cannot mix F_{self.p} and F_{other.p} elements"
-                )
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(self.value * pow(o.value, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FpElement({self.value}, {self.p})"
-
-
 class RationalField:
     """The field of rational numbers, with Fraction as the element type."""
 
     name = "Q"
     characteristic = 0
+    p = None
 
     def __call__(self, value):
         if isinstance(value, Fraction):
@@ -136,6 +60,9 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
+            _, e, exponent = value.lower().partition("e")
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError(f"decimal exponent of {value!r} exceeds {MAX_EXPONENT}")
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rational field")
 
@@ -144,9 +71,6 @@ class RationalField:
 
     def one(self):
         return Fraction(1)
-
-    def contains(self, value):
-        return isinstance(value, Fraction)
 
     def elements(self):
         raise TypeError("the rational field is not finite")
@@ -166,7 +90,7 @@ class RationalField:
 
 
 class PrimeField:
-    """The field with p elements for a prime p."""
+    """The field with p elements for a prime p, on ints in [0, p)."""
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
@@ -176,29 +100,20 @@ class PrimeField:
         self.characteristic = p
 
     def __call__(self, value):
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise FieldMismatchError(
-                    f"cannot coerce an F_{value.p} element into F_{self.p}"
-                )
-            return value
         if isinstance(value, int):
-            return FpElement(value, self.p)
+            return value % self.p
         if isinstance(value, str):
-            return FpElement(int(value), self.p)
+            return int(value) % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
     def zero(self):
-        return FpElement(0, self.p)
+        return 0
 
     def one(self):
-        return FpElement(1, self.p)
-
-    def contains(self, value):
-        return isinstance(value, FpElement) and value.p == self.p
+        return 1
 
     def elements(self):
-        return [FpElement(v, self.p) for v in range(self.p)]
+        return list(range(self.p))
 
     @property
     def order(self):

@@ -1,21 +1,19 @@
 """Exact dense linear algebra over a field object from `fields`.
 
-The only algorithm here is Gauss-Jordan elimination to reduced row echelon
-form (`rref`), with one pivot rule for both fields: the first nonzero entry
-of the column at or below the current row.  Over a prime field it runs on
-ints in `[0, p)`, so no `FpElement` is built inside the loop; over the
-rationals it runs on `Fraction`s.  No pivot rule keeps the fractions smaller
-than another: by Cramer's rule each intermediate entry of exact
-Gauss-Jordan is a ratio of two minors of the input, whichever nonzero pivot
-is taken, and the reduced form itself is unique.  `kernel` reads a
-right-kernel basis off the reduced form.  The point counter calls both
-directly on residues, and `Matrix` converts its rows to raw scalars once
-around them.
+Scalars are what the field makes: ints in [0, p) over F_p, `Fraction`s over
+the rationals.  The only algorithm here is Gauss-Jordan elimination to
+reduced row echelon form (`rref`), with one pivot rule for both fields: the
+first nonzero entry of the column at or below the current row.  No pivot
+rule keeps the fractions smaller than another: by Cramer's rule each
+intermediate entry of exact Gauss-Jordan is a ratio of two minors of the
+input, whichever nonzero pivot is taken, and the reduced form itself is
+unique.  `kernel` reads a right-kernel basis off the reduced form.  Both
+take the modulus `p` (None over the rationals), so `Matrix` hands them its
+rows as they are, and the point counter calls them directly.
 """
 
 from fractions import Fraction
-
-from .fields import FpElement, PrimeField
+from operator import mul
 
 
 def rref(rows, ncols, p=None):
@@ -23,6 +21,8 @@ def rref(rows, ncols, p=None):
 
     `rows` are sequences of ints in [0, p) for a prime `p`, or of
     `Fraction`s when `p` is None; the result is new lists of the same kind.
+    Entries must be reduced: an unreduced multiple of p would be taken for
+    a nonzero pivot.
     The pivot in each column is the first nonzero entry at or below the
     current row.  Left of the pivot column the pivot row is zero, so row
     updates touch only the columns from the pivot on.
@@ -120,32 +120,14 @@ class Matrix:
     def mul_vector(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        z = self.field.zero()
-        out = []
-        for row in self.rows:
-            acc = z
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            out.append(acc)
-        return out
-
-    def _scalars(self):
-        """The rows as raw scalars for `rref`, and the modulus (None over Q)."""
-        if isinstance(self.field, PrimeField):
-            return [[x.value for x in r] for r in self.rows], self.field.p
-        return self.rows, None
+        return [dot(self.field, row, vec) for row in self.rows]
 
     def rank(self):
-        rows, p = self._scalars()
-        return len(rref(rows, self.ncols, p)[1])
+        return len(rref(self.rows, self.ncols, self.field.p)[1])
 
     def kernel_basis(self):
         """A basis of the right kernel, one vector per free column."""
-        rows, p = self._scalars()
-        basis = kernel(rows, self.ncols, p)
-        if p is None:
-            return basis
-        return [[FpElement(x, p) for x in vec] for vec in basis]
+        return kernel(self.rows, self.ncols, self.field.p)
 
     def left_kernel_basis(self):
         """A basis of the left kernel: vectors y with y * self = 0."""
@@ -175,7 +157,5 @@ def vectors_independent(field, vectors, length):
 def dot(field, u, v):
     if len(u) != len(v):
         raise ValueError("dot product of vectors with different lengths")
-    acc = field.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    # over Q, a sum started from Fraction(0) is faster than one from int 0
+    return field(sum(map(mul, u, v), field.zero()))

@@ -21,7 +21,6 @@ from .errors import (
     RetriesExhaustedError,
     UnsupportedCombinationError,
 )
-from .fields import PrimeField, RationalField
 from .graphs import cycle_graph
 from .linalg import Matrix, vectors_independent
 from .variety import SingularityCertificate, VertexAssignment, edge_gradient
@@ -46,12 +45,12 @@ def _draw(field, kernel, rng, bound):
     n = len(kernel[0])
     acc = [field.zero()] * n
     for basis_vec in kernel:
-        if isinstance(field, RationalField):
+        if field.p is None:
             c = field(rng.randint(-bound, bound))
         else:
-            c = field(rng.randrange(field.order))
+            c = rng.randrange(field.p)
         acc = [a + c * b for a, b in zip(acc, basis_vec)]
-    return acc
+    return [field(x) for x in acc]
 
 
 def sample_regular_point(og, space, cfg=None):
@@ -71,7 +70,7 @@ def sample_regular_point(og, space, cfg=None):
         raise PreconditionViolatedError(
             f"need dimension >= {2 * d} for width {d}, got {space.n}"
         )
-    if isinstance(field, PrimeField):
+    if field.p is not None:
         worst = max(
             (len(og.younger_neighbors(v)) + 1 for v in range(g.num_vertices)),
             default=0,

@@ -11,9 +11,9 @@ import json
 from fractions import Fraction
 from itertools import islice
 
-from .fields import FpElement, field_from_spec
+from .fields import field_from_spec
 from .splitting import VertexWeighting
-from .variety import SingularityCertificate, VertexAssignment
+from .variety import VertexAssignment
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
@@ -36,8 +36,6 @@ def write_canonical(obj, stream):
 
 
 def scalar_to_str(x):
-    if isinstance(x, FpElement):
-        return str(x.value)
     if isinstance(x, (Fraction, int)):
         return str(x)
     raise TypeError(f"cannot serialize scalar {x!r}")
@@ -75,16 +73,6 @@ def certificate_to_obj(certificate, field):
             for (lo, hi), val in zip(certificate.edges, certificate.values)
         ],
     }
-
-
-def certificate_from_obj(obj):
-    field = field_from_spec(obj["field"])
-    edges = []
-    values = []
-    for lo, hi, val in obj["weights"]:
-        edges.append((int(lo), int(hi)))
-        values.append(field(val))
-    return field, SingularityCertificate(edges=tuple(edges), values=tuple(values))
 
 
 def weighting_to_obj(weighting):
@@ -143,10 +131,6 @@ def equations_to_obj(eqs):
             encoded[eq.terms] = terms
         out.append({"edge": [str(eq.edge[0]), str(eq.edge[1])], "terms": terms})
     return {"equations": out}
-
-
-def gram_to_obj(space):
-    return [[scalar_to_str(x) for x in row] for row in space.gram.rows]
 
 
 def gram_rows_from_obj(obj, field):

@@ -153,7 +153,7 @@ def verify_certificate(ctx, assignment, certificate):
         return False
     if not is_member(ctx, assignment):
         return False
-    if all(v == 0 for v in certificate.values):
+    if not any(map(ctx.field, certificate.values)):
         return False
     n = ctx.space.n
     w = assignment.vectors
@@ -168,7 +168,7 @@ def verify_certificate(ctx, assignment, certificate):
             else:
                 continue
             acc = [a + lam * g for a, g in zip(acc, grad)]
-        if any(a != 0 for a in acc):
+        if any(ctx.field(a) for a in acc):
             return False
     return True
 

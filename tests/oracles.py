@@ -44,7 +44,7 @@ def enumerate_point_count(graph, space):
             vec = [field.zero()] * space.n
             for c, basis_vec in zip(coeffs, kernel):
                 vec = [a + c * b for a, b in zip(vec, basis_vec)]
-            vectors[v] = vec
+            vectors[v] = [field(x) for x in vec]
             total += recurse(i + 1)
         del vectors[v]
         return total

@@ -129,7 +129,7 @@ def test_criterion_1_first_order_expansion_is_exact():
             linear = jacobian(ctx, w).mul_vector(flat)
             for idx, (lo, hi) in enumerate(ctx.edge_order):
                 second = space.pair(e.vector(lo), e.vector(hi))
-                if moved[idx] - base[idx] - linear[idx] != second:
+                if field(moved[idx] - base[idx] - linear[idx]) != second:
                     failures.append((g, kind, f"edge {idx} expansion off"))
             points += 1
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphvariety import edge_count_closed_form
 from graphvariety.cli import main
 
 
@@ -241,6 +242,28 @@ class TestGramOption:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("entries", [("1", "-1"), ("3", "4"), ("-8", "8")])
+    def test_antisymmetry_is_checked_mod_p(self, capsys, graph_file, tmp_path, entries):
+        # over Fp:7 each pair is antisymmetric once reduced, not as integers
+        g = graph_file("e.txt", "0 1\n")
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps([["0", entries[0]], [entries[1], "0"]]))
+        argv = ["--graph", g, "--form", "symplectic", "--gram", str(gram), "--field", "Fp:7"]
+        payload = run_json(capsys, ["count"] + argv)
+        assert payload["count"] == str(edge_count_closed_form(2, 7))
+        terms = run_json(capsys, ["equations"] + argv)["equations"][0]["terms"]
+        top = str(int(entries[0]) % 7)
+        assert terms == [["0", "1", top], ["1", "0", str(-int(top) % 7)]]
+
+    def test_symmetric_gram_is_not_symplectic_mod_p(self, capsys, graph_file, tmp_path):
+        g = graph_file("e.txt", "0 1\n")
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps([["0", "1"], ["1", "0"]]))
+        code, _, err = run(capsys, ["count", "--graph", g, "--form", "symplectic",
+                                    "--gram", str(gram), "--field", "Fp:7"])
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
 
 class TestErrorHandling:
     def test_missing_graph_file(self, capsys):
@@ -264,6 +287,18 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "error" in json.loads(err)
+
+    def test_huge_decimal_exponent_in_point(self, capsys, graph_file, tmp_path):
+        g = graph_file("e.txt", "0 1\n")
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({"field": "Q", "vectors": {"0": ["1e5000", "0"],
+                                                                "1": ["0", "0"]}}))
+        code, _, err = run(
+            capsys,
+            ["check", "--graph", g, "--form", "symplectic", "--dim", "2", "--point", str(point)],
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 class TestOutFlag:

@@ -170,7 +170,7 @@ class TestFrontierKey:
         assert form.orbit_keys
 
         def omega(x, y):
-            return sum(a * b for a, b in zip(x, form.times(form.gram, y))) % 5
+            return form.space.pair(x, y)
 
         u, c = (1, 2, 0, 3), 2
 

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphvariety import (
-    FieldMismatchError,
-    FpElement,
     Matrix,
     PrimeField,
     RATIONALS,
@@ -17,7 +14,6 @@ from graphvariety import (
     vectors_independent,
 )
 from graphvariety.fields import _is_prime
-from graphvariety.linalg import kernel
 
 
 class TestRationalField:
@@ -29,6 +25,12 @@ class TestRationalField:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             RATIONALS(0.5)
+
+    def test_decimal_exponent_is_bounded(self):
+        assert RATIONALS("1e3") == 1000
+        assert RATIONALS("-2.5E-2") == Fraction(-1, 40)
+        with pytest.raises(ValueError):
+            RATIONALS("1e5000")
 
     def test_basic_attributes(self):
         assert RATIONALS.name == "Q"
@@ -58,49 +60,15 @@ class TestPrimeField:
 
     def test_elements(self):
         f = PrimeField(5)
-        assert [int(x.value) for x in f.elements()] == [0, 1, 2, 3, 4]
+        assert f.elements() == [0, 1, 2, 3, 4]
 
-    def test_arithmetic(self):
+    def test_coercion_reduces_into_range(self):
         f = PrimeField(7)
-        a, b = f(3), f(5)
-        assert a + b == f(1)
-        assert a - b == f(5)
-        assert a * b == f(1)
-        assert a / b == a * f(3)  # 5 * 3 = 15 = 1 mod 7
-        assert -a == f(4)
-        assert f(10) == f(3)
-
-    def test_inverse_via_division(self):
-        f = PrimeField(101)
-        for k in range(1, 20):
-            assert f(1) / f(k) * f(k) == f(1)
-
-    def test_division_by_zero(self):
-        f = PrimeField(3)
-        with pytest.raises(ZeroDivisionError):
-            f(1) / f(0)
-
-    def test_mixing_fields_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            PrimeField(3)(1) + PrimeField(5)(1)
-
-    def test_bool_and_hash(self):
-        f = PrimeField(3)
-        assert not f(0)
-        assert f(2)
-        assert hash(f(2)) == hash(f(5))
-
-    @given(st.integers(), st.integers())
-    @settings(max_examples=50, deadline=None)
-    def test_field_axioms_spot_checks(self, x, y):
-        f = PrimeField(11)
-        a, b = f(x), f(y)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + f(1)) == a * b + a
-        assert a - a == f(0)
-        if b != f(0):
-            assert (a / b) * b == a
+        assert f(10) == 3 and f(-1) == 6 and f("-8") == 6 and f(" 15 ") == 1
+        assert type(f(3)) is int and (f.zero(), f.one()) == (0, 1)
+        for bad in (0.5, Fraction(1, 2), None):
+            with pytest.raises(TypeError):
+                f(bad)
 
 
 def trial_division(n):
@@ -252,15 +220,6 @@ class TestKernel:
                 assert any(x != zero for x in vec)
                 assert all(x == zero for x in m.mul_vector(vec))
             assert vectors_independent(field, basis, m.ncols) or not basis
-
-    def test_residue_kernel_matches_matrix_kernel(self):
-        rng = random.Random(3)
-        for p in (2, 3, 7):
-            f = PrimeField(p)
-            for _ in range(30):
-                rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rng.randint(0, 4))]
-                expected = Matrix.from_rows(f, rows, ncols=5).kernel_basis()
-                assert kernel(rows, 5, p) == [[x.value for x in v] for v in expected]
 
     def test_left_kernel(self):
         m = q_matrix([[1, 2], [2, 4], [0, 0]])

@@ -25,12 +25,10 @@ from graphvariety.serialization import (
     assignment_from_obj,
     assignment_to_obj,
     canonical_dumps,
-    certificate_from_obj,
     certificate_to_obj,
     count_report_to_obj,
     equations_to_obj,
     gram_rows_from_obj,
-    gram_to_obj,
     scalar_to_str,
     splitting_report_to_obj,
     weighting_from_obj,
@@ -104,9 +102,6 @@ class TestCertificateRoundTrip:
         obj = certificate_to_obj(cert, RATIONALS)
         assert obj["field"] == "Q"
         assert obj["weights"][0] == ["0", "1", "1"]
-        field, back = certificate_from_obj(obj)
-        assert field == RATIONALS
-        assert back == cert
 
 
 class TestWeightingRoundTrip:
@@ -161,8 +156,5 @@ class TestReportObjects:
 
 class TestGram:
     def test_round_trip(self):
-        sp = standard_space("symplectic", 2, RATIONALS)
-        obj = gram_to_obj(sp)
-        assert obj == [["0", "1"], ["-1", "0"]]
-        rows = gram_rows_from_obj(obj, RATIONALS)
+        rows = gram_rows_from_obj([["0", "1"], ["-1", "0"]], RATIONALS)
         assert rows == [[0, 1], [-1, 0]]

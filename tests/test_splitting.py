@@ -195,10 +195,15 @@ class TestSplitIntoMatchings:
         assert rep.valid
         assert rep.color_count <= color_budget(max(g.max_degree(), 1))
 
-    def test_intra_level_edges_take_recursion_colors(self):
+    @pytest.mark.parametrize(
+        "g, intra",
+        [(complete_bipartite_graph(3, 3), 0), (complete_graph(4), 3)],
+        ids=["K33", "K4"],
+    )
+    def test_intra_level_edges_take_recursion_colors(self, g, intra):
         # edges inside a BFS level re-use the smaller palette; edges between
-        # levels take the top-stage pool colors
-        g = complete_bipartite_graph(3, 3)
+        # levels take the top-stage pool colors.  K3,3 is bipartite, so only
+        # K4 (3 edges inside level 1 from root 0) reaches the first branch.
         big_d = g.max_degree()
         small = set(palette(big_d - 1))
         colors = palette(big_d)
@@ -211,6 +216,7 @@ class TestSplitIntoMatchings:
         assert w == VertexWeighting(colors, {v: tuple(vec) for v, vec in weights.items()})
         rep = color_classes(g, w)
         by_edge = {v.edge: v.argmax[0] for v in rep.per_edge}
+        assert sum(layering.level[lo] == layering.level[hi] for lo, hi in g.edges) == intra
         for lo, hi in g.edges:
             color = by_edge[(lo, hi)]
             if layering.level[lo] == layering.level[hi]:

@@ -212,7 +212,7 @@ class TestJacobian:
             linear = jacobian(ctx, w).mul_vector(flat)
             for idx, (lo, hi) in enumerate(ctx.edge_order):
                 second = space.pair(e.vector(lo), e.vector(hi))
-                assert moved[idx] - base[idx] - linear[idx] == second
+                assert field(moved[idx] - base[idx] - linear[idx]) == second
 
 
 class TestSmoothness:
