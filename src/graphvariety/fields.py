@@ -61,7 +61,11 @@ class RationalField:
             return Fraction(value)
         if isinstance(value, str):
             _, e, exponent = value.lower().partition("e")
-            if e and abs(int(exponent)) > MAX_EXPONENT:
+            try:
+                too_big = e and abs(int(exponent)) > MAX_EXPONENT
+            except ValueError:  # not an exponent; Fraction names the whole input
+                too_big = False
+            if too_big:
                 raise ValueError(f"decimal exponent of {value!r} exceeds {MAX_EXPONENT}")
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rational field")

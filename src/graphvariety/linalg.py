@@ -1,15 +1,14 @@
-"""Exact dense linear algebra over a field object from `fields`.
+"""Exact linear algebra over a field object from `fields`.
 
 Scalars are what the field makes: ints in [0, p) over F_p, `Fraction`s over
-the rationals.  The only algorithm here is Gauss-Jordan elimination to
-reduced row echelon form (`rref`), with one pivot rule for both fields: the
-first nonzero entry of the column at or below the current row.  No pivot
-rule keeps the fractions smaller than another: by Cramer's rule each
-intermediate entry of exact Gauss-Jordan is a ratio of two minors of the
-input, whichever nonzero pivot is taken, and the reduced form itself is
-unique.  `kernel` reads a right-kernel basis off the reduced form.  Both
-take the modulus `p` (None over the rationals), so `Matrix` hands them its
-rows as they are, and the point counter calls them directly.
+the rationals, and every routine takes the modulus `p` (None over Q).
+`rref` is dense Gauss-Jordan elimination with one pivot rule for both
+fields, the first nonzero entry of the column at or below the current row;
+no rule keeps fractions smaller, since by Cramer's rule each intermediate
+entry is a ratio of two minors of the input, and the reduced form is unique.
+`kernel` reads a right-kernel basis off it.  `first_dependency` is a sparse
+incremental row echelon pass that stops at the first dependent row; it never
+builds dense rows, so sparse Jacobians stay sparse.
 """
 
 from fractions import Fraction
@@ -74,6 +73,41 @@ def kernel(rows, ncols, p=None):
             vec[pc] = -reduced[r][f] if p is None else -reduced[r][f] % p
         basis.append(vec)
     return basis
+
+
+def first_dependency(rows, p=None):
+    """The dependency of the first row that depends on the rows before it,
+    as {row index: coefficient}, or None when all rows are independent.
+
+    `rows` are dicts {column: nonzero scalar}, scalars as in `rref`.  Each
+    row is reduced at its smallest column against earlier pivot rows (zero
+    left of their pivots), keeping beside it the combination of input rows
+    it has become.  The first row f to reach zero returns that combination:
+    coefficient 1 at f, support in 0..f, unique as rows 0..f-1 are independent.
+    """
+    pivots = {}  # pivot column -> (inverse pivot, rest of the row, combination)
+    for f, row in enumerate(rows):
+        row, combo = dict(row), {f: Fraction(1) if p is None else 1}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                break
+            inv, rest, pivot_combo = pivots[c]
+            factor = row.pop(c) * inv
+            for target, source in ((row, rest), (combo, pivot_combo)):
+                for k, x in source.items():  # target -= factor * source
+                    y = target.get(k, 0) - factor * x
+                    if p is not None:
+                        y %= p
+                    if y:
+                        target[k] = y
+                    else:
+                        del target[k]
+        else:
+            return combo
+        x = row.pop(c)
+        pivots[c] = (1 / x if p is None else pow(x, -1, p), row, combo)
+    return None
 
 
 class Matrix:

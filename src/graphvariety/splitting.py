@@ -57,9 +57,6 @@ class VertexWeighting:
     colors: tuple
     weights: dict
 
-    def vector(self, v):
-        return self.weights[v]
-
 
 @dataclass(frozen=True)
 class EdgeVerdict:

@@ -8,16 +8,17 @@ It lives in affine space of dimension |V| * n and its expected dimension is
 
 A member point is smooth exactly when the Jacobian of the edge equations has
 full row rank |E| there.  A rank defect is witnessed by a nonzero left-kernel
-vector of the Jacobian, one scalar per edge; such a vector is what we hand
-out as a singularity certificate, and it can be re-checked independently of
-any matrix computation via one vector identity per vertex.
+vector of the Jacobian, one scalar per edge.  The certificate we hand out is
+the unique dependency of the first edge row f (in edge order) that depends
+on the rows before it, with coefficient 1 at f and zeros after f.  It can be
+re-checked without any matrix computation via one vector identity per vertex.
 """
 
 from dataclasses import dataclass
 
 from .errors import NotOnVarietyError
 from .graphs import degeneracy_order, has_even_cycle, is_forest
-from .linalg import Matrix, vectors_independent
+from .linalg import Matrix, first_dependency, vectors_independent
 
 
 class VertexAssignment:
@@ -35,9 +36,6 @@ class VertexAssignment:
     @property
     def num_vertices(self):
         return len(self.vectors)
-
-    def vector(self, v):
-        return self.vectors[v]
 
     def __eq__(self, other):
         return (
@@ -114,17 +112,28 @@ def jacobian(ctx, assignment):
         row[lo * n:lo * n + n] = edge_gradient(ctx.space, lo, hi, w[hi])
         row[hi * n:hi * n + n] = edge_gradient(ctx.space, hi, lo, w[lo])
         rows.append(row)
-    m = Matrix(ctx.field, rows)
-    if not rows:
-        m = Matrix.zeros(ctx.field, 0, ctx.graph.num_vertices * n)
-    return m
+    return Matrix.from_rows(ctx.field, rows, ncols=ctx.graph.num_vertices * n)
+
+
+def _edge_rows(ctx, assignment):
+    """The Jacobian's rows as sparse {column: nonzero scalar} dicts; each
+    endpoint's gradient is computed once per (side of the edge, other end)."""
+    n, w, grads = ctx.space.n, assignment.vectors, {}
+
+    def block(v, u):
+        if (v < u, u) not in grads:
+            grad = edge_gradient(ctx.space, v, u, w[u])
+            grads[v < u, u] = [(i, x) for i, x in enumerate(grad) if x]
+        return [(v * n + i, x) for i, x in grads[v < u, u]]
+
+    return [dict(block(lo, hi) + block(hi, lo)) for lo, hi in ctx.edge_order]
 
 
 def is_smooth_point(ctx, assignment):
     """Whether the Jacobian has full row rank |E| at a member point."""
     if not is_member(ctx, assignment):
         raise NotOnVarietyError("smoothness is only defined at member points")
-    return jacobian(ctx, assignment).rank() == ctx.graph.num_edges
+    return first_dependency(_edge_rows(ctx, assignment), ctx.field.p) is None
 
 
 @dataclass(frozen=True)
@@ -145,6 +154,8 @@ def verify_certificate(ctx, assignment, certificate):
         sum over edges e = (lo, hi) at v of
             value(e) * (gram * w(hi))     if v == lo
             value(e) * (gram^T * w(lo))   if v == hi
+
+    One pass adds into per-vertex sums, taking each Gram product once.
     """
     _check_shape(ctx, assignment)
     if tuple(certificate.edges) != tuple(ctx.edge_order):
@@ -155,22 +166,19 @@ def verify_certificate(ctx, assignment, certificate):
         return False
     if not any(map(ctx.field, certificate.values)):
         return False
-    n = ctx.space.n
-    w = assignment.vectors
-    z = ctx.field.zero()
-    for v in range(ctx.graph.num_vertices):
-        acc = [z] * n
-        for (lo, hi), lam in zip(ctx.edge_order, certificate.values):
-            if v == lo:
-                grad = ctx.space.gram_times(w[hi])
-            elif v == hi:
-                grad = ctx.space.gram_transpose_times(w[lo])
-            else:
-                continue
-            acc = [a + lam * g for a, g in zip(acc, grad)]
-        if any(ctx.field(a) for a in acc):
-            return False
-    return True
+    space, w, z = ctx.space, assignment.vectors, ctx.field.zero()
+    acc = [[z] * space.n for _ in w]
+    gram_w, gram_t_w = {}, {}
+    for (lo, hi), lam in zip(ctx.edge_order, certificate.values):
+        if not ctx.field(lam):
+            continue
+        if hi not in gram_w:
+            gram_w[hi] = space.gram_times(w[hi])
+        if lo not in gram_t_w:
+            gram_t_w[lo] = space.gram_transpose_times(w[lo])
+        acc[lo] = [a + lam * g for a, g in zip(acc[lo], gram_w[hi])]
+        acc[hi] = [a + lam * g for a, g in zip(acc[hi], gram_t_w[lo])]
+    return not any(ctx.field(a) for vec in acc for a in vec)
 
 
 def singular_certificate(ctx, assignment):
@@ -181,10 +189,11 @@ def singular_certificate(ctx, assignment):
     """
     if not is_member(ctx, assignment):
         raise NotOnVarietyError("certificates are only defined at member points")
-    basis = jacobian(ctx, assignment).left_kernel_basis()
-    if not basis:
+    combo = first_dependency(_edge_rows(ctx, assignment), ctx.field.p)
+    if combo is None:
         return None
-    cert = SingularityCertificate(edges=tuple(ctx.edge_order), values=tuple(basis[0]))
+    values = tuple(combo.get(e, ctx.field.zero()) for e in range(ctx.graph.num_edges))
+    cert = SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
     if not verify_certificate(ctx, assignment, cert):
         raise AssertionError("internal error: left-kernel vector failed re-verification")
     return cert

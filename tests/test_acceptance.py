@@ -125,10 +125,10 @@ def test_criterion_1_first_order_expansion_is_exact():
             e = random_tangent(rng, field, g.num_vertices, n)
             base = residual(ctx, w)
             moved = residual(ctx, add_assignments(field, w, e))
-            flat = [x for v in range(g.num_vertices) for x in e.vector(v)]
+            flat = [x for v in range(g.num_vertices) for x in e.vectors[v]]
             linear = jacobian(ctx, w).mul_vector(flat)
             for idx, (lo, hi) in enumerate(ctx.edge_order):
-                second = space.pair(e.vector(lo), e.vector(hi))
+                second = space.pair(e.vectors[lo], e.vectors[hi])
                 if field(moved[idx] - base[idx] - linear[idx]) != second:
                     failures.append((g, kind, f"edge {idx} expansion off"))
             points += 1

@@ -32,6 +32,14 @@ class TestRationalField:
         with pytest.raises(ValueError):
             RATIONALS("1e5000")
 
+    def test_malformed_exponent_names_the_input(self):
+        with pytest.raises(ValueError, match="'1e'"):
+            RATIONALS("1e")
+        with pytest.raises(ValueError, match="'1ex'"):
+            RATIONALS("1ex")
+        with pytest.raises(ValueError, match="'1e5000' exceeds 4300"):
+            RATIONALS("1e5000")
+
     def test_basic_attributes(self):
         assert RATIONALS.name == "Q"
         assert RATIONALS.characteristic == 0

@@ -67,7 +67,7 @@ class TestSampler:
                 assert regular_part_test(og, pt)
                 zero = space.field.zero()
                 for v in range(g.num_vertices):
-                    assert any(x != zero for x in pt.vector(v))
+                    assert any(x != zero for x in pt.vectors[v])
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=30, deadline=None)
@@ -129,7 +129,7 @@ class TestZeroPoint:
         sp = standard_space("symmetric", 3, RATIONALS)
         pt = zero_point(g, sp)
         assert pt.num_vertices == 4
-        assert all(x == 0 for v in range(4) for x in pt.vector(v))
+        assert all(x == 0 for v in range(4) for x in pt.vectors[v])
         assert is_member(VarietyContext(g, sp), pt)
 
 

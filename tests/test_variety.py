@@ -203,15 +203,15 @@ class TestJacobian:
                 VertexAssignment(
                     field,
                     [
-                        [a + b for a, b in zip(w.vector(v), e.vector(v))]
+                        [a + b for a, b in zip(w.vectors[v], e.vectors[v])]
                         for v in range(4)
                     ],
                 ),
             )
-            flat = [x for v in range(4) for x in e.vector(v)]
+            flat = [x for v in range(4) for x in e.vectors[v]]
             linear = jacobian(ctx, w).mul_vector(flat)
             for idx, (lo, hi) in enumerate(ctx.edge_order):
-                second = space.pair(e.vector(lo), e.vector(hi))
+                second = space.pair(e.vectors[lo], e.vectors[hi])
                 assert field(moved[idx] - base[idx] - linear[idx]) == second
 
 
@@ -365,7 +365,7 @@ class TestEquations:
         res = residual(ctx, pt)
         for eq, value in zip(equations(ctx), res):
             lo, hi = eq.edge
-            total = sum(c * pt.vector(lo)[i] * pt.vector(hi)[j] for i, j, c in eq.terms)
+            total = sum(c * pt.vectors[lo][i] * pt.vectors[hi][j] for i, j, c in eq.terms)
             assert total == value
 
 
