@@ -46,16 +46,14 @@ from .graphs import (
     degeneracy_order,
     format_edge_list,
     has_even_cycle,
-    induced_subgraph,
     induced_subgraph_with_map,
-    is_connected,
     is_forest,
     parse_edge_list,
     path_graph,
     proper_vertex_numbering,
     star_graph,
 )
-from .linalg import Matrix, dot, vectors_independent
+from .linalg import dot, vectors_independent
 from .sampling import SamplerConfig, cycle_singular_point, sample_regular_point, zero_point
 from .splitting import (
     BRUTE_FORCE_CAP,

@@ -7,56 +7,60 @@ the rest of the package relies on.
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import Matrix, dot
+from .linalg import dot, rref
 
 
 class BilinearSpace:
-    """F^n with the bilinear form <u, v> = u^T * gram * v."""
+    """F^n with the bilinear form <u, v> = u^T * gram * v.
+
+    `gram` is a tuple of n row tuples of field scalars.
+    """
 
     def __init__(self, n, kind, gram, field=RATIONALS):
         if kind not in ("symplectic", "symmetric"):
             raise ValueError(f"unknown form kind {kind!r}")
-        m = Matrix.from_rows(field, gram)
-        if m.nrows != n or m.ncols != n:
+        if n < 1:
+            raise ValueError(f"dimension must be at least 1, got {n}")
+        rows = tuple(tuple(field(x) for x in row) for row in gram)
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"gram matrix must be {n}x{n}")
-        if m.rank() != n:
+        if len(rref(rows, n, field.p)[1]) != n:
             raise ValueError("gram matrix is degenerate")
-        t = m.transpose()
+        t = tuple(zip(*rows))
         if kind == "symplectic":
             if field.characteristic == 2:
                 raise UnsupportedCombinationError(
                     "symplectic spaces over characteristic 2 are not supported"
                 )
-            neg = Matrix(field, [[field(-x) for x in row] for row in m.rows])
-            if t != neg:
+            if t != tuple(tuple(field(-x) for x in row) for row in rows):
                 raise ValueError("symplectic gram matrix must be antisymmetric")
             if n % 2 != 0:
                 raise OddDimensionError(
                     "a non-degenerate symplectic space has even dimension"
                 )
         else:
-            if t != m:
+            if t != rows:
                 raise ValueError("symmetric gram matrix must equal its transpose")
         self.n = n
         self.kind = kind
         self.field = field
-        self.gram = m
+        self.gram = rows
         self._gram_t = t
 
     def pair(self, u, v):
         """The form value <u, v> = u . (gram v)."""
-        return dot(self.field, u, self.gram.mul_vector(v))
+        return dot(self.field, u, self.gram_times(v))
 
     def gram_times(self, v):
-        return self.gram.mul_vector(v)
+        return [dot(self.field, row, v) for row in self.gram]
 
     def gram_transpose_times(self, v):
-        return self._gram_t.mul_vector(v)
+        return [dot(self.field, row, v) for row in self._gram_t]
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""
         for i in range(self.n):
-            if self.gram.rows[i][i] == 0:
+            if self.gram[i][i] == 0:
                 return i
         return None
 

@@ -68,7 +68,7 @@ class ResidueForm:
         self.space = space
         self.p = space.field.p
         self.n = space.n
-        gram = space.gram.rows
+        gram = space.gram
         # Witt's extension theorem: alternating forms, or odd characteristic
         self.orbit_keys = self.p != 2 or all(gram[i][i] == 0 for i in range(self.n))
 

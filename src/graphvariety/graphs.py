@@ -51,17 +51,6 @@ class Graph:
             return 0
         return max(len(ns) for ns in self.adjacency)
 
-    def has_edge(self, u, v):
-        lo, hi = (u, v) if u < v else (v, u)
-        return (lo, hi) in self._edge_set()
-
-    def _edge_set(self):
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            self._edge_set_cache = cached
-        return cached
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -157,10 +146,6 @@ class BfsLayering:
     layers: tuple
     level: tuple
 
-    @property
-    def num_layers(self):
-        return len(self.layers)
-
 
 def bfs_layers(graph, root=0):
     """Breadth-first layers from `root`; the graph must be connected."""
@@ -213,10 +198,6 @@ def connected_components(graph):
     return comps
 
 
-def is_connected(graph):
-    return len(connected_components(graph)) <= 1
-
-
 def is_forest(graph):
     """True when the graph has no cycle."""
     return graph.num_edges == graph.num_vertices - len(connected_components(graph))
@@ -232,10 +213,6 @@ def induced_subgraph_with_map(graph, vertices):
         if lo in old_to_new and hi in old_to_new
     ]
     return Graph(len(vs), edges), old_to_new, tuple(vs)
-
-
-def induced_subgraph(graph, vertices):
-    return induced_subgraph_with_map(graph, vertices)[0]
 
 
 def proper_vertex_numbering(graph, bound):

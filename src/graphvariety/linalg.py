@@ -1,7 +1,9 @@
-"""Exact linear algebra over a field object from `fields`.
+"""Exact linear algebra on row lists over a field object from `fields`.
 
-Scalars are what the field makes: ints in [0, p) over F_p, `Fraction`s over
-the rationals, and every routine takes the modulus `p` (None over Q).
+There is no matrix type: a matrix is a list of rows, each a sequence of
+scalars, and the caller passes the column count where it matters.  Scalars
+are what the field makes: ints in [0, p) over F_p, `Fraction`s over the
+rationals, and every routine takes the modulus `p` (None over Q).
 `rref` is dense Gauss-Jordan elimination with one pivot rule for both
 fields, the first nonzero entry of the column at or below the current row;
 no rule keeps fractions smaller, since by Cramer's rule each intermediate
@@ -110,82 +112,13 @@ def first_dependency(rows, p=None):
     return None
 
 
-class Matrix:
-    """An immutable dense matrix over an exact field."""
-
-    def __init__(self, field, rows):
-        self.field = field
-        self.rows = tuple(tuple(row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows in matrix construction")
-
-    @classmethod
-    def from_rows(cls, field, rows, ncols=None):
-        coerced = [[field(x) for x in row] for row in rows]
-        if not coerced:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            m = cls(field, [])
-            m.ncols = ncols
-            return m
-        return cls(field, coerced)
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        m = cls(field, [[z] * ncols for _ in range(nrows)])
-        m.ncols = ncols
-        return m
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def transpose(self):
-        t = Matrix(self.field, [list(col) for col in zip(*self.rows)])
-        if self.nrows == 0:
-            t = Matrix.zeros(self.field, self.ncols, 0)
-        return t
-
-    def mul_vector(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return [dot(self.field, row, vec) for row in self.rows]
-
-    def rank(self):
-        return len(rref(self.rows, self.ncols, self.field.p)[1])
-
-    def kernel_basis(self):
-        """A basis of the right kernel, one vector per free column."""
-        return kernel(self.rows, self.ncols, self.field.p)
-
-    def left_kernel_basis(self):
-        """A basis of the left kernel: vectors y with y * self = 0."""
-        return self.transpose().kernel_basis()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.ncols == other.ncols
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-
 def vectors_independent(field, vectors, length):
-    """True when the given vectors of the stated length are linearly independent."""
+    """True when the given vectors of field scalars, each of the stated
+    length, are linearly independent."""
     vecs = list(vectors)
-    if not vecs:
-        return True
-    m = Matrix.from_rows(field, vecs, ncols=length)
-    return m.rank() == len(vecs)
+    if any(len(v) != length for v in vecs):
+        raise ValueError(f"vectors must have length {length}")
+    return len(rref(vecs, length, field.p)[1]) == len(vecs)
 
 
 def dot(field, u, v):

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .graphs import cycle_graph
-from .linalg import Matrix, vectors_independent
+from .linalg import kernel, vectors_independent
 from .variety import SingularityCertificate, VertexAssignment, edge_gradient
 
 
@@ -39,12 +39,12 @@ class SamplerConfig:
             raise ValueError("max_retries must be at least 1")
 
 
-def _draw(field, kernel, rng, bound):
+def _draw(field, basis, rng, bound):
     """A random kernel element: integer coordinates in [-bound, bound] over
     the rationals, uniform residues over a prime field."""
-    n = len(kernel[0])
+    n = len(basis[0])
     acc = [field.zero()] * n
-    for basis_vec in kernel:
+    for basis_vec in basis:
         if field.p is None:
             c = field(rng.randint(-bound, bound))
         else:
@@ -85,13 +85,10 @@ def sample_regular_point(og, space, cfg=None):
     for v in reversed(og.order):
         older = og.older_neighbors(v)
         rows = [edge_gradient(space, v, u, vectors[u]) for u in older]
-        if rows:
-            kernel = Matrix.from_rows(field, rows, ncols=space.n).kernel_basis()
-        else:
-            kernel = Matrix.identity(field, space.n).rows
+        basis = kernel(rows, space.n, field.p)
         accepted = None
         for _ in range(cfg.max_retries):
-            candidate = _draw(field, kernel, rng, cfg.bound)
+            candidate = _draw(field, basis, rng, cfg.bound)
             if all(x == 0 for x in candidate):
                 continue
             if _breaks_independence(og, v, candidate, vectors, field, space.n):

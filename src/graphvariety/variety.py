@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NotOnVarietyError
 from .graphs import degeneracy_order, has_even_cycle, is_forest
-from .linalg import Matrix, first_dependency, vectors_independent
+from .linalg import first_dependency, vectors_independent
 
 
 class VertexAssignment:
@@ -97,7 +97,8 @@ def edge_gradient(space, v, u, wu):
 
 
 def jacobian(ctx, assignment):
-    """The |E| x (|V| * n) Jacobian of the edge equations at the assignment.
+    """The |E| x (|V| * n) Jacobian of the edge equations at the assignment,
+    as a list of dense rows of length |V| * n, one per edge in edge order.
 
     The row of edge (lo, hi) carries the edge's gradients in w(lo) and w(hi)
     in the two endpoints' coordinate blocks.
@@ -112,7 +113,7 @@ def jacobian(ctx, assignment):
         row[lo * n:lo * n + n] = edge_gradient(ctx.space, lo, hi, w[hi])
         row[hi * n:hi * n + n] = edge_gradient(ctx.space, hi, lo, w[lo])
         rows.append(row)
-    return Matrix.from_rows(ctx.field, rows, ncols=ctx.graph.num_vertices * n)
+    return rows
 
 
 def _edge_rows(ctx, assignment):
@@ -233,7 +234,7 @@ class EdgeEquation:
 
 def equations(ctx):
     """The defining equations, one per edge in canonical order."""
-    gram = ctx.space.gram.rows
+    gram = ctx.space.gram
     n = ctx.space.n
     terms = tuple(
         (i, j, gram[i][j])

@@ -7,7 +7,23 @@ search, direct definitions.  Slow but obviously correct on small inputs.
 import itertools
 from fractions import Fraction
 
-from graphvariety import Graph, Matrix, VertexAssignment, degeneracy_order
+from graphvariety import Graph, VertexAssignment, degeneracy_order
+from graphvariety.linalg import kernel, rref
+
+
+def rank(field, rows):
+    """The rank of the dense matrix with these rows."""
+    return len(rref(rows, len(rows[0]) if rows else 0, field.p)[1])
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def left_kernel(field, rows):
+    """A basis of the left kernel of the dense matrix with these rows: the
+    right kernel of its transpose, vectors y with y * rows = 0."""
+    return kernel(transpose(rows), len(rows), field.p)
 
 
 def naive_point_count(graph, space):
@@ -36,13 +52,13 @@ def enumerate_point_count(graph, space):
             for u in graph.adjacency[v]
             if u in vectors
         ]
-        kernel = Matrix.from_rows(field, rows, ncols=space.n).kernel_basis()
+        basis = kernel(rows, space.n, field.p)
         if i == len(order) - 1:
-            return q ** len(kernel)
+            return q ** len(basis)
         total = 0
-        for coeffs in itertools.product(field.elements(), repeat=len(kernel)):
+        for coeffs in itertools.product(field.elements(), repeat=len(basis)):
             vec = [field.zero()] * space.n
-            for c, basis_vec in zip(coeffs, kernel):
+            for c, basis_vec in zip(coeffs, basis):
                 vec = [a + c * b for a, b in zip(vec, basis_vec)]
             vectors[v] = [field(x) for x in vec]
             total += recurse(i + 1)

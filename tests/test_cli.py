@@ -264,6 +264,26 @@ class TestGramOption:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("rows", [[], [[]], [["1", "0"], ["0"]]])
+    def test_empty_or_ragged_gram_rejected(self, capsys, graph_file, tmp_path, rows):
+        g = graph_file("v.txt", "0\n")
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps(rows))
+        code, _, err = run(capsys, ["sample", "--graph", g, "--form", "symmetric",
+                                    "--gram", str(gram)])
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+class TestDimension:
+    @pytest.mark.parametrize("form", ["symmetric", "symplectic", "hyperbolic"])
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_nonpositive_dimension_rejected(self, capsys, graph_file, form, dim):
+        g = graph_file("v.txt", "0\n")
+        code, _, err = run(capsys, ["sample", "--graph", g, "--form", form, "--dim", dim])
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
 
 class TestErrorHandling:
     def test_missing_graph_file(self, capsys):

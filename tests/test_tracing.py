@@ -1,9 +1,11 @@
-"""The benchmark's tracer must find every function and method it names.
+"""The benchmark's tracer must find every method it names.
 
-`perfbench/tracing.py` wraps the `Matrix` and `BilinearSpace` methods listed
-in its `METHODS` by name, so renaming or deleting one of them breaks every
-traced benchmark run.  Installing the tracer patches the package in place,
-so it runs in a fresh interpreter.
+`perfbench/tracing.py` wraps, by name, the methods listed in its `METHODS`
+for each class of that name the package defines.  A class named there that
+no longer exists is skipped, but a class that exists must keep every listed
+method: renaming or deleting one breaks every traced benchmark run.
+Installing the tracer patches the package in place, so it runs in a fresh
+interpreter.
 """
 
 import subprocess

@@ -19,6 +19,7 @@ from graphvariety import (
     canonical_degrees,
     complete_bipartite_graph,
     cycle_graph,
+    dot,
     equations,
     expected_dimension,
     is_anti_ample,
@@ -36,7 +37,7 @@ from graphvariety import (
     verify_certificate,
     zero_point,
 )
-from oracles import random_tangent
+from oracles import random_tangent, rank
 
 
 def symplectic2():
@@ -46,19 +47,19 @@ def symplectic2():
 class TestBilinearSpace:
     def test_standard_symplectic_gram(self):
         sp = symplectic2()
-        assert sp.gram.rows == ((0, 1), (-1, 0))
+        assert sp.gram == ((0, 1), (-1, 0))
         sp4 = standard_space("symplectic", 4, RATIONALS)
-        assert sp4.gram.rows[0][2] == 1 and sp4.gram.rows[2][0] == -1
-        assert sp4.gram.rows[1][3] == 1 and sp4.gram.rows[3][1] == -1
+        assert sp4.gram[0][2] == 1 and sp4.gram[2][0] == -1
+        assert sp4.gram[1][3] == 1 and sp4.gram[3][1] == -1
 
     def test_standard_symmetric_gram(self):
         sp = standard_space("symmetric", 3, RATIONALS)
-        assert sp.gram.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert sp.gram == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_hyperbolic_gram(self):
         sp = standard_space("hyperbolic", 2, RATIONALS)
         assert sp.kind == "symmetric"
-        assert sp.gram.rows == ((0, 1), (1, 0))
+        assert sp.gram == ((0, 1), (1, 0))
         assert sp.isotropic_basis_vector() == 0
 
     def test_identity_has_no_isotropic_basis_vector(self):
@@ -109,8 +110,6 @@ class TestBilinearSpace:
         sp = standard_space("symplectic", 4, RATIONALS)
         u = [Fraction(x) for x in (1, 2, 3, 4)]
         v = [Fraction(x) for x in (5, -1, 0, 2)]
-        from graphvariety import dot
-
         assert dot(RATIONALS, u, sp.gram_times(v)) == sp.pair(u, v)
         assert dot(RATIONALS, v, sp.gram_transpose_times(u)) == sp.pair(u, v)
 
@@ -170,20 +169,20 @@ class TestJacobian:
         ctx = VarietyContext(g, symplectic2())
         pt = VertexAssignment(RATIONALS, [[1, 0], [1, 0]])
         j = jacobian(ctx, pt)
-        assert j.nrows == 1 and j.ncols == 4
-        assert j.rows[0] == (0, -1, 0, 1)
+        assert len(j) == 1 and len(j[0]) == 4
+        assert j[0] == [0, -1, 0, 1]
 
     def test_zero_point_jacobian_vanishes(self):
         g = cycle_graph(4)
         ctx = VarietyContext(g, symplectic2())
         j = jacobian(ctx, zero_point(g, ctx.space))
-        assert j.rank() == 0
+        assert rank(RATIONALS, j) == 0
 
     def test_edgeless_graph(self):
         g = Graph(3, [])
         ctx = VarietyContext(g, standard_space("symmetric", 2, RATIONALS))
         j = jacobian(ctx, zero_point(g, ctx.space))
-        assert j.nrows == 0 and j.ncols == 6
+        assert j == []
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=40, deadline=None)
@@ -209,7 +208,7 @@ class TestJacobian:
                 ),
             )
             flat = [x for v in range(4) for x in e.vectors[v]]
-            linear = jacobian(ctx, w).mul_vector(flat)
+            linear = [dot(field, row, flat) for row in jacobian(ctx, w)]
             for idx, (lo, hi) in enumerate(ctx.edge_order):
                 second = space.pair(e.vectors[lo], e.vectors[hi])
                 assert field(moved[idx] - base[idx] - linear[idx]) == second
