@@ -140,6 +140,6 @@ def field_from_spec(label):
     """Build a field from a label: "Q" or "Fp:<prime>"."""
     if label == "Q":
         return RATIONALS
-    if label.startswith("Fp:"):
+    if isinstance(label, str) and label.startswith("Fp:"):
         return PrimeField(int(label[3:]))
     raise ValueError(f"unknown field label {label!r}")

@@ -10,7 +10,8 @@ no rule keeps fractions smaller, since by Cramer's rule each intermediate
 entry is a ratio of two minors of the input, and the reduced form is unique.
 `kernel` reads a right-kernel basis off it.  `first_dependency` is a sparse
 incremental row echelon pass that stops at the first dependent row; it never
-builds dense rows, so sparse Jacobians stay sparse.
+builds dense rows, so sparse Jacobians stay sparse.  Both stay: `rref` is
+about 3x faster on the sampler's small F_p kernels (measured, ROADMAP item 1).
 """
 
 from fractions import Fraction

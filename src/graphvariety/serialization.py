@@ -55,13 +55,23 @@ def assignment_to_obj(assignment):
     }
 
 
+def _scalars(items, what):
+    """`items`, checked to be a JSON list of strings or integers."""
+    if type(items) is not list or not set(map(type, items)) <= {str, int}:
+        raise ValueError(f"{what} must be a JSON list of strings or integers")
+    return items
+
+
+def _vectors_by_vertex(raw):
+    """A JSON object's vectors in vertex order; its keys must be "0".."n-1"."""
+    if type(raw) is not dict or set(raw) != {str(v) for v in range(len(raw))}:
+        raise ValueError('vectors must be a JSON object keyed by vertices "0".."n-1"')
+    return [_scalars(raw[str(v)], f"the vector of vertex {v}") for v in range(len(raw))]
+
+
 def assignment_from_obj(obj):
     field = field_from_spec(obj["field"])
-    raw = obj["vectors"]
-    keys = sorted(int(k) for k in raw)
-    if keys != list(range(len(keys))):
-        raise ValueError("vertex keys must be exactly 0..n-1")
-    vectors = [[field(x) for x in raw[str(v)]] for v in keys]
+    vectors = [[field(x) for x in vec] for vec in _vectors_by_vertex(obj["vectors"])]
     return VertexAssignment(field, vectors)
 
 
@@ -86,8 +96,9 @@ def weighting_to_obj(weighting):
 
 def weighting_from_obj(obj):
     return VertexWeighting(
-        colors=tuple(obj["colors"]),
-        weights={int(v): tuple(int(x) for x in vec) for v, vec in obj["weights"].items()},
+        colors=tuple(_scalars(obj["colors"], "colors")),
+        weights={v: tuple(int(x) for x in vec)
+                 for v, vec in enumerate(_vectors_by_vertex(obj["weights"]))},
     )
 
 
@@ -134,4 +145,4 @@ def equations_to_obj(eqs):
 
 
 def gram_rows_from_obj(obj, field):
-    return [[field(x) for x in row] for row in obj]
+    return [[field(x) for x in _scalars(row, f"Gram row {i}")] for i, row in enumerate(obj)]

@@ -28,6 +28,8 @@ Base weights at least 10 everywhere keep untouched coordinates from ever
 reaching an argmax, intra-level edges keep their recursive winner, and each
 inter-level edge wins its own pool color with margin at least 5.  The
 verifier `color_classes` re-checks the outcome from scratch on every run.
+The construction computes on palette positions; color names appear only
+in `palette` and in the weighting `split_into_matchings` returns.
 """
 
 import heapq
@@ -85,9 +87,9 @@ def color_classes(graph, weighting):
     nonempty classes are reported; color_count counts them.
     """
     colors = weighting.colors
+    if set(weighting.weights) != set(range(graph.num_vertices)):
+        raise ValueError("weight vectors must be given for exactly the vertices 0..n-1")
     for v in range(graph.num_vertices):
-        if v not in weighting.weights:
-            raise ValueError(f"no weight vector for vertex {v}")
         if len(weighting.weights[v]) != len(colors):
             raise ValueError(f"weight vector length mismatch at vertex {v}")
     per_edge = []
@@ -128,9 +130,9 @@ def color_classes(graph, weighting):
 
 
 def color_budget(max_degree):
-    """The palette size the construction needs: D^2 (D+1)^2 / 2 - 1."""
+    """The palette size the construction needs: D^2 (D+1)^2 / 2 - 1, and 1 at D = 0."""
     d = max_degree
-    return d * d * (d + 1) * (d + 1) // 2 - 1
+    return max(1, d * d * (d + 1) * (d + 1) // 2 - 1)
 
 
 def palette(max_degree):
@@ -139,8 +141,9 @@ def palette(max_degree):
     One shared "base" color, extended per degree stage t by fresh pool colors
     a<t>.<parity>.<number>.<slot>.  Palettes nest: palette(t - 1) is a prefix
     of palette(t), which is what lets level graphs reuse their recursive
-    weighting inside the bigger palette.  The length equals color_budget for
-    every max_degree >= 1.
+    weighting inside the bigger palette.  The length equals color_budget, so
+    pool (parity, k) of stage t starts at position
+    color_budget(t - 1) + (parity * t + k - 1) * t^2.
     """
     names = ["base"]
     for t in range(2, max_degree + 1):
@@ -152,7 +155,16 @@ def palette(max_degree):
 
 
 def split_into_matchings(graph):
-    """A weighting splitting the graph into matchings on palette(D) colors.
+    """A weighting splitting the graph into matchings on palette(D) colors."""
+    weights = _weights(graph)
+    return VertexWeighting(
+        colors=palette(graph.max_degree()),
+        weights={v: tuple(vec) for v, vec in enumerate(weights)},
+    )
+
+
+def _weights(graph):
+    """One weight list per vertex, indexed by palette(D) positions.
 
     Components are processed independently on the shared palette.  If the
     greedy pool assignment of stage 3 runs out of colors for some root, the
@@ -160,91 +172,68 @@ def split_into_matchings(graph):
     """
     big_d = graph.max_degree()
     if big_d <= 1:
-        return VertexWeighting(
-            colors=("base",),
-            weights={v: (10,) for v in range(graph.num_vertices)},
-        )
-    colors = palette(big_d)
-    index = {c: i for i, c in enumerate(colors)}
-    weights = {}
+        return [[10] for _ in range(graph.num_vertices)]
+    weights = [None] * graph.num_vertices
     for comp in connected_components(graph):
         sub, _, new_to_old = induced_subgraph_with_map(graph, comp)
-        comp_weights = None
-        failure = None
         for root in range(sub.num_vertices):
             try:
-                comp_weights, _ = _split_component(sub, big_d, colors, index, root)
+                comp_weights = _split_component(sub, big_d, root)
                 break
             except InternalConflictError as exc:
                 failure = exc
-        if comp_weights is None:
+        else:
             raise InternalConflictError(
                 f"no root admits a conflict-free pool assignment on a "
                 f"{sub.num_vertices}-vertex component: {failure}"
             )
-        for v, vec in comp_weights.items():
-            weights[new_to_old[v]] = tuple(vec)
-    return VertexWeighting(colors=colors, weights=weights)
+        for v, vec in enumerate(comp_weights):
+            weights[new_to_old[v]] = vec
+    return weights
 
 
-def _split_component(sub, big_d, colors, index, root):
-    """Stages 1-4 on one connected component, rooted at `root`.
-
-    Returns (vertex -> weight list, the `BfsLayering` whose levels the
-    stages used).
-    """
-    base_size = len(palette(big_d - 1))
+def _split_component(sub, big_d, root):
+    """Stages 1-4 on one connected component, rooted at `root`: one weight
+    list per vertex of `sub`, indexed by palette(big_d) positions."""
+    base_size = color_budget(big_d - 1)
     layering = bfs_layers(sub, root)
     levels = layering.layers
-    weights = {v: [0] * len(colors) for v in range(sub.num_vertices)}
+    weights = [[0] * color_budget(big_d) for _ in range(sub.num_vertices)]
 
     # stage 2: recursive base weights per level, then cumulative shifts
     level_max = []
     numbering = [0] * sub.num_vertices
     for i, level in enumerate(levels):
         lg, _, back = induced_subgraph_with_map(sub, level)
-        recursive = split_into_matchings(lg)
-        rec_index = {c: index[c] for c in recursive.colors}
-        for lv in range(lg.num_vertices):
-            vec = recursive.weights[lv]
-            for c, val in zip(recursive.colors, vec):
-                weights[back[lv]][rec_index[c]] = val
+        # palette(max degree of lg) is a prefix of palette(big_d - 1)
+        for lv, vec in enumerate(_weights(lg)):
+            weights[back[lv]][: len(vec)] = vec
         nums = proper_vertex_numbering(lg, big_d)
         for lv in range(lg.num_vertices):
             numbering[back[lv]] = nums[lv]
         pre_min = min(min(weights[v][:base_size]) for v in level)
         pre_max = max(max(weights[v][:base_size]) for v in level)
-        if i == 0:
-            required = 10
-        elif i == 1:
-            required = level_max[0] + 10
-        else:
-            required = level_max[i - 1] + level_max[i - 2] + 10
-        shift = max(0, required - pre_min)
+        shift = max(0, sum(level_max[-2:]) + 10 - pre_min)
         for v in level:
             for c in range(base_size):
                 weights[v][c] += shift
         level_max.append(pre_max + shift)
 
-    # stage 3: greedy pool colors for edges between consecutive levels
-    pools = {
-        (parity, k): [index[f"a{big_d}.{parity}.{k}.{j}"] for j in range(big_d * big_d)]
-        for parity in (0, 1)
-        for k in range(1, big_d + 1)
-    }
+    # stage 3: greedy pool colors for edges between consecutive levels, as
+    # (upper, lower) pairs bucketed by the lower endpoint's level
     level_of = layering.level
     adjacency = sub.adjacency
-    edge_color = {}
-    for i in range(len(levels) - 1):
-        pair = []
-        for lo, hi in sub.edges:
-            if {level_of[lo], level_of[hi]} == {i, i + 1}:
-                lower, upper = (lo, hi) if level_of[lo] == i else (hi, lo)
-                pair.append((upper, lower))
+    between = [[] for _ in levels]
+    for lo, hi in sub.edges:
+        if level_of[lo] != level_of[hi]:
+            lower, upper = (lo, hi) if level_of[lo] < level_of[hi] else (hi, lo)
+            between[level_of[lower]].append((upper, lower))
+    for i, pair in enumerate(between):
         pair.sort()
         colored = []
         for upper, lower in pair:
-            pool = pools[(i % 2, numbering[upper])]
+            start = base_size + (i % 2 * big_d + numbering[upper] - 1) * big_d * big_d
+            pool = range(start, start + big_d * big_d)
             banned = set()
             for (u2, l2), c2 in colored:
                 if numbering[u2] != numbering[upper]:
@@ -258,15 +247,10 @@ def _split_component(sub, big_d, colors, index, root):
                     f"({lower}, {upper}) between levels {i} and {i + 1}"
                 )
             colored.append(((upper, lower), chosen))
-            edge_color[(lower, upper)] = chosen
-
-    # stage 4: dominating weights on the pool colors
-    for (lower, upper), c in edge_color.items():
-        i = level_of[lower]
-        max_base_upper = max(weights[upper][:base_size])
-        weights[upper][c] = max_base_upper + level_max[i] + 5
-        weights[lower][c] = 5
-    return weights, layering
+            # stage 4: a dominating weight on the pool color
+            weights[upper][chosen] = max(weights[upper][:base_size]) + level_max[i] + 5
+            weights[lower][chosen] = 5
+    return weights
 
 
 def split_forest_into_matchings(forest):

@@ -303,7 +303,7 @@ def test_criterion_6_splitting_random_graphs():
         rep = color_classes(g, w)
         if not rep.valid:
             failures.append((i, "verifier rejected the weighting"))
-        if rep.color_count > color_budget(max(big_d, 1)):
+        if rep.color_count > color_budget(big_d):
             failures.append((i, f"{rep.color_count} classes over budget {color_budget(big_d)}"))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 30.0

@@ -321,6 +321,57 @@ class TestErrorHandling:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+class TestMalformedInputShapes:
+    """Each file is well-formed JSON of the wrong shape: every reader must
+    refuse it with a JSON ValueError instead of misreading it or crashing."""
+
+    GOOD_VECTORS = {"0": ["1", "0"], "1": ["0", "1"], "2": ["1", "0"]}
+    CASES = {
+        # a string where a list of numbers belongs is not read per character
+        "point-string-vectors": (
+            "check", "--point", {"field": "Q", "vectors": {"0": "10", "1": "01", "2": "10"}},
+            "must be a JSON list"),
+        "weighting-string-vectors": (
+            "verify-split", "--weighting",
+            {"colors": ["base", "x"], "weights": {"0": "10", "1": "01", "2": "10"}},
+            "must be a JSON list"),
+        "gram-string-rows": ("analyze", "--gram", ["10", "01"], "must be a JSON list"),
+        "weighting-weights-list": (
+            "verify-split", "--weighting", {"colors": ["base"], "weights": [["10"], ["10"], ["10"]]},
+            "keyed by vertices"),
+        "point-field-not-string": (
+            "check", "--point", {"field": 7, "vectors": GOOD_VECTORS}, "unknown field label"),
+        "weighting-keys-not-0-to-n-1": (
+            "verify-split", "--weighting",
+            {"colors": ["c1", "c2"], "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"],
+                                                  "7": ["0", "0"], "-1": ["0", "0"]}},
+            "keyed by vertices"),
+        "weighting-string-colors": (
+            "verify-split", "--weighting",
+            {"colors": "ab", "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"]}},
+            "colors must be a JSON list"),
+        "weighting-extra-vertex": (
+            "verify-split", "--weighting",
+            {"colors": ["c1", "c2"], "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"],
+                                                  "3": ["0", "0"]}},
+            "exactly the vertices"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_json_error(self, capsys, graph_file, tmp_path, case):
+        command, flag, obj, message = self.CASES[case]
+        g = graph_file("p.txt", PATH3)
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(obj))
+        argv = [command, "--graph", g, flag, str(data)]
+        if command != "verify-split":
+            argv += ["--form", "symmetric", "--dim", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and message in error["message"]
+
+
 class TestOutFlag:
     def test_out_writes_canonical_json(self, capsys, graph_file, tmp_path):
         g = graph_file("p.txt", PATH3)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from graphvariety import (
     NotAForestError,
     SearchSpaceTooLargeError,
     VertexWeighting,
+    bfs_layers,
     brute_force_min_colors,
     color_budget,
     color_classes,
@@ -23,6 +26,7 @@ from graphvariety import (
     split_into_matchings,
     star_graph,
 )
+from graphvariety.serialization import canonical_dumps, weighting_to_obj
 from graphvariety.splitting import _leaf_peel, _split_component
 from oracles import random_connected_graph, random_tree, scan_leaf_peel
 from strategies import forests
@@ -52,7 +56,7 @@ def check_split_by_hand(graph, weighting):
 
 class TestColorBudget:
     def test_values(self):
-        assert [color_budget(d) for d in (1, 2, 3, 4)] == [1, 17, 71, 199]
+        assert [color_budget(d) for d in (0, 1, 2, 3, 4)] == [1, 1, 17, 71, 199]
 
     def test_closed_form(self):
         for d in range(1, 10):
@@ -61,8 +65,16 @@ class TestColorBudget:
 
 class TestPalette:
     def test_lengths_match_budget(self):
-        for d in range(1, 6):
+        for d in range(0, 6):
             assert len(palette(d)) == color_budget(d)
+
+    def test_pool_positions(self):
+        # pool (parity, k) of stage D starts D^2 slots apart after palette(D - 1)
+        for big_d in range(2, 7):
+            colors = palette(big_d)
+            for parity, k, j in product((0, 1), range(1, big_d + 1), range(big_d * big_d)):
+                pos = color_budget(big_d - 1) + (parity * big_d + k - 1) * big_d * big_d + j
+                assert colors[pos] == f"a{big_d}.{parity}.{k}.{j}"
 
     def test_base_color_first(self):
         assert palette(1) == ("base",)
@@ -193,7 +205,7 @@ class TestSplitIntoMatchings:
         assert check_split_by_hand(g, w)
         rep = color_classes(g, w)
         assert rep.valid
-        assert rep.color_count <= color_budget(max(g.max_degree(), 1))
+        assert rep.color_count <= color_budget(g.max_degree())
 
     @pytest.mark.parametrize(
         "g, intra",
@@ -208,12 +220,11 @@ class TestSplitIntoMatchings:
         small = set(palette(big_d - 1))
         colors = palette(big_d)
         assert len(connected_components(g)) == 1
-        weights, layering = _split_component(
-            g, big_d, colors, {c: i for i, c in enumerate(colors)}, 0
-        )
+        weights = _split_component(g, big_d, 0)
+        layering = bfs_layers(g, 0)
         w = split_into_matchings(g)
         # root 0 admits a pool assignment, so its layering is the split's own
-        assert w == VertexWeighting(colors, {v: tuple(vec) for v, vec in weights.items()})
+        assert w == VertexWeighting(colors, {v: tuple(vec) for v, vec in enumerate(weights)})
         rep = color_classes(g, w)
         by_edge = {v.edge: v.argmax[0] for v in rep.per_edge}
         assert sum(layering.level[lo] == layering.level[hi] for lo, hi in g.edges) == intra
@@ -223,6 +234,48 @@ class TestSplitIntoMatchings:
                 assert color in small
             else:
                 assert color.startswith(f"a{big_d}.")
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def seeded_degree_six_graph():
+    """60 vertices, random edges under a degree cap of 6 (not connected)."""
+    rng = random.Random(60)
+    deg = [0] * 60
+    edges = set()
+    for _ in range(400):
+        a, b = rng.randrange(60), rng.randrange(60)
+        e = (min(a, b), max(a, b))
+        if a != b and e not in edges and deg[a] < 6 and deg[b] < 6:
+            edges.add(e)
+            deg[a] += 1
+            deg[b] += 1
+    return Graph(60, sorted(edges))
+
+
+GOLDEN = {
+    # name: (graph, its max degree, sha256 of its canonical weighting JSON)
+    "K4": (complete_graph(4), 3,
+           "e59366f6bef681560b536c23cd2611edec69bd1d7a5cd17ffebdf63099d82be0"),
+    "K44": (complete_bipartite_graph(4, 4), 4,
+            "34d0c21adfbe665e5c92a0247c9b1d2bad3e5ca31e9b46e92f2f4da31eeb17a0"),
+    "petersen": (petersen_graph(), 3,
+                 "45b6169abdbdebdd9c0edb25468fb54e6f43310dfbeb647ddb607184ee453635"),
+    "seeded60": (seeded_degree_six_graph(), 6,
+                 "c80cbb31d266c208f5ac95d4ee910af4efce51cfeed146ef6957b259e488a15d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_split_output_is_pinned(name):
+    g, big_d, digest = GOLDEN[name]
+    assert g.max_degree() == big_d
+    text = canonical_dumps(weighting_to_obj(split_into_matchings(g)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestForestSplitter:
