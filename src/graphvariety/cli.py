@@ -26,7 +26,6 @@ from .serialization import (
     certificate_to_obj,
     count_report_to_obj,
     equations_to_obj,
-    field_label,
     gram_rows_from_obj,
     scalar_to_str,
     splitting_report_to_obj,
@@ -47,16 +46,12 @@ from .variety import (
 )
 
 
-def _load_text(path):
-    return Path(path).read_text()
-
-
 def _load_json(path):
-    return json.loads(_load_text(path))
+    return json.loads(Path(path).read_text())
 
 
 def _load_graph(args):
-    return parse_edge_list(_load_text(args.graph))
+    return parse_edge_list(Path(args.graph).read_text())
 
 
 def _resolve_space(args, field):
@@ -116,31 +111,33 @@ def cmd_sample(args):
     assignment = sample_regular_point(og, space, cfg)
     summary = (
         f"sampled a regular member point for {g.num_vertices} vertices "
-        f"over {field_label(field)} (n={space.n}, seed={args.seed})"
+        f"over {field.name} (n={space.n}, seed={args.seed})"
     )
     return assignment_to_obj(assignment), summary
 
 
-def cmd_check(args):
+def _point_context(args):
+    """The graph, the point, and the variety over the point's field, read in
+    that order so the first bad input is the one reported."""
     g = _load_graph(args)
     point = assignment_from_obj(_load_json(args.point))
-    space = _resolve_space(args, point.field)
-    ctx = VarietyContext(g, space)
+    return VarietyContext(g, _resolve_space(args, point.field)), point
+
+
+def cmd_check(args):
+    ctx, point = _point_context(args)
     res = residual(ctx, point)
     member = all(x == 0 for x in res)
     payload = {
         "is_member": member,
         "residual": [scalar_to_str(x) for x in res],
     }
-    summary = f"member={member} ({g.num_edges} edge equations checked)"
+    summary = f"member={member} ({ctx.graph.num_edges} edge equations checked)"
     return payload, summary
 
 
 def cmd_certify(args):
-    g = _load_graph(args)
-    point = assignment_from_obj(_load_json(args.point))
-    space = _resolve_space(args, point.field)
-    ctx = VarietyContext(g, space)
+    ctx, point = _point_context(args)
     cert = singular_certificate(ctx, point)
     if cert is None:
         return {"certificate": None}, "point is smooth; no certificate"
@@ -150,23 +147,15 @@ def cmd_certify(args):
 
 
 def cmd_split(args):
+    """`split`, or with `split-tree` the forest splitting on D colors."""
+    forest = args.command == "split-tree"
     g = _load_graph(args)
-    weighting = split_into_matchings(g)
+    weighting = (split_forest_into_matchings if forest else split_into_matchings)(g)
     report = color_classes(g, weighting)
     summary = (
-        f"split {g.num_edges} edges into {report.color_count} matching classes "
-        f"(palette {len(weighting.colors)}, valid={report.valid})"
-    )
-    return weighting_to_obj(weighting), summary
-
-
-def cmd_split_tree(args):
-    g = _load_graph(args)
-    weighting = split_forest_into_matchings(g)
-    report = color_classes(g, weighting)
-    summary = (
-        f"split {g.num_edges} forest edges into {report.color_count} matching "
-        f"classes (palette {len(weighting.colors)}, valid={report.valid})"
+        f"split {g.num_edges} {'forest ' if forest else ''}edges into "
+        f"{report.color_count} matching classes (palette {len(weighting.colors)}, "
+        f"valid={report.valid})"
     )
     return weighting_to_obj(weighting), summary
 
@@ -181,10 +170,7 @@ def cmd_verify_split(args):
 
 def cmd_count(args):
     g = _load_graph(args)
-    field = field_from_spec(args.field)
-    if field.p is None:
-        raise ValueError("count requires a prime field, e.g. --field Fp:5")
-    space = _resolve_space(args, field)
+    space = _resolve_space(args, field_from_spec(args.field))
     report = count_points(CountRequest(g, space, args.cap))
     summary = (
         f"{report.count} points over F_{report.q} "
@@ -202,83 +188,57 @@ def cmd_equations(args):
     return payload, f"{g.num_edges} edge equations emitted"
 
 
-def _add_graph_arg(p):
-    p.add_argument("--graph", required=True, help="edge-list file: one 'u v' per line")
-
-
-def _add_space_args(p):
-    p.add_argument("--form", default="symplectic",
-                   choices=["symplectic", "symmetric", "hyperbolic"],
-                   help="standard form kind (or symmetry kind with --gram)")
-    p.add_argument("--dim", type=int,
-                   help="ambient dimension n for a standard form")
-    p.add_argument("--gram", help="JSON file with an explicit Gram matrix")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphvariety",
         description="Exact tools for orthogonality varieties of graphs",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--graph", required=True, help="edge-list file: one 'u v' per line")
+    common.add_argument("--out", help="write the JSON document to this file")
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--form", default="symplectic",
+                       choices=["symplectic", "symmetric", "hyperbolic"],
+                       help="standard form kind (or symmetry kind with --gram)")
+    space.add_argument("--dim", type=int,
+                       help="ambient dimension n for a standard form")
+    space.add_argument("--gram", help="JSON file with an explicit Gram matrix")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="combinatorial and geometric summary")
-    _add_graph_arg(p)
-    _add_space_args(p)
-    p.set_defaults(func=cmd_analyze)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sample", help="sample a regular member point")
-    _add_graph_arg(p)
-    _add_space_args(p)
+    command("analyze", cmd_analyze, "combinatorial and geometric summary", space)
+
+    p = command("sample", cmd_sample, "sample a regular member point", space)
     p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>"')
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=10,
                    help="coordinate range for rational draws")
     p.add_argument("--retries", type=int, default=64,
                    help="rejection retries per vertex")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("check", help="membership of a point file")
-    _add_graph_arg(p)
-    _add_space_args(p)
+    p = command("check", cmd_check, "membership of a point file", space)
     p.add_argument("--point", required=True, help="vertex assignment JSON file")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("certify", help="singularity certificate at a member point")
-    _add_graph_arg(p)
-    _add_space_args(p)
+    p = command("certify", cmd_certify, "singularity certificate at a member point", space)
     p.add_argument("--point", required=True, help="vertex assignment JSON file")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("split", help="split a graph into matchings")
-    _add_graph_arg(p)
-    p.set_defaults(func=cmd_split)
+    command("split", cmd_split, "split a graph into matchings")
+    command("split-tree", cmd_split, "split a forest into max-degree matchings")
 
-    p = sub.add_parser("split-tree", help="split a forest into max-degree matchings")
-    _add_graph_arg(p)
-    p.set_defaults(func=cmd_split_tree)
-
-    p = sub.add_parser("verify-split", help="verify a vertex weighting file")
-    _add_graph_arg(p)
+    p = command("verify-split", cmd_verify_split, "verify a vertex weighting file")
     p.add_argument("--weighting", required=True, help="vertex weighting JSON file")
-    p.set_defaults(func=cmd_verify_split)
 
-    p = sub.add_parser("count", help="exact point count over a prime field")
-    _add_graph_arg(p)
-    _add_space_args(p)
+    p = command("count", cmd_count, "exact point count over a prime field", space)
     p.add_argument("--field", required=True, help='"Fp:<prime>"')
     p.add_argument("--cap", type=int, default=DEFAULT_WORK_CAP,
                    help="work cap on the enumeration estimate")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("equations", help="emit the defining edge equations")
-    _add_graph_arg(p)
-    _add_space_args(p)
+    p = command("equations", cmd_equations, "emit the defining edge equations", space)
     p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>"')
-    p.set_defaults(func=cmd_equations)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--out", help="write the JSON document to this file")
     return parser
 
 
@@ -287,8 +247,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, summary = args.func(args)
-    except (GraphVarietyError, ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (GraphVarietyError, ValueError, TypeError, KeyError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(canonical_dumps(err))
         return 1

@@ -47,10 +47,10 @@ class UnsupportedCombinationError(GraphVarietyError):
 class WorkCapExceededError(GraphVarietyError):
     """An enumeration would exceed its configured work cap."""
 
-    def __init__(self, estimate, cap):
+    def __init__(self, estimate, cap, advice=""):
         self.estimate = estimate
         self.cap = cap
-        super().__init__(f"estimated work {estimate} exceeds cap {cap}")
+        super().__init__(f"estimated work {estimate} exceeds cap {cap}{advice}")
 
 
 class SearchSpaceTooLargeError(GraphVarietyError):

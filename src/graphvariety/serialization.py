@@ -41,13 +41,9 @@ def scalar_to_str(x):
     raise TypeError(f"cannot serialize scalar {x!r}")
 
 
-def field_label(field):
-    return field.name
-
-
 def assignment_to_obj(assignment):
     return {
-        "field": field_label(assignment.field),
+        "field": assignment.field.name,
         "vectors": {
             str(v): [scalar_to_str(x) for x in vec]
             for v, vec in enumerate(assignment.vectors)
@@ -77,7 +73,7 @@ def assignment_from_obj(obj):
 
 def certificate_to_obj(certificate, field):
     return {
-        "field": field_label(field),
+        "field": field.name,
         "weights": [
             [str(lo), str(hi), scalar_to_str(val)]
             for (lo, hi), val in zip(certificate.edges, certificate.values)
@@ -95,8 +91,11 @@ def weighting_to_obj(weighting):
 
 
 def weighting_from_obj(obj):
+    colors = tuple(_scalars(obj["colors"], "colors"))
+    if len(set(colors)) != len(colors):
+        raise ValueError("colors must not repeat a name")
     return VertexWeighting(
-        colors=tuple(_scalars(obj["colors"], "colors")),
+        colors=colors,
         weights={v: tuple(int(x) for x in vec)
                  for v, vec in enumerate(_vectors_by_vertex(obj["weights"]))},
     )

@@ -40,6 +40,7 @@ from .errors import (
     InternalConflictError,
     NotAForestError,
     SearchSpaceTooLargeError,
+    WorkCapExceededError,
 )
 from .graphs import (
     bfs_layers,
@@ -50,6 +51,7 @@ from .graphs import (
 )
 
 BRUTE_FORCE_CAP = 10**7
+WEIGHTING_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,16 @@ def palette(max_degree):
 
 
 def split_into_matchings(graph):
-    """A weighting splitting the graph into matchings on palette(D) colors."""
+    """A weighting splitting the graph into matchings on palette(D) colors; refused
+    up front when its dense vectors would hold over WEIGHTING_CAP entries in all."""
+    big_d = graph.max_degree()
+    entries = color_budget(big_d) * graph.num_vertices
+    if entries > WEIGHTING_CAP:
+        raise WorkCapExceededError(
+            entries, WEIGHTING_CAP, "; a forest splits on max-degree colors with split-tree")
     weights = _weights(graph)
     return VertexWeighting(
-        colors=palette(graph.max_degree()),
+        colors=palette(big_d),
         weights={v: tuple(vec) for v, vec in enumerate(weights)},
     )
 

@@ -1,9 +1,12 @@
+import argparse
 import json
+import time
 
 import pytest
 
 from graphvariety import edge_count_closed_form
-from graphvariety.cli import main
+from graphvariety.cli import build_parser, main
+from graphvariety.counting import DEFAULT_WORK_CAP
 
 
 @pytest.fixture
@@ -159,6 +162,22 @@ class TestSplitCommands:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "NotAForestError"
+
+    def test_split_refuses_palette_past_ceiling(self, capsys, graph_file):
+        # a 40-leaf star needs 1,344,799 colors on each of its 41 vertices
+        g = graph_file("star.txt", "".join(f"0 {leaf}\n" for leaf in range(1, 41)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["split", "--graph", g])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "WorkCapExceededError" and "split-tree" in error["message"]
+
+    def test_split_star_under_ceiling(self, capsys, graph_file, tmp_path):
+        g = graph_file("star.txt", "".join(f"0 {leaf}\n" for leaf in range(1, 21)))
+        code, out, err = run(capsys, ["split", "--graph", g, "--out", str(tmp_path / "w.json")])
+        assert code == 0, err
+        assert out == "split 20 edges into 20 matching classes (palette 88199, valid=True)\n"
 
     def test_verify_split_flags_bad_weighting(self, capsys, graph_file, tmp_path):
         g = graph_file("p.txt", PATH3)
@@ -350,6 +369,10 @@ class TestMalformedInputShapes:
             "verify-split", "--weighting",
             {"colors": "ab", "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"]}},
             "colors must be a JSON list"),
+        "weighting-repeated-color": (
+            "verify-split", "--weighting",
+            {"colors": ["c1", "c1"], "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"]}},
+            "repeat a name"),
         "weighting-extra-vertex": (
             "verify-split", "--weighting",
             {"colors": ["c1", "c2"], "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"],
@@ -393,3 +416,71 @@ class TestOutFlag:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+class TestSummaryLines:
+    """With --out, stdout is exactly one summary line per command."""
+
+    C4_POINT = {"field": "Q", "vectors": {str(v): ["1", "0", "0", "0"] for v in range(4)}}
+    WEIGHTING = {"colors": ["c1", "c2"], "weights": {"0": ["1", "0"], "1": ["0", "2"],
+                                                     "2": ["3", "0"]}}
+    CASES = {
+        "analyze": (PATH3, ["--dim", "4"], None,
+                    "3 vertices, 2 edges, max degree 2, degeneracy 1; projective verdict: smooth"),
+        "sample": (PATH3, ["--dim", "4", "--field", "Fp:7"], None,
+                   "sampled a regular member point for 3 vertices over Fp:7 (n=4, seed=0)"),
+        "check": (C4, ["--dim", "4"], ("--point", C4_POINT),
+                  "member=True (4 edge equations checked)"),
+        "certify": (C4, ["--dim", "4"], ("--point", C4_POINT),
+                    "singular point: certificate on 4 edges"),
+        "split": (TRIANGLE, [], None,
+                  "split 3 edges into 3 matching classes (palette 17, valid=True)"),
+        "split-tree": (PATH3, [], None,
+                       "split 2 forest edges into 2 matching classes (palette 2, valid=True)"),
+        "verify-split": (PATH3, [], ("--weighting", WEIGHTING), "valid=True, 2 classes used"),
+        "count": ("0 1\n", ["--form", "symmetric", "--dim", "1", "--field", "Fp:3"], None,
+                  "5 points over F_3 (expected dimension 1, ratio 5/3)"),
+        "equations": (PATH3, ["--dim", "2", "--field", "Fp:5"], None, "2 edge equations emitted"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_summary_line(self, capsys, graph_file, tmp_path, command):
+        graph, extra, data, line = self.CASES[command]
+        argv = [command, "--graph", graph_file("g.txt", graph), "--out", str(tmp_path / "o.json")]
+        if data is not None:
+            flag, obj = data
+            (tmp_path / "data.json").write_text(json.dumps(obj))
+            argv += [flag, str(tmp_path / "data.json")]
+        code, out, err = run(capsys, argv + extra)
+        assert code == 0, err
+        assert out == line + "\n"
+
+
+class TestOptionTable:
+    """Every subcommand's options, which are required, and their defaults."""
+
+    SPACE = {"--form": (False, "symplectic"), "--dim": (False, None), "--gram": (False, None)}
+    COMMON = {"--graph": (True, None), "--out": (False, None)}
+    TABLE = {
+        "analyze": {**COMMON, **SPACE},
+        "sample": {**COMMON, **SPACE, "--field": (False, "Q"), "--seed": (False, 0),
+                   "--bound": (False, 10), "--retries": (False, 64)},
+        "check": {**COMMON, **SPACE, "--point": (True, None)},
+        "certify": {**COMMON, **SPACE, "--point": (True, None)},
+        "split": COMMON,
+        "split-tree": COMMON,
+        "verify-split": {**COMMON, "--weighting": (True, None)},
+        "count": {**COMMON, **SPACE, "--field": (True, None),
+                  "--cap": (False, DEFAULT_WORK_CAP)},
+        "equations": {**COMMON, **SPACE, "--field": (False, "Q")},
+    }
+
+    def test_table(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        table = {
+            name: {a.option_strings[-1]: (a.required, a.default)
+                   for a in p._actions if a.option_strings != ["-h", "--help"]}
+            for name, p in sub.choices.items()
+        }
+        assert table == self.TABLE
