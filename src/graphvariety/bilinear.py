@@ -3,7 +3,20 @@
 A `BilinearSpace` bundles the ambient dimension, the field, the Gram matrix,
 and a kind tag ("symplectic" or "symmetric") that records the symmetry type
 the rest of the package relies on.
+
+The form value <u, v> is evaluated by an integer kernel on the Gram
+matrix's nonzero entries, stored once as terms (i, j, c).  Over F_p the c
+are the entries themselves, ints in [0, p), and the sum of c * u_i * v_j is
+reduced mod p once at the end.  Over Q every entry is c / s for the least
+common denominator s of the Gram matrix, and u, v are written as integer
+numerators over their own least common denominators du and dv, so
+<u, v> = (sum of c * a_i * b_j) / (du * dv * s) with all products on ints.
+Every step is exact integer arithmetic and `Fraction` reduces the one
+quotient, so the value equals the dense product u . (gram v) on Fractions.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
@@ -46,10 +59,25 @@ class BilinearSpace:
         self.field = field
         self.gram = rows
         self._gram_t = t
+        # the nonzero entries as int terms (i, j, c) with gram[i][j] == c / scale
+        scale = 1 if field.p is not None else lcm(*(x.denominator for r in rows for x in r))
+        self._scale = scale
+        self._terms = tuple(
+            (i, j, int(x * scale)) for i, row in enumerate(rows) for j, x in enumerate(row) if x
+        )
 
     def pair(self, u, v):
-        """The form value <u, v> = u . (gram v)."""
-        return dot(self.field, u, self.gram_times(v))
+        """The form value <u, v> = u . (gram v), by the integer kernel of the
+        module docstring: one pass over the Gram's nonzero terms on ints, then
+        one reduction mod p, or one `Fraction` over Q."""
+        if len(u) != self.n or len(v) != self.n:
+            raise ValueError(f"form arguments must have length {self.n}")
+        p = self.field.p
+        if p is not None:
+            return sum(c * u[i] * v[j] for i, j, c in self._terms) % p
+        a, du = _numerators(u)
+        b, dv = _numerators(v)
+        return Fraction(sum(c * a[i] * b[j] for i, j, c in self._terms), du * dv * self._scale)
 
     def gram_times(self, v):
         return [dot(self.field, row, v) for row in self.gram]
@@ -75,6 +103,13 @@ class BilinearSpace:
 
     def __repr__(self):
         return f"BilinearSpace(n={self.n}, kind={self.kind!r}, field={self.field!r})"
+
+
+def _numerators(u):
+    """Integers a and d > 0 with u_i == a_i / d for every i, d the least
+    common denominator of the rationals u."""
+    d = lcm(*(x.denominator for x in u))
+    return [x.numerator * (d // x.denominator) for x in u], d
 
 
 def standard_space(form, n, field=RATIONALS):

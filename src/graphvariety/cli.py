@@ -59,6 +59,8 @@ def _resolve_space(args, field):
         if args.form not in ("symplectic", "symmetric"):
             raise ValueError("--form must be symplectic or symmetric with --gram")
         rows = gram_rows_from_obj(_load_json(args.gram), field)
+        if args.dim is not None and args.dim != len(rows):
+            raise ValueError(f"--dim {args.dim} does not match the {len(rows)}x{len(rows)} --gram")
         return BilinearSpace(len(rows), args.form, rows, field)
     if args.dim is None:
         raise ValueError("--dim is required unless --gram is given")
@@ -151,6 +153,8 @@ def cmd_split(args):
     forest = args.command == "split-tree"
     g = _load_graph(args)
     weighting = (split_forest_into_matchings if forest else split_into_matchings)(g)
+    if not args.out:  # the summary, and the verifier run it reports, go unused
+        return weighting_to_obj(weighting), None
     report = color_classes(g, weighting)
     summary = (
         f"split {g.num_edges} {'forest ' if forest else ''}edges into "

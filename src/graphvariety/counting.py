@@ -33,7 +33,7 @@ from .bilinear import standard_space
 from .errors import WorkCapExceededError
 from .fields import PrimeField
 from .graphs import degeneracy_order
-from .linalg import dot, kernel, rref
+from .linalg import kernel, rref
 from .variety import edge_gradient, expected_dimension
 
 DEFAULT_WORK_CAP = 10**7
@@ -77,9 +77,7 @@ class ResidueForm:
         relations) pair where orbit keys apply, else the tuple itself."""
         if not self.orbit_keys or not vectors:
             return vectors
-        field = self.space.field
-        images = [self.space.gram_times(w) for w in vectors]
-        pairs = tuple(dot(field, u, gw) for u in vectors for gw in images)
+        pairs = tuple(self.space.pair(u, w) for u in vectors for w in vectors)
         reduced, pivots = rref(list(zip(*vectors)), len(vectors), self.p)
         return pairs, tuple(tuple(row) for row in reduced[: len(pivots)])
 

@@ -10,6 +10,11 @@ from dataclasses import dataclass
 
 from .errors import BoundTooSmallError, DisconnectedGraphError
 
+# parse_edge_list allocates one adjacency list per index up to the largest one
+# named, so a ten-byte file such as "0 1000000" could otherwise take seconds
+# and hundreds of MiB in every command.  The largest benchmark graph has 2200.
+MAX_VERTICES = 10**5
+
 
 class Graph:
     """An undirected simple graph on vertices 0..num_vertices-1."""
@@ -335,7 +340,8 @@ def parse_edge_list(text):
 
     One "u v" pair per line; '#' starts a comment; blank lines are skipped.
     A line holding a single integer declares an isolated vertex.  The vertex
-    count is one more than the largest index mentioned.
+    count is one more than the largest index mentioned, and a count above
+    MAX_VERTICES is refused before any adjacency is allocated.
     """
     edges = []
     singles = []
@@ -354,6 +360,8 @@ def parse_edge_list(text):
     if any(v < 0 for v in mentioned):
         raise ValueError("vertex indices must be non-negative")
     n = max(mentioned) + 1 if mentioned else 0
+    if n > MAX_VERTICES:
+        raise ValueError(f"edge list names {n} vertices, more than the limit of {MAX_VERTICES}")
     return Graph(n, edges)
 
 

@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 
 from graphvariety import Graph, VertexAssignment, degeneracy_order
-from graphvariety.linalg import kernel, rref
+from graphvariety.linalg import dot, kernel, rref
 
 
 def rank(field, rows):
@@ -31,7 +31,8 @@ def naive_point_count(graph, space):
     vecs = list(itertools.product(space.field.elements(), repeat=space.n))
     total = 0
     for assign in itertools.product(vecs, repeat=graph.num_vertices):
-        if all(space.pair(assign[lo], assign[hi]) == 0 for lo, hi in graph.edges):
+        if all(dot(space.field, assign[lo], space.gram_times(assign[hi])) == 0
+               for lo, hi in graph.edges):
             total += 1
     return total
 

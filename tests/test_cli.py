@@ -7,6 +7,7 @@ import pytest
 from graphvariety import edge_count_closed_form
 from graphvariety.cli import build_parser, main
 from graphvariety.counting import DEFAULT_WORK_CAP
+from graphvariety.graphs import MAX_VERTICES
 
 
 @pytest.fixture
@@ -179,6 +180,18 @@ class TestSplitCommands:
         assert code == 0, err
         assert out == "split 20 edges into 20 matching classes (palette 88199, valid=True)\n"
 
+    @pytest.mark.parametrize("command", ["split", "split-tree"])
+    def test_split_without_out_skips_the_verifier(self, capsys, graph_file, monkeypatch, command):
+        g = graph_file("p.txt", PATH3)
+        expected = run(capsys, [command, "--graph", g])
+        assert expected[0] == 0
+
+        def verifier(*args):
+            raise RuntimeError("color_classes ran without --out")
+
+        monkeypatch.setattr("graphvariety.cli.color_classes", verifier)
+        assert run(capsys, [command, "--graph", g]) == expected
+
     def test_verify_split_flags_bad_weighting(self, capsys, graph_file, tmp_path):
         g = graph_file("p.txt", PATH3)
         wfile = tmp_path / "w.json"
@@ -250,6 +263,17 @@ class TestGramOption:
         assert payload["dimension"] == "2"
         assert payload["form_kind"] == "symmetric"
 
+    def test_dim_must_match_gram(self, capsys, graph_file, tmp_path):
+        g = graph_file("t.txt", TRIANGLE)
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps([["0", "1"], ["1", "0"]]))
+        argv = ["analyze", "--graph", g, "--form", "symmetric", "--gram", str(gram)]
+        code, out, err = run(capsys, argv + ["--dim", "4"])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "--dim 4" in error["message"]
+        assert run(capsys, argv + ["--dim", "2"]) == run(capsys, argv)
+
     def test_invalid_gram_rejected(self, capsys, graph_file, tmp_path):
         g = graph_file("e.txt", "0 1\n")
         gram = tmp_path / "gram.json"
@@ -315,6 +339,17 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["analyze", "--graph", g, "--dim", "2"])
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [["analyze", "--dim", "2"], ["split"]])
+    def test_vertex_ceiling(self, capsys, graph_file, argv):
+        # a ten-byte file must not allocate a graph on 100001 vertices
+        g = graph_file("far.txt", f"0 {MAX_VERTICES}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, [argv[0], "--graph", g, *argv[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and f"limit of {MAX_VERTICES}" in error["message"]
 
     def test_malformed_point_json(self, capsys, graph_file, tmp_path):
         g = graph_file("e.txt", "0 1\n")

@@ -24,6 +24,7 @@ from graphvariety import (
     proper_vertex_numbering,
     star_graph,
 )
+from graphvariety.graphs import MAX_VERTICES
 from oracles import (
     brute_degeneracy,
     brute_has_even_cycle,
@@ -326,6 +327,12 @@ class TestEdgeListFormat:
             parse_edge_list("0 1 2\n")
         with pytest.raises(ValueError):
             parse_edge_list("a b\n")
+
+    def test_vertex_ceiling(self):
+        assert parse_edge_list(f"0 {MAX_VERTICES - 1}\n").num_vertices == MAX_VERTICES
+        for text in (f"0 {MAX_VERTICES}\n", f"{MAX_VERTICES}\n"):
+            with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
+                parse_edge_list(text)
 
     def test_format_includes_isolated_vertices(self):
         g = Graph(3, [(0, 1)])

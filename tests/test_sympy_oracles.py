@@ -1,13 +1,17 @@
-"""Cross-checks of the elimination in `linalg` against sympy, an independent
-implementation that is installed for the tests only.  The reduced row
-echelon form is unique, so the rows and the pivots must agree exactly."""
+"""Cross-checks of the elimination in `linalg` and of the pairing in
+`bilinear` against sympy, an independent implementation that is installed for
+the tests only.  The reduced row echelon form is unique, so the rows and the
+pivots must agree exactly, and so must every form value."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from graphvariety.linalg import kernel, rref
+from graphvariety.bilinear import BilinearSpace, standard_space
+from graphvariety.fields import RATIONALS, PrimeField
+from graphvariety.linalg import dot, kernel, rref
+from graphvariety.serialization import gram_rows_from_obj
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -76,3 +80,77 @@ def test_rref_over_gf_p_matches_sympy(p, seed):
         assert reduced == expected
         assert pivots == list(their_pivots)
         check_kernel(rows, n, p, len(pivots))
+
+
+def gram_obj(rng, field, n, sign):
+    """A random n x n Gram matrix as `--gram` reads it, decimal strings, with
+    gram[j][i] == sign * gram[i][j]; fractions over Q, so the Gram's common
+    denominator is not 1, and unreduced integers, negatives too, over F_p."""
+    bound = 9 if field.p is None else field.p - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and sign == -1 or rng.random() < 0.3:
+                continue
+            x = rng.randint(-bound, bound)
+            rows[i][j] = Fraction(x, rng.randint(1, 6)) if field.p is None else x
+            rows[j][i] = sign * rows[i][j]
+    return [[str(x) for x in row] for row in rows]
+
+
+def pairing_spaces(rng, field):
+    """The standard forms over `field`, and random non-degenerate `--gram`
+    spaces: symmetric, and antisymmetric outside characteristic 2."""
+    odd = field.characteristic != 2
+    shapes = [("symmetric", 1), ("symmetric", 3), ("hyperbolic", 4)]
+    shapes += [("symplectic", 2), ("symplectic", 8)] if odd else []
+    spaces = [standard_space(form, n, field) for form, n in shapes]
+    kinds = [("symmetric", 1, (2, 3, 5))] + ([("symplectic", -1, (2, 4, 6))] if odd else [])
+    for kind, sign, dims in kinds:
+        for n in dims:
+            while True:
+                rows = gram_rows_from_obj(gram_obj(rng, field, n, sign), field)
+                try:
+                    spaces.append(BilinearSpace(n, kind, rows, field))
+                    break
+                except ValueError:  # degenerate; draw again
+                    pass
+    return spaces
+
+
+def draw_vector(rng, field, n):
+    """Zero about one time in eight; over Q mixed denominators and signs."""
+    if rng.random() < 0.125:
+        return [field.zero()] * n
+    if field.p is None:
+        return [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
+    return [rng.randrange(field.p) for _ in range(n)]
+
+
+def sympy_pairing(space, u, v):
+    """u^T * gram * v computed by sympy over Q, then reduced mod p over F_p."""
+    def matrix(rows):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+    value = (matrix([u]) * matrix(space.gram) * matrix([v]).T)[0, 0]
+    p = space.field.p
+    return Fraction(int(value.p), int(value.q)) if p is None else int(value) % p
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7, 10007])
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_matches_dense_product_and_sympy(p, seed):
+    rng = random.Random(seed)
+    field = RATIONALS if p is None else PrimeField(p)
+    for space in pairing_spaces(rng, field):
+        for _ in range(8):
+            u, v = draw_vector(rng, field, space.n), draw_vector(rng, field, space.n)
+            value = space.pair(u, v)
+            assert value == dot(field, u, space.gram_times(v)) == sympy_pairing(space, u, v)
+            if p is None:
+                assert isinstance(value, Fraction)
+            else:
+                assert type(value) is int and 0 <= value < p
+        for bad in ((u + [field.zero()], v), (u, v[:-1])):
+            with pytest.raises(ValueError):
+                space.pair(*bad)
