@@ -53,7 +53,7 @@ from .graphs import (
     proper_vertex_numbering,
     star_graph,
 )
-from .linalg import dot, vectors_independent
+from .linalg import vectors_independent
 from .sampling import SamplerConfig, cycle_singular_point, sample_regular_point, zero_point
 from .splitting import (
     BRUTE_FORCE_CAP,
@@ -79,7 +79,6 @@ from .variety import (
     is_anti_ample,
     is_member,
     is_smooth_point,
-    jacobian,
     projective_smoothness,
     regular_part_test,
     residual,

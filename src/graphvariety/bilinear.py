@@ -4,29 +4,44 @@ A `BilinearSpace` bundles the ambient dimension, the field, the Gram matrix,
 and a kind tag ("symplectic" or "symmetric") that records the symmetry type
 the rest of the package relies on.
 
-The form value <u, v> is evaluated by an integer kernel on the Gram
-matrix's nonzero entries, stored once as terms (i, j, c).  Over F_p the c
-are the entries themselves, ints in [0, p), and the sum of c * u_i * v_j is
-reduced mod p once at the end.  Over Q every entry is c / s for the least
-common denominator s of the Gram matrix, and u, v are written as integer
-numerators over their own least common denominators du and dv, so
-<u, v> = (sum of c * a_i * b_j) / (du * dv * s) with all products on ints.
-Every step is exact integer arithmetic and `Fraction` reduces the one
-quotient, so the value equals the dense product u . (gram v) on Fractions.
+Every product with the Gram matrix runs on one integer kernel, `_image`,
+over the matrix's nonzero entries.  They are kept once, as the public
+`terms` (i, j, gram[i][j]), and as int terms (i, j, c) derived from them.
+Over F_p each c is the entry itself, an int in [0, p).  Over Q each entry
+is c / s for the least common denominator s of the Gram matrix.  For a
+vector v, `_image` makes one pass over the int terms and returns integers
+g and one denominator d > 0 with (gram v)_i = g_i / d.  Over F_p, d is 1
+and g is not yet reduced.  Over Q, v is written as integer numerators b
+over their least common denominator dv, g_i is the sum of c * b_j over the
+terms of row i, and d = dv * s.  From there:
+
+- `gram_times(v)` reduces g once: mod p per coordinate, or one
+  `Fraction(g_i, d)` per coordinate over Q;
+- `pair(u, v)` = <u, v> = u . (gram v) is one dot of u (over Q its
+  integer numerators a over du) with g, then one reduction mod p, or one
+  `Fraction(a . g, du * d)`;
+- `gram_transpose_times(v)` is gram_times(v) for a symmetric space and
+  -gram_times(v) for a symplectic one, since `__init__` checks that the
+  Gram matrix equals its transpose or its negated transpose.
+
+Every step is exact integer arithmetic, so each value equals the dense
+product on field scalars.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import dot, rref
+from .linalg import rref
 
 
 class BilinearSpace:
     """F^n with the bilinear form <u, v> = u^T * gram * v.
 
-    `gram` is a tuple of n row tuples of field scalars.
+    `gram` is a tuple of n row tuples of field scalars, and `terms` its
+    nonzero entries as (i, j, gram[i][j]) in row-major order.
     """
 
     def __init__(self, n, kind, gram, field=RATIONALS):
@@ -58,32 +73,51 @@ class BilinearSpace:
         self.kind = kind
         self.field = field
         self.gram = rows
-        self._gram_t = t
-        # the nonzero entries as int terms (i, j, c) with gram[i][j] == c / scale
-        scale = 1 if field.p is not None else lcm(*(x.denominator for r in rows for x in r))
-        self._scale = scale
-        self._terms = tuple(
-            (i, j, int(x * scale)) for i, row in enumerate(rows) for j, x in enumerate(row) if x
+        self.terms = tuple(
+            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x
         )
+        # the same terms on ints c with gram[i][j] == c / scale
+        self._scale = 1 if field.p is not None else lcm(*(x.denominator for *_, x in self.terms))
+        self._terms = tuple((i, j, int(x * self._scale)) for i, j, x in self.terms)
+
+    def _image(self, v):
+        """Integers g and d > 0 with (gram v)_i == g_i / d, by one pass over
+        the Gram's nonzero terms; over F_p d is 1 and g is not reduced."""
+        if len(v) != self.n:
+            raise ValueError(f"vectors must have length {self.n}")
+        if self.field.p is None:
+            b, d = _numerators(v)
+            d *= self._scale
+        else:
+            b, d = v, 1
+        g = [0] * self.n
+        for i, j, c in self._terms:
+            g[i] += c * b[j]
+        return g, d
 
     def pair(self, u, v):
-        """The form value <u, v> = u . (gram v), by the integer kernel of the
-        module docstring: one pass over the Gram's nonzero terms on ints, then
-        one reduction mod p, or one `Fraction` over Q."""
-        if len(u) != self.n or len(v) != self.n:
-            raise ValueError(f"form arguments must have length {self.n}")
+        """The form value <u, v> = u . (gram v): one dot of u with the
+        integer image of v, then one reduction mod p, or one `Fraction`."""
+        if len(u) != self.n:
+            raise ValueError(f"vectors must have length {self.n}")
+        g, d = self._image(v)
         p = self.field.p
         if p is not None:
-            return sum(c * u[i] * v[j] for i, j, c in self._terms) % p
+            return sum(map(mul, u, g)) % p
         a, du = _numerators(u)
-        b, dv = _numerators(v)
-        return Fraction(sum(c * a[i] * b[j] for i, j, c in self._terms), du * dv * self._scale)
+        return Fraction(sum(map(mul, a, g)), du * d)
 
     def gram_times(self, v):
-        return [dot(self.field, row, v) for row in self.gram]
+        """gram v: the integer image reduced mod p, or one `Fraction` per
+        coordinate over Q."""
+        g, d = self._image(v)
+        p = self.field.p
+        return [x % p for x in g] if p is not None else [Fraction(x, d) for x in g]
 
     def gram_transpose_times(self, v):
-        return [dot(self.field, row, v) for row in self._gram_t]
+        """gram^T v, which is gram v or -gram v by the kind (checked in `__init__`)."""
+        g = self.gram_times(v)
+        return g if self.kind == "symmetric" else [self.field(-x) for x in g]
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""

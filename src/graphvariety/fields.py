@@ -76,9 +76,6 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def elements(self):
-        raise TypeError("the rational field is not finite")
-
     @property
     def order(self):
         raise TypeError("the rational field is not finite")
@@ -115,9 +112,6 @@ class PrimeField:
 
     def one(self):
         return 1
-
-    def elements(self):
-        return list(range(self.p))
 
     @property
     def order(self):

@@ -15,7 +15,6 @@ about 3x faster on the sampler's small F_p kernels (measured, ROADMAP item 1).
 """
 
 from fractions import Fraction
-from operator import mul
 
 
 def rref(rows, ncols, p=None):
@@ -121,9 +120,3 @@ def vectors_independent(field, vectors, length):
         raise ValueError(f"vectors must have length {length}")
     return len(rref(vecs, length, field.p)[1]) == len(vecs)
 
-
-def dot(field, u, v):
-    if len(u) != len(v):
-        raise ValueError("dot product of vectors with different lengths")
-    # over Q, a sum started from Fraction(0) is faster than one from int 0
-    return field(sum(map(mul, u, v), field.zero()))

@@ -96,26 +96,6 @@ def edge_gradient(space, v, u, wu):
     return space.gram_times(wu) if v < u else space.gram_transpose_times(wu)
 
 
-def jacobian(ctx, assignment):
-    """The |E| x (|V| * n) Jacobian of the edge equations at the assignment,
-    as a list of dense rows of length |V| * n, one per edge in edge order.
-
-    The row of edge (lo, hi) carries the edge's gradients in w(lo) and w(hi)
-    in the two endpoints' coordinate blocks.
-    """
-    _check_shape(ctx, assignment)
-    n = ctx.space.n
-    w = assignment.vectors
-    z = ctx.field.zero()
-    rows = []
-    for lo, hi in ctx.edge_order:
-        row = [z] * (ctx.graph.num_vertices * n)
-        row[lo * n:lo * n + n] = edge_gradient(ctx.space, lo, hi, w[hi])
-        row[hi * n:hi * n + n] = edge_gradient(ctx.space, hi, lo, w[lo])
-        rows.append(row)
-    return rows
-
-
 def _edge_rows(ctx, assignment):
     """The Jacobian's rows as sparse {column: nonzero scalar} dicts; each
     endpoint's gradient is computed once per (side of the edge, other end)."""
@@ -234,14 +214,7 @@ class EdgeEquation:
 
 def equations(ctx):
     """The defining equations, one per edge in canonical order."""
-    gram = ctx.space.gram
-    n = ctx.space.n
-    terms = tuple(
-        (i, j, gram[i][j])
-        for i in range(n)
-        for j in range(n)
-        if gram[i][j] != 0
-    )
+    terms = ctx.space.terms
     return [EdgeEquation(edge=(lo, hi), terms=terms) for lo, hi in ctx.edge_order]
 
 

@@ -6,9 +6,40 @@ search, direct definitions.  Slow but obviously correct on small inputs.
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from graphvariety import Graph, VertexAssignment, degeneracy_order
-from graphvariety.linalg import dot, kernel, rref
+from graphvariety.linalg import kernel, rref
+
+
+def dot(field, u, v):
+    if len(u) != len(v):
+        raise ValueError("dot product of vectors with different lengths")
+    # over Q, a sum started from Fraction(0) is faster than one from int 0
+    return field(sum(map(mul, u, v), field.zero()))
+
+
+def gram_product(space, v, transpose=False):
+    """gram * v, or gram^T * v, by dense products with the Gram's rows."""
+    rows = zip(*space.gram) if transpose else space.gram
+    return [dot(space.field, row, v) for row in rows]
+
+
+def jacobian(ctx, assignment):
+    """The |E| x (|V| * n) Jacobian of the edge equations at the assignment,
+    as a list of dense rows of length |V| * n, one per edge in edge order.
+
+    The row of edge (lo, hi) carries gram * w(hi) in the block of lo and
+    gram^T * w(lo) in the block of hi: the gradients of <w(lo), w(hi)>.
+    """
+    n, w = ctx.space.n, assignment.vectors
+    rows = []
+    for lo, hi in ctx.edge_order:
+        row = [ctx.field.zero()] * (ctx.graph.num_vertices * n)
+        row[lo * n:lo * n + n] = gram_product(ctx.space, w[hi])
+        row[hi * n:hi * n + n] = gram_product(ctx.space, w[lo], transpose=True)
+        rows.append(row)
+    return rows
 
 
 def rank(field, rows):
@@ -28,10 +59,10 @@ def left_kernel(field, rows):
 
 def naive_point_count(graph, space):
     """Count points by enumerating every vertex assignment."""
-    vecs = list(itertools.product(space.field.elements(), repeat=space.n))
+    vecs = list(itertools.product(range(space.field.p), repeat=space.n))
     total = 0
     for assign in itertools.product(vecs, repeat=graph.num_vertices):
-        if all(dot(space.field, assign[lo], space.gram_times(assign[hi])) == 0
+        if all(dot(space.field, assign[lo], gram_product(space, assign[hi])) == 0
                for lo, hi in graph.edges):
             total += 1
     return total
@@ -49,7 +80,7 @@ def enumerate_point_count(graph, space):
     def recurse(i):
         v = order[i]
         rows = [
-            space.gram_times(vectors[u]) if v < u else space.gram_transpose_times(vectors[u])
+            gram_product(space, vectors[u], transpose=v > u)
             for u in graph.adjacency[v]
             if u in vectors
         ]
@@ -57,7 +88,7 @@ def enumerate_point_count(graph, space):
         if i == len(order) - 1:
             return q ** len(basis)
         total = 0
-        for coeffs in itertools.product(field.elements(), repeat=len(basis)):
+        for coeffs in itertools.product(range(field.p), repeat=len(basis)):
             vec = [field.zero()] * space.n
             for c, basis_vec in zip(coeffs, basis):
                 vec = [a + c * b for a, b in zip(vec, basis_vec)]

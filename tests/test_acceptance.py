@@ -27,13 +27,11 @@ from graphvariety import (
     cycle_graph,
     cycle_singular_point,
     degeneracy_order,
-    dot,
     edge_count_closed_form,
     expected_dimension,
     is_anti_ample,
     is_member,
     is_smooth_point,
-    jacobian,
     path_graph,
     regular_part_test,
     residual,
@@ -49,7 +47,9 @@ from graphvariety import (
 )
 from graphvariety.cli import main as cli_main
 from oracles import (
+    dot,
     independent_set_point,
+    jacobian,
     naive_point_count,
     random_connected_graph,
     random_tangent,

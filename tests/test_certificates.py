@@ -25,7 +25,6 @@ from graphvariety import (
     cycle_singular_point,
     degeneracy_order,
     is_smooth_point,
-    jacobian,
     sample_regular_point,
     singular_certificate,
     standard_space,
@@ -35,7 +34,7 @@ from graphvariety import (
 from graphvariety.cli import main
 from graphvariety.linalg import first_dependency, kernel, rref
 from graphvariety.sampling import SamplerConfig
-from oracles import independent_set_point, left_kernel, random_connected_graph, rank
+from oracles import independent_set_point, jacobian, left_kernel, random_connected_graph, rank
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 

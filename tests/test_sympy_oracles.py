@@ -1,7 +1,8 @@
-"""Cross-checks of the elimination in `linalg` and of the pairing in
-`bilinear` against sympy, an independent implementation that is installed for
-the tests only.  The reduced row echelon form is unique, so the rows and the
-pivots must agree exactly, and so must every form value."""
+"""Cross-checks of the elimination in `linalg` and of the pairing and Gram
+products in `bilinear` against sympy, an independent implementation that is
+installed for the tests only.  The reduced row echelon form is unique, so the
+rows and the pivots must agree exactly, and so must every form value and
+every coordinate of a Gram product."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,9 @@ import pytest
 
 from graphvariety.bilinear import BilinearSpace, standard_space
 from graphvariety.fields import RATIONALS, PrimeField
-from graphvariety.linalg import dot, kernel, rref
+from graphvariety.linalg import kernel, rref
 from graphvariety.serialization import gram_rows_from_obj
+from oracles import dot, gram_product
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -127,14 +129,26 @@ def draw_vector(rng, field, n):
     return [rng.randrange(field.p) for _ in range(n)]
 
 
+def sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(field, value):
+    """A sympy rational as a field scalar: a Fraction, or reduced mod p."""
+    return Fraction(int(value.p), int(value.q)) if field.p is None else int(value) % field.p
+
+
 def sympy_pairing(space, u, v):
     """u^T * gram * v computed by sympy over Q, then reduced mod p over F_p."""
-    def matrix(rows):
-        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+    value = (sympy_matrix([u]) * sympy_matrix(space.gram) * sympy_matrix([v]).T)[0, 0]
+    return from_sympy(space.field, value)
 
-    value = (matrix([u]) * matrix(space.gram) * matrix([v]).T)[0, 0]
-    p = space.field.p
-    return Fraction(int(value.p), int(value.q)) if p is None else int(value) % p
+
+def sympy_product(space, v, transpose):
+    """gram * v, or gram^T * v, computed by sympy, coordinates as in `from_sympy`."""
+    gram = sympy_matrix(space.gram)
+    column = (gram.T if transpose else gram) * sympy_matrix([v]).T
+    return [from_sympy(space.field, x) for x in column]
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 7, 10007])
@@ -146,11 +160,19 @@ def test_pair_matches_dense_product_and_sympy(p, seed):
         for _ in range(8):
             u, v = draw_vector(rng, field, space.n), draw_vector(rng, field, space.n)
             value = space.pair(u, v)
-            assert value == dot(field, u, space.gram_times(v)) == sympy_pairing(space, u, v)
+            assert value == dot(field, u, gram_product(space, v)) == sympy_pairing(space, u, v)
             if p is None:
                 assert isinstance(value, Fraction)
             else:
                 assert type(value) is int and 0 <= value < p
+            for transpose in (False, True):
+                product = space.gram_transpose_times if transpose else space.gram_times
+                assert (product(v) == gram_product(space, v, transpose)
+                        == sympy_product(space, v, transpose))
         for bad in ((u + [field.zero()], v), (u, v[:-1])):
             with pytest.raises(ValueError):
                 space.pair(*bad)
+        for bad in (v + [field.zero()], v[:-1]):
+            for product in (space.gram_times, space.gram_transpose_times):
+                with pytest.raises(ValueError):
+                    product(bad)

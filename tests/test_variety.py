@@ -19,13 +19,11 @@ from graphvariety import (
     canonical_degrees,
     complete_bipartite_graph,
     cycle_graph,
-    dot,
     equations,
     expected_dimension,
     is_anti_ample,
     is_member,
     is_smooth_point,
-    jacobian,
     degeneracy_order,
     path_graph,
     projective_smoothness,
@@ -37,7 +35,7 @@ from graphvariety import (
     verify_certificate,
     zero_point,
 )
-from oracles import random_tangent, rank
+from oracles import dot, jacobian, random_tangent, rank
 
 
 def symplectic2():
@@ -359,13 +357,20 @@ class TestEquations:
 
     def test_terms_reproduce_residual(self):
         g = cycle_graph(3)
-        ctx = VarietyContext(g, standard_space("hyperbolic", 2, RATIONALS))
         pt = VertexAssignment(RATIONALS, [[1, 2], [3, 4], [5, 6]])
-        res = residual(ctx, pt)
-        for eq, value in zip(equations(ctx), res):
-            lo, hi = eq.edge
-            total = sum(c * pt.vectors[lo][i] * pt.vectors[hi][j] for i, j, c in eq.terms)
-            assert total == value
+        spaces = [
+            standard_space("hyperbolic", 2, RATIONALS),
+            # fractional Grams: emitted terms are the Gram's entries, not scaled ints
+            BilinearSpace(2, "symplectic", [["0", "1/2"], ["-1/2", "0"]]),
+            BilinearSpace(2, "symmetric", [["1/2", "1/3"], ["1/3", "2"]]),
+        ]
+        for space in spaces:
+            ctx = VarietyContext(g, space)
+            res = residual(ctx, pt)
+            for eq, value in zip(equations(ctx), res):
+                lo, hi = eq.edge
+                total = sum(c * pt.vectors[lo][i] * pt.vectors[hi][j] for i, j, c in eq.terms)
+                assert total == value
 
 
 class TestProjectiveClassification:
