@@ -10,8 +10,11 @@ no rule keeps fractions smaller, since by Cramer's rule each intermediate
 entry is a ratio of two minors of the input, and the reduced form is unique.
 `kernel` reads a right-kernel basis off it.  `first_dependency` is a sparse
 incremental row echelon pass that stops at the first dependent row; it never
-builds dense rows, so sparse Jacobians stay sparse.  Both stay: `rref` is
-about 3x faster on the sampler's small F_p kernels (measured, ROADMAP item 1).
+builds dense rows, so sparse Jacobians stay sparse.  Both stay: the sampler
+reads its small kernels off `rref`, where a lazy all-dependencies pass made
+F_p sampling 26-27% slower end to end (ROADMAP item 1).  `vectors_independent`
+ranks with `rref` for the regular-part verifier; the sampler's own acceptance
+test runs on integer echelon rows in `sampling`, so the two stay independent.
 """
 
 from fractions import Fraction

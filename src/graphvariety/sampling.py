@@ -6,7 +6,21 @@ assigned older neighbors, then rejected if it is zero or if it lands in the
 span of some partially assembled older-neighbor family of a younger vertex.
 Every accepted run therefore satisfies membership and the regular-part test
 by construction, and both are still re-checked by independent code in the
-variety module.
+variety module (`vectors_independent`, not the echelon rows below).
+
+The sampler works on integers.  Per vertex, the `kernel` basis is written
+once as integer numerators over one common denominator L (over F_p, L is 1
+and the entries are residues).  A draw sums c_k * b_k on ints, so a
+candidate is an integer vector; over Q it stands for that vector over L,
+and only an accepted one becomes one `Fraction(x, L)` per coordinate, over
+F_p one residue `x % p`.  Each younger vertex keeps its partial family as
+echelon rows: integer rows (Q) or residue rows (F_p), each with its pivot
+column, every row zero at the pivots of the rows kept before it.  A
+candidate reduced against them by cross-multiplication leaves a nonzero
+remainder exactly when it is independent of them; scaling never changes
+that.  An accepted vector's remainders become the new rows, over Q divided
+by their content.  The RNG calls and every accept/reject decision are the
+same as drawing and re-ranking on field scalars.
 
 `cycle_singular_point` and `zero_point` produce the known singular points:
 a cycle with every vertex carrying one fixed self-orthogonal vector, and the
@@ -15,14 +29,18 @@ origin.
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from operator import mul
 
+from .bilinear import _numerators
 from .errors import (
     PreconditionViolatedError,
     RetriesExhaustedError,
     UnsupportedCombinationError,
 )
 from .graphs import cycle_graph
-from .linalg import kernel, vectors_independent
+from .linalg import kernel
 from .variety import SingularityCertificate, VertexAssignment, edge_gradient
 
 
@@ -39,18 +57,39 @@ class SamplerConfig:
             raise ValueError("max_retries must be at least 1")
 
 
-def _draw(field, basis, rng, bound):
-    """A random kernel element: integer coordinates in [-bound, bound] over
-    the rationals, uniform residues over a prime field."""
-    n = len(basis[0])
-    acc = [field.zero()] * n
-    for basis_vec in basis:
-        if field.p is None:
-            c = field(rng.randint(-bound, bound))
-        else:
-            c = rng.randrange(field.p)
-        acc = [a + c * b for a, b in zip(acc, basis_vec)]
-    return [field(x) for x in acc]
+def _draw(columns, rng, bound, p):
+    """A random kernel element as integers, one coefficient per basis vector
+    in order: in [-bound, bound] over the rationals (the sum is a numerator
+    vector), uniform residues over a prime field (the sum is reduced mod p).
+    `columns` are the basis's integer coordinates, one tuple per coordinate."""
+    if p is None:
+        coeffs = [rng.randint(-bound, bound) for _ in columns[0]]
+        return [sum(map(mul, coeffs, col)) for col in columns]
+    coeffs = [rng.randrange(p) for _ in columns[0]]
+    return [sum(map(mul, coeffs, col)) % p for col in columns]
+
+
+def _reduce(x, rows, p):
+    """A nonzero multiple of x minus a combination of the echelon rows
+    (pivot column, row), zero at every pivot; it is zero exactly when x lies
+    in the rows' span.  Over F_p the entries are reduced mod p."""
+    for c, row in rows:
+        f = x[c]
+        if f:
+            g = row[c]
+            x = [g * a - f * b for a, b in zip(x, row)]
+            if p is not None:
+                x = [a % p for a in x]
+    return x
+
+
+def _echelon_row(rest, p):
+    """A nonzero remainder of `_reduce` as a kept row (pivot column, row):
+    its first nonzero column, and over Q the row divided by its content."""
+    if p is None:
+        content = gcd(*rest)
+        rest = [x // content for x in rest]
+    return next(c for c, x in enumerate(rest) if x), rest
 
 
 def sample_regular_point(og, space, cfg=None):
@@ -65,12 +104,13 @@ def sample_regular_point(og, space, cfg=None):
         cfg = SamplerConfig()
     g = og.graph
     field = space.field
+    p = field.p
     d = og.width()
     if space.n < 2 * d:
         raise PreconditionViolatedError(
             f"need dimension >= {2 * d} for width {d}, got {space.n}"
         )
-    if field.p is not None:
+    if p is not None:
         worst = max(
             (len(og.younger_neighbors(v)) + 1 for v in range(g.num_vertices)),
             default=0,
@@ -81,39 +121,33 @@ def sample_regular_point(og, space, cfg=None):
             )
     rng = random.Random(cfg.seed)
     vectors = {}
+    echelon = {v: [] for v in range(g.num_vertices)}  # partial older-neighbor families
     # oldest vertex first
     for v in reversed(og.order):
         older = og.older_neighbors(v)
+        younger = og.younger_neighbors(v)
         rows = [edge_gradient(space, v, u, vectors[u]) for u in older]
-        basis = kernel(rows, space.n, field.p)
-        accepted = None
+        basis = kernel(rows, space.n, p)
+        denominator = 1
+        if p is None:
+            flat, denominator = _numerators([x for vec in basis for x in vec])
+            basis = [flat[k:k + space.n] for k in range(0, len(flat), space.n)]
+        columns = list(zip(*basis))
         for _ in range(cfg.max_retries):
-            candidate = _draw(field, basis, rng, cfg.bound)
-            if all(x == 0 for x in candidate):
+            candidate = _draw(columns, rng, cfg.bound, p)
+            if not any(candidate):
                 continue
-            if _breaks_independence(og, v, candidate, vectors, field, space.n):
-                continue
-            accepted = candidate
-            break
-        if accepted is None:
+            remainders = [_reduce(candidate, echelon[y], p) for y in younger]
+            if all(map(any, remainders)):
+                break
+        else:
             raise RetriesExhaustedError(v, cfg.max_retries)
-        vectors[v] = accepted
+        for y, rest in zip(younger, remainders):
+            echelon[y].append(_echelon_row(rest, p))
+        vectors[v] = (
+            candidate if p is not None else [Fraction(x, denominator) for x in candidate]
+        )
     return VertexAssignment(field, [vectors[v] for v in range(g.num_vertices)])
-
-
-def _breaks_independence(og, v, candidate, vectors, field, n):
-    """Whether giving v this vector spoils an older-neighbor family.
-
-    For each younger neighbor y of v, the already assigned part of y's
-    older-neighbor set, now including v, must stay linearly independent.
-    Checking this at every assignment step covers the full families by the
-    time they are complete.
-    """
-    for y in og.younger_neighbors(v):
-        partial = [vectors[u] for u in og.older_neighbors(y) if u in vectors]
-        if not vectors_independent(field, partial + [candidate], n):
-            return True
-    return False
 
 
 def zero_point(graph, space):

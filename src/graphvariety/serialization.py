@@ -94,11 +94,13 @@ def weighting_from_obj(obj):
     colors = tuple(_scalars(obj["colors"], "colors"))
     if len(set(colors)) != len(colors):
         raise ValueError("colors must not repeat a name")
-    return VertexWeighting(
-        colors=colors,
-        weights={v: tuple(int(x) for x in vec)
-                 for v, vec in enumerate(_vectors_by_vertex(obj["weights"]))},
-    )
+    weights = {}
+    for v, vec in enumerate(_vectors_by_vertex(obj["weights"])):
+        # a vertex's weights repeat heavily: convert each distinct entry once,
+        # in list order, so the first bad entry is the one reported
+        table = {x: int(x) for x in dict.fromkeys(vec)}
+        weights[v] = tuple(map(table.__getitem__, vec))
+    return VertexWeighting(colors=colors, weights=weights)
 
 
 def splitting_report_to_obj(report):
@@ -131,15 +133,16 @@ def count_report_to_obj(report):
 
 
 def equations_to_obj(eqs):
-    # edges share their Gram terms: each distinct term tuple is encoded once
+    # edges share their Gram terms: each term tuple object is encoded once,
+    # looked up by identity, since hashing the tuple would walk all its terms;
+    # the cache holds the tuple too, so its id is not reused meanwhile
     encoded = {}
     out = []
     for eq in eqs:
-        terms = encoded.get(eq.terms)
-        if terms is None:
-            terms = [[str(i), str(j), scalar_to_str(c)] for i, j, c in eq.terms]
-            encoded[eq.terms] = terms
-        out.append({"edge": [str(eq.edge[0]), str(eq.edge[1])], "terms": terms})
+        key = id(eq.terms)
+        if key not in encoded:
+            encoded[key] = (eq.terms, [[str(i), str(j), scalar_to_str(c)] for i, j, c in eq.terms])
+        out.append({"edge": [str(eq.edge[0]), str(eq.edge[1])], "terms": encoded[key][1]})
     return {"equations": out}
 
 

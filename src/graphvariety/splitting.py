@@ -35,6 +35,7 @@ in `palette` and in the weighting `split_into_matchings` returns.
 import heapq
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from .errors import (
     InternalConflictError,
@@ -97,15 +98,19 @@ def color_classes(graph, weighting):
     per_edge = []
     classes = {}
     all_strict = True
+    weights = weighting.weights
     for lo, hi in graph.edges:
-        sums = [a + b for a, b in zip(weighting.weights[lo], weighting.weights[hi])]
+        sums = list(map(add, weights[lo], weights[hi]))
         if not sums:
             per_edge.append(EdgeVerdict(edge=(lo, hi), argmax=(), strict=False))
             all_strict = False
             continue
         top = max(sums)
-        winners = tuple(colors[i] for i, s in enumerate(sums) if s == top)
-        strict = len(winners) == 1
+        strict = sums.count(top) == 1
+        if strict:
+            winners = (colors[sums.index(top)],)
+        else:
+            winners = tuple(colors[i] for i, s in enumerate(sums) if s == top)
         all_strict = all_strict and strict
         per_edge.append(EdgeVerdict(edge=(lo, hi), argmax=winners, strict=strict))
         for c in winners:

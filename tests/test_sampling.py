@@ -1,10 +1,13 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphvariety import (
+    BilinearSpace,
     Graph,
     PreconditionViolatedError,
     PrimeField,
@@ -17,6 +20,7 @@ from graphvariety import (
     cycle_graph,
     cycle_singular_point,
     degeneracy_order,
+    field_from_spec,
     is_member,
     is_smooth_point,
     path_graph,
@@ -27,7 +31,10 @@ from graphvariety import (
     verify_certificate,
     zero_point,
 )
-from oracles import random_connected_graph
+from graphvariety.linalg import vectors_independent
+from graphvariety.sampling import _echelon_row, _reduce
+from graphvariety.serialization import assignment_to_obj, canonical_dumps
+from oracles import random_connected_graph, rank
 
 
 class TestSamplerConfig:
@@ -121,6 +128,93 @@ class TestSampler:
                 saw_failure = True
                 break
         assert saw_failure
+
+
+def grid_graph(rows, cols):
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph(rows * cols, edges)
+
+
+# a symplectic Gram with mixed denominators, so kernel bases are not integral
+FRACTIONAL_GRAM = [["0", "1/2", "0", "3"], ["-1/2", "0", "2/3", "0"],
+                   ["0", "-2/3", "0", "5/7"], ["-3", "0", "-5/7", "0"]]
+
+
+class TestPinnedOutput:
+    """sha256 of the canonical JSON of `sample` output, recorded from the
+    sampler that drew on field scalars and re-ranked each partial family
+    with `vectors_independent`; the integer sampler must reproduce it byte
+    for byte.  The comments name the rejections that fired in that run."""
+
+    GRAPHS = {"grid3": grid_graph(3, 3), "grid6": grid_graph(6, 6),
+              "K33": complete_bipartite_graph(3, 3)}
+    CASES = [
+        # graph, form, n, field, seed, bound, digest
+        ("grid3", "symplectic", 4, "Q", 1, 1,  # one dependent draw
+         "8e9e6a63ffa93a4798e44c19f989144cf5baa2e223bdba2fe9115b699d36ab22"),
+        ("grid3", "fractional", 4, "Q", 0, 1,  # one zero draw
+         "008d681204228da294df3160fed181e7c2c90f8e4e67b9b9f318ff3ee5f38eb8"),
+        ("grid6", "symplectic", 8, "Q", 0, 10,
+         "d9f304d586e41f8725880fd0a4b319565fd1b22eb0c02f69a5b791935b9469db"),
+        ("K33", "symmetric", 6, "Q", 2, 10,
+         "d4400c63733b35aab69284ff8b59c52d36d317255b5c023f037409081b259f46"),
+        ("grid3", "symmetric", 4, "Fp:5", 1, 10,  # one zero and three dependent draws
+         "83a8036c325bd9cbc226752fb1d948f339f121e2835876ecc623679ec3d02a2a"),
+        ("K33", "symplectic", 6, "Fp:101", 0, 10,
+         "f43f19ed40fd773d843d6a1dac37f77da2430900339d9be72b1aebfeb94ccde9"),
+        ("grid6", "hyperbolic", 8, "Fp:10007", 3, 10,
+         "d2be84f7dc1797d8139e9efe6152c958f1ebade04bb3bf97749d3f2e5c7c37c0"),
+    ]
+
+    @pytest.mark.parametrize("name,form,n,spec,seed,bound,digest", CASES)
+    def test_sample_output_is_unchanged(self, name, form, n, spec, seed, bound, digest):
+        field = field_from_spec(spec)
+        if form == "fractional":
+            space = BilinearSpace(n, "symplectic",
+                                  [[field(x) for x in row] for row in FRACTIONAL_GRAM], field)
+        else:
+            space = standard_space(form, n, field)
+        og, _ = degeneracy_order(self.GRAPHS[name])
+        pt = sample_regular_point(og, space, SamplerConfig(seed=seed, bound=bound))
+        text = canonical_dumps(assignment_to_obj(pt))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestEchelonRows:
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([None, 2, 3, 5, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_reduction_agrees_with_rank(self, seed, p):
+        """Feed a family one vector at a time, as the sampler does: the
+        remainder is nonzero exactly when the vector is independent of those
+        kept so far, by `vectors_independent` and by the dense oracle rank,
+        and any nonzero multiple of the vector gets the same answer."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        field = RATIONALS if p is None else PrimeField(p)
+        kept, rows = [], []
+        for _ in range(rng.randint(1, 8)):
+            if kept and rng.random() < 0.4:  # a combination of kept vectors
+                x = [sum(rng.randint(-3, 3) * v[i] for v in kept) for i in range(n)]
+            else:
+                x = [rng.randint(-9, 9) for _ in range(n)]
+            scale = rng.choice([-6, -1, 1, 2, 35])
+            if p is not None:
+                x = [a % p for a in x]
+                scale %= p
+                if scale == 0:
+                    scale = 1
+            scaled = [a * scale if p is None else a * scale % p for a in x]
+            family = [[field(a) for a in v] for v in kept + [x]]
+            independent = vectors_independent(field, family, n)
+            assert independent == (rank(field, family) == len(family))
+            rest = _reduce(x, rows, p)
+            assert any(rest) == independent
+            assert any(_reduce(scaled, rows, p)) == independent
+            if independent:
+                assert all(rest[c] == 0 for c, _ in rows)
+                rows.append(_echelon_row(rest, p))
+                kept.append(x)
 
 
 class TestZeroPoint:

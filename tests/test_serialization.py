@@ -6,6 +6,7 @@ import pytest
 
 from graphvariety import (
     CountRequest,
+    EdgeEquation,
     Graph,
     PrimeField,
     RATIONALS,
@@ -120,6 +121,22 @@ class TestWeightingRoundTrip:
         assert color_classes(g, back).valid
 
 
+    def test_first_bad_entry_is_reported(self):
+        obj = {"colors": ["a", "b", "c", "d", "e"],
+               "weights": {"0": ["1", "2", "3", "4", "5"],
+                           "1": ["4", "y", "4", "x", "y"]}}
+        with pytest.raises(ValueError, match="'y'") as err:
+            weighting_from_obj(obj)
+        assert "'x'" not in str(err.value)
+
+    def test_repeated_entries_share_one_int(self):
+        big = str(10**30)
+        obj = {"colors": ["a", "b", "c", "d"], "weights": {"0": [big, "7", big, 7]}}
+        vec = weighting_from_obj(obj).weights[0]
+        assert vec == (10**30, 7, 10**30, 7)
+        assert vec[0] is vec[2]
+
+
 class TestReportObjects:
     def test_splitting_report_shape(self):
         g = path_graph(3)
@@ -152,6 +169,16 @@ class TestReportObjects:
         assert obj["equations"][0]["edge"] == ["0", "1"]
         terms = obj["equations"][0]["terms"]
         assert ["0", "1", "1"] in terms and ["1", "0", "-1"] in terms
+
+
+    def test_equations_from_a_stream_of_distinct_term_tuples(self):
+        # each equation carries its own tuple, dropped once it is consumed:
+        # the encoder must still report every equation's own terms
+        eqs = (EdgeEquation(edge=(k, k + 1), terms=((0, 1, Fraction(k)),))
+               for k in range(1, 50))
+        obj = equations_to_obj(eqs)
+        assert [e["terms"] for e in obj["equations"]] == [
+            [["0", "1", str(k)]] for k in range(1, 50)]
 
 
 class TestGram:

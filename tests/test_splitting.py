@@ -107,6 +107,20 @@ class TestColorClasses:
         assert not rep.per_edge[0].strict
         assert set(rep.per_edge[0].argmax) == {"c1", "c2"}
 
+    def test_tie_after_the_first_color_lands_in_every_tied_class(self):
+        g = path_graph(3)
+        colors = ("c1", "c2", "c3", "c4")
+        # edge (0, 1) sums to (1, 3, 2, 3): tied at c2 and c4;
+        # edge (1, 2) sums to (0, 2, 1, 4): strict at the last color
+        w = VertexWeighting(colors, {0: (1, 1, 1, 1), 1: (0, 2, 1, 2), 2: (0, 0, 0, 2)})
+        rep = color_classes(g, w)
+        assert not rep.valid
+        assert rep.per_edge[0].argmax == ("c2", "c4") and not rep.per_edge[0].strict
+        assert rep.per_edge[1].argmax == ("c4",) and rep.per_edge[1].strict
+        assert rep.classes == {"c2": ((0, 1),), "c4": ((0, 1), (1, 2))}
+        assert rep.matching_flags == {"c2": True, "c4": False}
+        assert rep.color_count == 2
+
     def test_shared_vertex_collision_detected(self):
         g = path_graph(3)
         w = VertexWeighting(("c1",), {0: (1,), 1: (1,), 2: (1,)})
