@@ -29,7 +29,7 @@ from .serialization import (
     gram_rows_from_obj,
     scalar_to_str,
     splitting_report_to_obj,
-    weighting_from_obj,
+    weighting_from_json,
     weighting_to_obj,
     write_canonical,
 )
@@ -166,7 +166,7 @@ def cmd_split(args):
 
 def cmd_verify_split(args):
     g = _load_graph(args)
-    weighting = weighting_from_obj(_load_json(args.weighting))
+    weighting = weighting_from_json(Path(args.weighting).read_text())
     report = color_classes(g, weighting)
     summary = f"valid={report.valid}, {report.color_count} classes used"
     return splitting_report_to_obj(report), summary

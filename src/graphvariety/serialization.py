@@ -2,37 +2,102 @@
 
 Every number travels as a decimal string so arbitrarily large integers and
 exact rationals survive any JSON parser untouched; booleans stay booleans.
-`canonical_dumps` fixes key order and layout, making repeated runs
-byte-identical; `write_canonical` streams the same text.
+`canonical_dumps` gives `json.dumps(obj, sort_keys=True, indent=2)` plus a
+newline, making repeated runs byte-identical, without `json`'s pure-Python
+indent encoder: a list of strings is joined in C, in one join when no string
+needs an escape, and a container seen again at the same depth, such as the
+Gram terms all edge equations share, is encoded once per call.
+`write_canonical` streams that text, its top two levels member by member.
+`weighting_from_json` converts each weight vector as soon as it is parsed,
+so a weighting file's palette strings are never all held at once.
 """
 
-import io
+import contextlib
 import json
 from fractions import Fraction
-from itertools import islice
 
 from .fields import field_from_spec
 from .splitting import VertexWeighting
 from .variety import VertexAssignment
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
+_CONTAINERS = (list, tuple, dict)
+_quote = json.encoder.encode_basestring_ascii
+_space = json.decoder.WHITESPACE.match
+_decode = json.JSONDecoder().raw_decode
 
 
 def canonical_dumps(obj):
-    out = io.StringIO()
-    write_canonical(obj, out)
-    return out.getvalue()
+    return _encode(obj, "\n", {}) + "\n"
 
 
 def write_canonical(obj, stream):
-    """Write the canonical JSON of `obj` and a newline to a text stream, in
-    pieces of a few thousand encoder chunks, so neither the document nor the
-    list of all its chunks is held in memory at once."""
-    chunks = _CANONICAL.iterencode(obj)
-    while piece := list(islice(chunks, 4096)):
-        stream.write("".join(piece))
+    """Write `canonical_dumps(obj)` to a text stream in pieces."""
+    _write(obj, stream.write, "\n", {}, 2)
     stream.write("\n")
+
+
+def _write(obj, write, nl, memo, levels):
+    """Write `_encode(obj, nl, memo)`: a dict, or a list that holds
+    containers, up to `levels` deep member by member."""
+    if levels and isinstance(obj, dict) and obj:
+        members = [(_quote(k) + ": ", v) for k, v in sorted(obj.items())]
+    elif (levels and isinstance(obj, (list, tuple)) and _joined(obj) is None
+            and any(isinstance(x, _CONTAINERS) for x in obj)):
+        members = [("", x) for x in obj]
+    else:  # a scalar, or a list of scalars: one piece
+        write(_encode(obj, nl, memo))
+        return
+    inner = nl + "  "
+    open_, close = "{}" if isinstance(obj, dict) else "[]"
+    for i, (prefix, v) in enumerate(members):
+        write(("," if i else open_) + inner + prefix)
+        _write(v, write, inner, memo, levels - 1)
+    write(nl + close)
+
+
+def _joined(items):
+    """The items joined into one string, or None if they are not all strings."""
+    try:
+        return "".join(items)
+    except TypeError:
+        return None
+
+
+def _encode(obj, nl, memo):
+    """The canonical JSON of `obj` placed after the line break and indent
+    `nl`.  `memo` maps the id and depth of each container encoded in this
+    call to the container, which keeps its id from being reused, and its
+    text."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if not isinstance(obj, _CONTAINERS):
+        if obj is None or obj is True or obj is False:
+            return "null" if obj is None else "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = nl + "  "
+    if not isinstance(obj, dict):
+        joined = _joined(obj)
+        if joined is not None:  # joined in C; too cheap to be worth a memo entry
+            if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
+                body = '"' + ('",' + inner + '"').join(obj) + '"'  # nothing to escape
+            else:
+                body = ("," + inner).join(map(_quote, obj))
+            return "[" + inner + body + nl + "]"
+    key = (id(obj), len(nl))
+    hit = memo.get(key)
+    if hit is None:
+        if isinstance(obj, dict):
+            body = [_quote(k) + ": " + _encode(v, inner, memo) for k, v in sorted(obj.items())]
+            text = "{" + inner + ("," + inner).join(body) + nl + "}"
+        else:
+            text = "[" + inner + ("," + inner).join([_encode(x, inner, memo) for x in obj]) + nl + "]"
+        hit = memo[key] = (obj, text)
+    return hit[1]
 
 
 def scalar_to_str(x):
@@ -58,16 +123,17 @@ def _scalars(items, what):
     return items
 
 
-def _vectors_by_vertex(raw):
-    """A JSON object's vectors in vertex order; its keys must be "0".."n-1"."""
+def _vectors_by_vertex(raw, vector):
+    """A JSON object's vectors in vertex order, each checked and converted by
+    `vector(vec, what)`; its keys must be "0".."n-1"."""
     if type(raw) is not dict or set(raw) != {str(v) for v in range(len(raw))}:
         raise ValueError('vectors must be a JSON object keyed by vertices "0".."n-1"')
-    return [_scalars(raw[str(v)], f"the vector of vertex {v}") for v in range(len(raw))]
+    return [vector(raw[str(v)], f"the vector of vertex {v}") for v in range(len(raw))]
 
 
 def assignment_from_obj(obj):
     field = field_from_spec(obj["field"])
-    vectors = [[field(x) for x in vec] for vec in _vectors_by_vertex(obj["vectors"])]
+    vectors = [[field(x) for x in vec] for vec in _vectors_by_vertex(obj["vectors"], _scalars)]
     return VertexAssignment(field, vectors)
 
 
@@ -90,17 +156,66 @@ def weighting_to_obj(weighting):
     }
 
 
-def weighting_from_obj(obj):
+def _weight_vector(vec, what):
+    """`vec` as a tuple of ints.  A vertex's weights repeat heavily: each
+    distinct entry is converted once, in list order, so the first bad entry
+    is the one reported."""
+    table = {x: int(x) for x in dict.fromkeys(_scalars(vec, what))}
+    return tuple(map(table.__getitem__, vec))
+
+
+def _weighting(obj, vector):
     colors = tuple(_scalars(obj["colors"], "colors"))
     if len(set(colors)) != len(colors):
         raise ValueError("colors must not repeat a name")
-    weights = {}
-    for v, vec in enumerate(_vectors_by_vertex(obj["weights"])):
-        # a vertex's weights repeat heavily: convert each distinct entry once,
-        # in list order, so the first bad entry is the one reported
-        table = {x: int(x) for x in dict.fromkeys(vec)}
-        weights[v] = tuple(map(table.__getitem__, vec))
-    return VertexWeighting(colors=colors, weights=weights)
+    return VertexWeighting(colors, dict(enumerate(_vectors_by_vertex(obj["weights"], vector))))
+
+
+def weighting_from_obj(obj):
+    return _weighting(obj, _weight_vector)
+
+
+def weighting_from_json(text):
+    """`weighting_from_obj(json.loads(text))`, converting each vector of the
+    top-level "weights" object to ints as soon as it is parsed."""
+    def vector(key, idx):
+        vec, idx = _decode(text, idx)
+        with contextlib.suppress(ValueError):  # kept as parsed, for the checks to report
+            vec = _weight_vector(vec, key)
+        return vec, idx
+
+    obj, end = _value(text, _space(text, 0).end(), lambda key, idx: (
+        _value(text, idx, vector) if key == "weights" else _decode(text, idx)))
+    end = _space(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    # JSON gives no tuples: a tuple is a vector converted above
+    return _weighting(obj, lambda vec, what: vec if type(vec) is tuple else _weight_vector(vec, what))
+
+
+def _value(text, idx, member):
+    """The JSON value at `text[idx]` and the index after it.  An object's
+    member values are parsed by `member(key, idx)`, anything else whole."""
+    if not text.startswith("{", idx):
+        return _decode(text, idx)
+    obj = {}
+    idx = _space(text, idx + 1).end()
+    if text.startswith("}", idx):
+        return obj, idx + 1
+    while True:
+        if not text.startswith('"', idx):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
+        key, idx = json.decoder.scanstring(text, idx + 1)
+        idx = _space(text, idx).end()
+        if not text.startswith(":", idx):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+        obj[key], idx = member(key, _space(text, idx + 1).end())
+        idx = _space(text, idx).end()
+        if text.startswith("}", idx):
+            return obj, idx + 1
+        if not text.startswith(",", idx):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        idx = _space(text, idx + 1).end()
 
 
 def splitting_report_to_obj(report):

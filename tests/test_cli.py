@@ -430,6 +430,38 @@ class TestMalformedInputShapes:
         assert error["type"] == "ValueError" and message in error["message"]
 
 
+class TestWeightingFileSyntax:
+    """verify-split converts its file vector by vector as it parses it; a
+    file that is not one JSON object still fails as a JSON error."""
+
+    GOOD = json.dumps({"colors": ["c1", "c2"], "weights": {"0": ["1", "0"], "1": ["0", "2"],
+                                                           "2": ["3", "0"]}})
+    CASES = {
+        "empty": ("", "JSONDecodeError"),
+        "truncated-in-a-vector": (GOOD[:GOOD.index('"2":') + 9], "JSONDecodeError"),
+        "truncated-after-a-key": (GOOD[:GOOD.index('"2":') + 3], "JSONDecodeError"),
+        "truncated-before-the-end": (GOOD[:-1], "JSONDecodeError"),
+        "trailing-data": (GOOD + "\n{}", "JSONDecodeError"),
+        "top-level-list": ("[" + GOOD + "]", "TypeError"),
+        "top-level-string": ('"weights"', "TypeError"),
+    }
+
+    def test_good_file_passes(self, capsys, graph_file, tmp_path):
+        (tmp_path / "w.json").write_text(" \n" + self.GOOD + "\n\n")
+        argv = ["verify-split", "--graph", graph_file("p.txt", PATH3),
+                "--weighting", str(tmp_path / "w.json")]
+        assert run_json(capsys, argv)["valid"] is True
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_json_error(self, capsys, graph_file, tmp_path, case):
+        text, error_type = self.CASES[case]
+        (tmp_path / "w.json").write_text(text)
+        code, out, err = run(capsys, ["verify-split", "--graph", graph_file("p.txt", PATH3),
+                                      "--weighting", str(tmp_path / "w.json")])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == error_type
+
+
 class TestOutFlag:
     def test_out_writes_canonical_json(self, capsys, graph_file, tmp_path):
         g = graph_file("p.txt", PATH3)

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from graphvariety import (
     CountRequest,
@@ -32,6 +34,7 @@ from graphvariety.serialization import (
     gram_rows_from_obj,
     scalar_to_str,
     splitting_report_to_obj,
+    weighting_from_json,
     weighting_from_obj,
     weighting_to_obj,
     write_canonical,
@@ -66,6 +69,48 @@ class TestCanonicalDumps:
     def test_identical_objects_give_identical_bytes(self):
         obj = {"x": ["1", "2"], "y": {"k": "3"}}
         assert canonical_dumps(obj) == canonical_dumps(json.loads(canonical_dumps(obj)))
+
+
+# every character class `json` escapes differently, plus plain text
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2028\ud800\U0001f600a'),
+                         st.characters()), max_size=6)
+SCALARS = st.one_of(TEXT, st.integers(), st.integers(-10**40, 10**40), st.booleans(), st.none())
+TREES = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+    st.lists(TEXT, max_size=5), st.dictionaries(TEXT, kids, max_size=5)), max_leaves=15)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree in which one list object sits at two depths and twice at one."""
+    shared = draw(st.lists(TREES, max_size=4))
+    return {"top": shared, "nested": [draw(TREES), [shared, shared, {"again": shared}]],
+            "rest": draw(TREES)}
+
+
+def dumped(obj):
+    out = io.StringIO()
+    write_canonical(obj, out)
+    return canonical_dumps(obj), out.getvalue()
+
+
+class TestCanonicalText:
+    """Both writers give exactly `json.dumps(obj, sort_keys=True, indent=2)`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(TREES, shared_trees()))
+    def test_matches_json_dumps(self, obj):
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert dumped(obj) == (expected, expected)
+
+    @pytest.mark.parametrize("obj", [
+        Fraction(1, 2), [Fraction(1, 2)], {"a": 1.5}, 1.5, {1: "a"}, {"a": {None: "b"}},
+        ["x", b"y"], {"a": [{"b": object()}]}])
+    def test_unsupported_objects_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            canonical_dumps(obj)
+        with pytest.raises(TypeError):
+            write_canonical(obj, io.StringIO())
 
 
 class TestAssignmentRoundTrip:
@@ -135,6 +180,100 @@ class TestWeightingRoundTrip:
         vec = weighting_from_obj(obj).weights[0]
         assert vec == (10**30, 7, 10**30, 7)
         assert vec[0] is vec[2]
+
+
+def outcome(read, text):
+    """What `read(text)` returns, or the type and message of what it raises."""
+    try:
+        return read(text)
+    except (ValueError, TypeError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def loaded(text):
+    return weighting_from_obj(json.loads(text))
+
+
+def assert_read_as_loaded(text):
+    expected, got = outcome(loaded, text), outcome(weighting_from_json, text)
+    if isinstance(expected, tuple) and expected[0] is json.JSONDecodeError:
+        # syntax errors: the wording varies with the Python version
+        assert isinstance(got, tuple) and got[0] is json.JSONDecodeError, text
+    else:
+        assert got == expected, text
+
+
+@st.composite
+def weighting_documents(draw):
+    """A valid weighting's JSON as any writer might lay it out: members in
+    any order and spacing, keys partly escaped, extra top-level keys, and
+    stale duplicate members before the ones that count."""
+    k = draw(st.integers(0, 3))
+    ints = st.integers(-10**30, 10**30)
+    vector = st.lists(st.one_of(ints, ints.map(str)), min_size=k, max_size=k)
+    space = st.text(" \t\n\r", max_size=2)
+
+    def key(name):
+        return '"' + "".join(
+            f"\\u{ord(c):04x}" if ord(c) < 0x10000 and draw(st.booleans())
+            else json.dumps(c, ensure_ascii=draw(st.booleans()))[1:-1] for c in name) + '"'
+
+    def obj(members, stale):
+        parts = []
+        for name, value in draw(st.permutations(members)):
+            if draw(st.booleans()):  # the last member of a name wins
+                parts.append((name, draw(stale)))
+            parts.append((name, value))
+        return "{" + ",".join(draw(space) + key(name) + draw(space) + ":" + draw(space)
+                              + value + draw(space) for name, value in parts) + "}"
+
+    stale = st.one_of(TREES.map(json.dumps), st.just('["x"]'), st.just('{"0": ["x"]}'))
+    n = draw(st.integers(0, 4))
+    weights = obj([(str(v), json.dumps(draw(vector))) for v in range(n)], stale)
+    members = [("colors", json.dumps(draw(st.lists(TEXT, min_size=k, max_size=k, unique=True)))),
+               ("weights", weights)]
+    extra = st.tuples(TEXT.filter(lambda name: name not in ("colors", "weights")), stale)
+    return draw(space) + obj(members + draw(st.lists(extra, max_size=2)), stale) + draw(space)
+
+
+class TestWeightingFromJson:
+    """The streaming reader of verify-split against json.loads + weighting_from_obj."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(weighting_documents())
+    def test_same_weighting_as_loading_whole(self, text):
+        assert weighting_from_json(text) == loaded(text)
+
+    # no shrinking: a failure here can take minutes to shrink
+    @settings(max_examples=80, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(weighting_documents(), st.data())
+    def test_broken_documents_fail_as_loading_whole(self, text, data):
+        cut = data.draw(st.integers(0, len(text)))
+        patch = data.draw(st.sampled_from(["", '"', ",", ":", "{", "}", "]", "x", "0", "\\"]))
+        assert_read_as_loaded(text[:cut] + patch + text[cut + data.draw(st.integers(0, 3)):])
+
+    DOC = '{"colors": ["a", "b"], "weights": {"0": ["1", "0"], "1": ["0", "2"]}}'
+
+    def test_every_character_swap_reads_as_loaded(self):
+        for i in range(len(self.DOC)):
+            for c in '#",:{}':
+                assert_read_as_loaded(self.DOC[:i] + c + self.DOC[i + 1:])
+
+    def test_every_truncation_is_a_json_error(self):
+        for cut in range(len(self.DOC)):
+            with pytest.raises(json.JSONDecodeError):
+                weighting_from_json(self.DOC[:cut])
+
+    @pytest.mark.parametrize("tail", [" x", "{}", "\n}", ',"colors": []}'])
+    def test_trailing_data_is_a_json_error(self, tail):
+        assert weighting_from_json(self.DOC + " \n") == loaded(self.DOC)
+        with pytest.raises(json.JSONDecodeError, match="Extra data"):
+            weighting_from_json(self.DOC + tail)
+
+    @pytest.mark.parametrize("text", ["[]", '"weights"', "7", "null", '{"colors": [], "weights": []}'])
+    def test_other_values_are_checked_whole(self, text):
+        error = outcome(weighting_from_json, text)
+        assert isinstance(error, tuple) and error == outcome(loaded, text)
 
 
 class TestReportObjects:
