@@ -36,6 +36,11 @@ from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
 from .linalg import rref
 
+# The largest ambient dimension accepted.  The dense Gram and its degeneracy
+# check grow as n^2 and worse: `analyze` on one edge took about 1 s at
+# n = 400 and 3.5 s at n = 800.
+MAX_DIMENSION = 256
+
 
 class BilinearSpace:
     """F^n with the bilinear form <u, v> = u^T * gram * v.
@@ -49,6 +54,7 @@ class BilinearSpace:
             raise ValueError(f"unknown form kind {kind!r}")
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
+        check_dimension_ceiling(n)
         rows = tuple(tuple(field(x) for x in row) for row in gram)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"gram matrix must be {n}x{n}")
@@ -139,6 +145,12 @@ class BilinearSpace:
         return f"BilinearSpace(n={self.n}, kind={self.kind!r}, field={self.field!r})"
 
 
+def check_dimension_ceiling(n):
+    """Refuse a dimension past MAX_DIMENSION, before any Gram row is built."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds the limit of {MAX_DIMENSION}")
+
+
 def _numerators(u):
     """Integers a and d > 0 with u_i == a_i / d for every i, d the least
     common denominator of the rationals u."""
@@ -154,6 +166,7 @@ def standard_space(form, n, field=RATIONALS):
     form "hyperbolic": even n, symmetric, pairs of basis vectors with
     <e_{2i}, e_{2i+1}> = 1 and all basis vectors isotropic.
     """
+    check_dimension_ceiling(n)
     z, o = field.zero(), field.one()
     if form == "symplectic":
         if n % 2 != 0:

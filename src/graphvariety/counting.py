@@ -20,6 +20,27 @@ echelon form of the n x k matrix whose columns are the tuple.  Otherwise (a
 non-alternating form over F_2, such as the identity) the key is the raw
 vectors.  All arithmetic runs on ints in [0, p).
 
+Under orbit keys a vertex entering the frontier costs, per state, one
+`rref` and one Gram image per kernel basis vector, then a few tuple sums and
+slices per kernel vector: it builds no key per kernel vector.
+`_extensions` reduces the n x (k + d) matrix [kept | kernel basis] once,
+with pivots among the k kept columns, which gives each basis vector b
+integer linear images: its pairings <kept_i, b>, its coordinates over the
+kept pivot rows and the remainder below them, and gram b.  Each of the
+p^d vectors x of the kernel then gets a signature from sums of these
+images: its pairings y with the kept tuple, its norm <x, x> (0 for an
+alternating form), and its coordinates alpha over the kept pivots when the
+remainder is zero, or "independent" when it is not.  The key of
+kept + (x,) is assembled once per signature: the Gram part is kept's block
+bordered by the column y and the row +y or -y (by the form's symmetry),
+with the norm in the corner; the echelon part is kept's rows with alpha
+appended, or, for an independent x, with 0 appended and a new last row
+(0, ..., 0, 1).  That is exactly what `ResidueForm.key` computes for
+kept + (x,), since the reduced echelon form is unique, so the signature
+fixes the key by linear algebra alone; Witt's theorem is needed only for
+the orbit key itself.  Class sizes become multiplicities, so the counts and
+the states carried are those of keying every tuple.
+
 The result is an exact integer, usable as an oracle for the expected
 dimension: the ratio count / q^d should drift toward 1 as q grows when the
 variety behaves like an irreducible variety of dimension d.  The ratio is
@@ -28,6 +49,8 @@ reported, never judged.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul
 
 from .bilinear import standard_space
 from .errors import WorkCapExceededError
@@ -71,6 +94,9 @@ class ResidueForm:
         gram = space.gram
         # Witt's extension theorem: alternating forms, or odd characteristic
         self.orbit_keys = self.p != 2 or all(gram[i][i] == 0 for i in range(self.n))
+        # <x, x> can be nonzero: neither antisymmetric in odd characteristic
+        # nor a zero-diagonal form over F_2, both of which are alternating
+        self.norms = self.orbit_keys and space.kind == "symmetric" and self.p != 2
 
     def key(self, vectors):
         """The memo key of a frontier tuple: its (Gram matrix, linear
@@ -84,10 +110,53 @@ class ResidueForm:
 
 def _span(basis, n, p):
     """Every vector of the span of `basis`, as tuples."""
+    reduce = p.__rmod__
     vecs = [(0,) * n]
     for b in basis:
-        vecs = [tuple((a + c * x) % p for a, x in zip(v, b)) for v in vecs for c in range(p)]
+        multiples = [(0,) * n]
+        for _ in range(p - 1):
+            multiples.append(tuple(map(reduce, map(add, multiples[-1], b))))
+        vecs = [tuple(map(reduce, map(add, v, m))) for v in vecs for m in multiples]
     return vecs
+
+
+def _extensions(form, gram, kept, basis):
+    """{key of kept + (x,): (kept + (x,), class size)} over every x in the
+    span of `basis`, one key per signature class (module docstring); `gram`
+    is the Gram block of `kept`, flat in row-major order."""
+    space, n, p = form.space, form.n, form.p
+    k = len(kept)
+    # E [kept | basis], pivots among kept's columns: the first r rows cut to
+    # k columns are kept's echelon rows, and column k + j is E b_j
+    rows, pivots = rref(list(zip(*kept, *basis)), k, p)
+    r = len(pivots)
+    images = []
+    for j, b in enumerate(basis):
+        gb = space.gram_times(b)
+        image = [sum(map(mul, u, gb)) % p for u in kept] + [row[k + j] for row in rows] + b
+        images.append(image + gb if form.norms else image)
+    # an image of x is <kept, x> | alpha | remainder | x [| gram x]; without
+    # the gram x part the norm below is an empty sum, 0 as for alternating forms
+    a, rest, tail = k + r, k + n, k + 2 * n
+    classes = {}
+    for t in _span(images, tail + n * form.norms, p):
+        dependent = not any(t[a:rest])
+        sig = (t[:a] if dependent else t[:k], dependent, sum(map(mul, t[rest:tail], t[tail:])) % p)
+        if sig in classes:
+            classes[sig][1] += 1
+        else:
+            classes[sig] = [t[rest:tail], 1]
+    border = [gram[i * k : i * k + k] for i in range(k)]
+    old = [tuple(row[:k]) for row in rows[:r]]
+    fresh = tuple(row + (0,) for row in old) + ((0,) * k + (1,),)
+    out = {}
+    for (head, dependent, norm), (x, size) in classes.items():
+        y = head[:k]
+        mirrored = y if space.kind == "symmetric" else tuple(-c % p for c in y)
+        pairs = tuple(chain.from_iterable(map(tuple.__add__, border, zip(y)))) + mirrored + (norm,)
+        echelon = tuple(map(tuple.__add__, old, zip(head[k:]))) if dependent else fresh
+        out[pairs, echelon] = (kept + (x,), size)
+    return out
 
 
 def _frontier_count(g, order, form):
@@ -102,24 +171,36 @@ def _frontier_count(g, order, form):
         keep = [k for k, u in enumerate(frontier) if last[u] > i]
         enters = last[v] > i
         unchanged = not enters and len(keep) == len(frontier)
+        width = len(frontier)
         nxt = {}
         for key, (rep, mult) in states.items():
             basis = kernel([edge_gradient(space, v, u, rep[k]) for k, u in slots], n, p)
             kept = tuple(rep[k] for k in keep)
-            if enters:
-                extended = [kept + (x,) for x in _span(basis, n, p)]
+            if not enters:
+                new = {key if unchanged else form.key(kept): (kept, p ** len(basis))}
+            elif form.orbit_keys:
+                # kept's Gram block, read off the state key's Gram matrix
+                gram = tuple(key[0][a * width + b] for a in keep for b in keep)
+                new = _extensions(form, gram, kept, basis)
             else:
-                extended = [kept]
-                mult *= p ** len(basis)
-            for t in extended:
-                new_key = key if unchanged else form.key(t)
-                if new_key in nxt:
-                    nxt[new_key] = (nxt[new_key][0], nxt[new_key][1] + mult)
+                new = {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
+            for new_key, (t, size) in new.items():
+                seen = nxt.get(new_key)
+                if seen is None:
+                    nxt[new_key] = (t, mult * size)
                 else:
-                    nxt[new_key] = (t, mult)
+                    nxt[new_key] = (seen[0], seen[1] + mult * size)
         states = nxt
         frontier = [frontier[k] for k in keep] + ([v] if enters else [])
     return sum(mult for _, mult in states.values())
+
+
+def _cap_exponent(q, cap):
+    """The largest e with q^e <= cap, for cap >= 1."""
+    e, power = 0, q
+    while power <= cap:
+        e, power = e + 1, power * q
+    return e
 
 
 def count_points(req):
@@ -127,13 +208,14 @@ def count_points(req):
 
     The work estimate is the worst case q^(n |V|) of a full enumeration, kept
     as the admission rule: a request over the cap is rejected up front even
-    though the DP usually does far less work.
+    though the DP usually does far less work.  The rule compares exponents,
+    so the estimate itself is never built.
     """
     g, space = req.graph, req.space
     q = space.field.order
-    estimate = q ** (space.n * g.num_vertices)
-    if estimate > req.cap:
-        raise WorkCapExceededError(estimate, req.cap)
+    work = space.n * g.num_vertices
+    if work > _cap_exponent(q, req.cap):
+        raise WorkCapExceededError((q, work), req.cap)
     og, _ = degeneracy_order(g)
     count = _frontier_count(g, list(reversed(og.order)), ResidueForm(space))
     d = expected_dimension(g, space)

@@ -16,6 +16,7 @@ import contextlib
 import json
 from fractions import Fraction
 
+from .bilinear import check_dimension_ceiling
 from .fields import field_from_spec
 from .splitting import VertexWeighting
 from .variety import VertexAssignment
@@ -262,4 +263,5 @@ def equations_to_obj(eqs):
 
 
 def gram_rows_from_obj(obj, field):
+    check_dimension_ceiling(len(obj))
     return [[field(x) for x in _scalars(row, f"Gram row {i}")] for i, row in enumerate(obj)]

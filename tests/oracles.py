@@ -239,3 +239,16 @@ def random_tangent(rng, field, num_vertices, n, bound=5):
         field,
         [[field(rng.randrange(field.order)) for _ in range(n)] for _ in range(num_vertices)],
     )
+
+
+def c4_point_count(n, q):
+    """Members on the 4-cycle over F_q^n, for any non-degenerate form.
+
+    C4 is K_{2,2}: given w(0) and w(2), each of vertices 1 and 3 ranges over
+    the orthogonal complement of their span, of dimension n - rank.  The
+    pairs (w(0), w(2)) of rank 0, 1 and 2 number 1, (q^n - 1)(q + 1) and
+    the rest.
+    """
+    rank1 = (q**n - 1) * (q + 1)
+    rank2 = q ** (2 * n) - 1 - rank1
+    return q ** (2 * n) + rank1 * q ** (2 * n - 2) + rank2 * q ** max(2 * n - 4, 0)

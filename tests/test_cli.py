@@ -5,6 +5,7 @@ import time
 import pytest
 
 from graphvariety import edge_count_closed_form
+from graphvariety.bilinear import MAX_DIMENSION
 from graphvariety.cli import build_parser, main
 from graphvariety.counting import DEFAULT_WORK_CAP
 from graphvariety.graphs import MAX_VERTICES
@@ -230,6 +231,22 @@ class TestCountCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "WorkCapExceededError"
 
+    def test_cap_compares_exponents(self, capsys, graph_file):
+        # the estimate 10007^800000 has 3.2 million digits: it must be
+        # neither built nor printed
+        g = graph_file("far.txt", "0 99999\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["count", "--graph", g, "--form", "symmetric", "--dim", "8", "--field", "Fp:10007"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "WorkCapExceededError",
+            "message": f"estimated work 10007^800000 exceeds cap {DEFAULT_WORK_CAP}",
+        }
+
     def test_rational_field_rejected(self, capsys, graph_file):
         g = graph_file("e.txt", "0 1\n")
         code, _, err = run(
@@ -350,6 +367,35 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and f"limit of {MAX_VERTICES}" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--form", "symmetric"],
+        ["analyze", "--form", "symplectic"],
+        ["count", "--form", "hyperbolic", "--field", "Fp:3"],
+    ])
+    def test_dimension_ceiling(self, capsys, graph_file, argv):
+        g = graph_file("e.txt", "0 1\n")
+        dim = str(MAX_DIMENSION + 1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, [argv[0], "--graph", g, "--dim", dim, *argv[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and f"limit of {MAX_DIMENSION}" in error["message"]
+
+    def test_gram_past_dimension_ceiling(self, capsys, graph_file, tmp_path):
+        # refused before its 262,144 entries become field scalars
+        g = graph_file("e.txt", "0 1\n")
+        n = 2 * MAX_DIMENSION
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps([["1" if i == j else "0" for j in range(n)] for i in range(n)]))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["analyze", "--graph", g, "--form", "symmetric", "--gram", str(gram)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"limit of {MAX_DIMENSION}" in json.loads(err)["error"]["message"]
 
     def test_malformed_point_json(self, capsys, graph_file, tmp_path):
         g = graph_file("e.txt", "0 1\n")

@@ -1,9 +1,14 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvariety import (
+    BilinearSpace,
     CountRequest,
     Graph,
     PrimeField,
@@ -19,14 +24,33 @@ from graphvariety import (
     standard_space,
     star_graph,
 )
-from graphvariety.counting import ResidueForm
-from oracles import enumerate_point_count, naive_point_count
+from graphvariety.counting import ResidueForm, _extensions
+from graphvariety.linalg import kernel
+from oracles import c4_point_count, enumerate_point_count, naive_point_count
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
+K4_MINUS_EDGE = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 def symmetric(n, q):
     return standard_space("symmetric", n, PrimeField(q))
+
+
+def random_gram_space(kind, n, q, seed):
+    """A space on a random non-degenerate Gram matrix, as from a --gram file."""
+    rng = random.Random(seed)
+    sign = 1 if kind == "symmetric" else -1
+    while True:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.randrange(q) if kind == "symmetric" else 0
+            for j in range(i + 1, n):
+                gram[i][j] = rng.randrange(q)
+                gram[j][i] = sign * gram[i][j] % q
+        try:
+            return BilinearSpace(n, kind, gram, PrimeField(q))
+        except ValueError:  # degenerate: draw again
+            continue
 
 
 class TestRequestValidation:
@@ -153,14 +177,59 @@ class TestFrontierCount:
         for g in graphs:
             assert count_points(CountRequest(g, space)).count == naive_point_count(g, space), g
 
+    # the triangle and K4 minus an edge reach two-vector frontiers; each
+    # case is sized so that the enumeration oracle finishes in about a second
     @pytest.mark.parametrize("graph,form,n,q", [
         (path_graph(3), "symplectic", 4, 3),
         (cycle_graph(5), "symmetric", 2, 7),
+        (cycle_graph(3), "symplectic", 4, 3),
+        (K4_MINUS_EDGE, "symplectic", 4, 3),
+        (cycle_graph(3), "symmetric", 3, 5),
+        (K4_MINUS_EDGE, "symmetric", 3, 5),
     ])
     def test_matches_enumeration(self, graph, form, n, q):
         space = standard_space(form, n, PrimeField(q))
         report = count_points(CountRequest(graph, space, cap=q ** (n * graph.num_vertices)))
         assert report.count == enumerate_point_count(graph, space)
+
+    @pytest.mark.parametrize("space", [
+        random_gram_space("symplectic", 4, 3, seed=3),
+        random_gram_space("symmetric", 3, 5, seed=4),
+    ], ids=["antisymmetric4-F3", "symmetric3-F5"])
+    def test_gram_space_matches_enumeration(self, space):
+        triangle = cycle_graph(3)
+        report = count_points(CountRequest(triangle, space))
+        assert report.count == enumerate_point_count(triangle, space)
+
+    @pytest.mark.parametrize("space", [symmetric(2, 3), symmetric(3, 3), symmetric(2, 5),
+                                       standard_space("symplectic", 2, PrimeField(5))])
+    def test_c4_formula_matches_enumeration(self, space):
+        expected = enumerate_point_count(cycle_graph(4), space)
+        assert c4_point_count(space.n, space.field.p) == expected
+
+    # the enumeration oracle takes seconds on these; the K_{2,2} formula does not
+    @pytest.mark.parametrize("space", [
+        standard_space("symplectic", 4, PrimeField(3)),
+        standard_space("symplectic", 4, PrimeField(5)),
+        symmetric(3, 5),
+    ])
+    def test_c4_matches_formula(self, space):
+        q = space.field.p
+        report = count_points(CountRequest(cycle_graph(4), space, cap=q ** (4 * space.n)))
+        assert report.count == c4_point_count(space.n, q)
+
+    def test_single_edge_pairs_once_per_state(self, monkeypatch):
+        calls = []
+        pair = BilinearSpace.pair
+
+        def counted(self, u, v):
+            calls.append(1)
+            return pair(self, u, v)
+
+        monkeypatch.setattr(BilinearSpace, "pair", counted)
+        space = standard_space("symplectic", 4, PrimeField(7))
+        assert count_points(CountRequest(SINGLE_EDGE, space)).count == edge_count_closed_form(4, 7)
+        assert len(calls) < 50  # one key per vector made 2401
 
 
 class TestFrontierKey:
@@ -197,6 +266,64 @@ class TestFrontierKey:
         form = ResidueForm(standard_space("hyperbolic", 2, PrimeField(2)))
         assert form.orbit_keys
         assert form.key(((1, 0),)) == form.key(((0, 1),))
+
+
+EXTENSION_SPACES = {
+    "symplectic4-F3": standard_space("symplectic", 4, PrimeField(3)),
+    "symplectic4-F5": standard_space("symplectic", 4, PrimeField(5)),
+    "symmetric2-F3": symmetric(2, 3),
+    "symmetric2-F7": symmetric(2, 7),
+    "symmetric3-F3": symmetric(3, 3),
+    "symmetric3-F7": symmetric(3, 7),
+    "hyperbolic2-F2": standard_space("hyperbolic", 2, PrimeField(2)),
+    "hyperbolic4-F2": standard_space("hyperbolic", 4, PrimeField(2)),
+    "gram-symmetric3-F7": random_gram_space("symmetric", 3, 7, seed=1),
+    "gram-antisymmetric4-F7": random_gram_space("symplectic", 4, 7, seed=2),
+}
+
+
+@st.composite
+def extension_cases(draw, space):
+    """A kept tuple of 0..3 vectors, some zero or combinations of earlier
+    ones, and a kernel basis: of 0..n random rows, or trivial."""
+    n, p = space.n, space.field.p
+    scalars = st.integers(0, p - 1)
+    vectors = st.tuples(*[scalars] * n)
+    kept = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if shape == "zero":
+            kept.append((0,) * n)
+        elif shape == "dependent" and kept:
+            cs = draw(st.lists(scalars, min_size=len(kept), max_size=len(kept)))
+            kept.append(tuple(sum(c * u[i] for c, u in zip(cs, kept)) % p for i in range(n)))
+        else:
+            kept.append(draw(vectors))
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rows = draw(st.lists(vectors, max_size=n) | st.just(identity))
+    return tuple(kept), kernel(rows, n, p)
+
+
+class TestExtensionKeys:
+    @pytest.mark.parametrize("space", EXTENSION_SPACES.values(), ids=EXTENSION_SPACES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_assembled_keys_are_tuple_keys(self, space, data):
+        kept, basis = data.draw(extension_cases(space))
+        form = ResidueForm(space)
+        assert form.orbit_keys
+        n, p = space.n, space.field.p
+        span = {
+            tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p for i in range(n))
+            for cs in itertools.product(range(p), repeat=len(basis))
+        }
+        tally = Counter(form.key(kept + (x,)) for x in span)
+        gram = tuple(space.pair(u, w) for u in kept for w in kept)
+        classes = _extensions(form, gram, kept, basis)
+        assert {key: size for key, (_, size) in classes.items()} == tally
+        assert sum(size for _, size in classes.values()) == p ** len(basis)
+        for key, (t, _) in classes.items():
+            assert t[:-1] == kept and t[-1] in span and form.key(t) == key
 
 
 class TestDimensionProbe:
