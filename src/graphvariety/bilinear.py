@@ -22,7 +22,9 @@ terms of row i, and d = dv * s.  From there:
   `Fraction(a . g, du * d)`;
 - `gram_transpose_times(v)` is gram_times(v) for a symmetric space and
   -gram_times(v) for a symplectic one, since `__init__` checks that the
-  Gram matrix equals its transpose or its negated transpose.
+  Gram matrix equals its transpose or its negated transpose;
+- `perp(vectors)` is the `kernel` of the rows gram u: the x with
+  <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.
 
 Every step is exact integer arithmetic, so each value equals the dense
 product on field scalars.
@@ -34,7 +36,7 @@ from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import rref
+from .linalg import kernel, rref
 
 # The largest ambient dimension accepted.  The dense Gram and its degeneracy
 # check grow as n^2 and worse: `analyze` on one edge took about 1 s at
@@ -124,6 +126,11 @@ class BilinearSpace:
         """gram^T v, which is gram v or -gram v by the kind (checked in `__init__`)."""
         g = self.gram_times(v)
         return g if self.kind == "symmetric" else [self.field(-x) for x in g]
+
+    def perp(self, vectors):
+        """A basis, as `kernel` gives it, of the x with <x, u> = 0 (and so
+        <u, x> = 0) for every u in `vectors`."""
+        return kernel([self.gram_times(u) for u in vectors], self.n, self.field.p)
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""

@@ -6,8 +6,8 @@ still have unassigned neighbours; only their vectors constrain what comes
 next, so partial assignments are grouped by a key of the frontier tuple and
 carried as (representative tuple, multiplicity).  At each vertex the edge
 equations to assigned neighbours are linear in the new vector, and the
-admissible vectors form a kernel.  A vertex that enters the frontier has its
-kernel enumerated exactly; a vertex with no later neighbours is not
+admissible vectors form their `perp`.  A vertex that enters the frontier has
+its kernel enumerated exactly; a vertex with no later neighbours is not
 enumerated and multiplies the state's multiplicity by q^dim(kernel).
 
 The key is the isometry orbit of the frontier tuple where Witt's extension
@@ -35,11 +35,12 @@ kept + (x,) is assembled once per signature: the Gram part is kept's block
 bordered by the column y and the row +y or -y (by the form's symmetry),
 with the norm in the corner; the echelon part is kept's rows with alpha
 appended, or, for an independent x, with 0 appended and a new last row
-(0, ..., 0, 1).  That is exactly what `ResidueForm.key` computes for
-kept + (x,), since the reduced echelon form is unique, so the signature
-fixes the key by linear algebra alone; Witt's theorem is needed only for
-the orbit key itself.  Class sizes become multiplicities, so the counts and
-the states carried are those of keying every tuple.
+(0, ..., 0, 1).  That is exactly the orbit key of kept + (x,), since the
+reduced echelon form is unique, so the signature fixes the key by linear
+algebra alone; Witt's theorem is needed only for the orbit key itself.
+Class sizes become multiplicities, so the counts and the states carried
+are those of keying every tuple.  A step that only shrinks the frontier
+reads the kept tuple's key off the state's (`_kept_echelon`).
 
 The result is an exact integer, usable as an oracle for the expected
 dimension: the ratio count / q^d should drift toward 1 as q grows when the
@@ -56,8 +57,8 @@ from .bilinear import standard_space
 from .errors import WorkCapExceededError
 from .fields import PrimeField
 from .graphs import degeneracy_order
-from .linalg import kernel, rref
-from .variety import edge_gradient, expected_dimension
+from .linalg import rref
+from .variety import expected_dimension
 
 DEFAULT_WORK_CAP = 10**7
 
@@ -83,31 +84,6 @@ class CountReport:
     ratio: Fraction
 
 
-class ResidueForm:
-    """A prime-field space with the frontier key its form admits.  Vectors
-    are tuples of ints in [0, p)."""
-
-    def __init__(self, space):
-        self.space = space
-        self.p = space.field.p
-        self.n = space.n
-        gram = space.gram
-        # Witt's extension theorem: alternating forms, or odd characteristic
-        self.orbit_keys = self.p != 2 or all(gram[i][i] == 0 for i in range(self.n))
-        # <x, x> can be nonzero: neither antisymmetric in odd characteristic
-        # nor a zero-diagonal form over F_2, both of which are alternating
-        self.norms = self.orbit_keys and space.kind == "symmetric" and self.p != 2
-
-    def key(self, vectors):
-        """The memo key of a frontier tuple: its (Gram matrix, linear
-        relations) pair where orbit keys apply, else the tuple itself."""
-        if not self.orbit_keys or not vectors:
-            return vectors
-        pairs = tuple(self.space.pair(u, w) for u in vectors for w in vectors)
-        reduced, pivots = rref(list(zip(*vectors)), len(vectors), self.p)
-        return pairs, tuple(tuple(row) for row in reduced[: len(pivots)])
-
-
 def _span(basis, n, p):
     """Every vector of the span of `basis`, as tuples."""
     reduce = p.__rmod__
@@ -120,12 +96,14 @@ def _span(basis, n, p):
     return vecs
 
 
-def _extensions(form, gram, kept, basis):
+def _extensions(space, gram, kept, basis):
     """{key of kept + (x,): (kept + (x,), class size)} over every x in the
     span of `basis`, one key per signature class (module docstring); `gram`
     is the Gram block of `kept`, flat in row-major order."""
-    space, n, p = form.space, form.n, form.p
+    n, p = space.n, space.field.p
     k = len(kept)
+    # <x, x> can be nonzero: orbit keys over F_2 mean an alternating form
+    norms = space.kind == "symmetric" and p != 2
     # E [kept | basis], pivots among kept's columns: the first r rows cut to
     # k columns are kept's echelon rows, and column k + j is E b_j
     rows, pivots = rref(list(zip(*kept, *basis)), k, p)
@@ -134,12 +112,12 @@ def _extensions(form, gram, kept, basis):
     for j, b in enumerate(basis):
         gb = space.gram_times(b)
         image = [sum(map(mul, u, gb)) % p for u in kept] + [row[k + j] for row in rows] + b
-        images.append(image + gb if form.norms else image)
+        images.append(image + gb if norms else image)
     # an image of x is <kept, x> | alpha | remainder | x [| gram x]; without
     # the gram x part the norm below is an empty sum, 0 as for alternating forms
     a, rest, tail = k + r, k + n, k + 2 * n
     classes = {}
-    for t in _span(images, tail + n * form.norms, p):
+    for t in _span(images, tail + n * norms, p):
         dependent = not any(t[a:rest])
         sig = (t[:a] if dependent else t[:k], dependent, sum(map(mul, t[rest:tail], t[tail:])) % p)
         if sig in classes:
@@ -159,31 +137,44 @@ def _extensions(form, gram, kept, basis):
     return out
 
 
-def _frontier_count(g, order, form):
+def _kept_echelon(echelon, keep, p):
+    """The echelon part of the key of a tuple's columns `keep`, from the
+    tuple's: row operations keep the relations among columns, so it is the
+    rref of the tuple's echelon rows cut to those columns."""
+    rows, pivots = rref([[row[a] for a in keep] for row in echelon], len(keep), p)
+    return tuple(map(tuple, rows[: len(pivots)]))
+
+
+def _frontier_count(g, order, space):
     """The number of member points, by the frontier DP over `order`."""
-    n, p, space = form.n, form.p, form.space
+    n, p = space.n, space.field.p
+    # Witt's extension theorem: alternating forms, or odd characteristic
+    orbit_keys = p != 2 or all(space.gram[i][i] == 0 for i in range(n))
     position = {v: i for i, v in enumerate(order)}
     last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
     frontier = []
     states = {(): ((), 1)}
     for i, v in enumerate(order):
-        slots = [(frontier.index(u), u) for u in g.adjacency[v] if position[u] < i]
+        slots = [frontier.index(u) for u in g.adjacency[v] if position[u] < i]
         keep = [k for k, u in enumerate(frontier) if last[u] > i]
         enters = last[v] > i
         unchanged = not enters and len(keep) == len(frontier)
         width = len(frontier)
         nxt = {}
         for key, (rep, mult) in states.items():
-            basis = kernel([edge_gradient(space, v, u, rep[k]) for k, u in slots], n, p)
+            basis = space.perp([rep[k] for k in slots])
             kept = tuple(rep[k] for k in keep)
-            if not enters:
-                new = {key if unchanged else form.key(kept): (kept, p ** len(basis))}
-            elif form.orbit_keys:
+            if orbit_keys and not unchanged:
                 # kept's Gram block, read off the state key's Gram matrix
                 gram = tuple(key[0][a * width + b] for a in keep for b in keep)
-                new = _extensions(form, gram, kept, basis)
-            else:
+            if enters and orbit_keys:
+                new = _extensions(space, gram, kept, basis)
+            elif enters:
                 new = {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
+            elif unchanged or not orbit_keys:
+                new = {key if unchanged else kept: (kept, p ** len(basis))}
+            else:
+                new = {(gram, _kept_echelon(key[1], keep, p)): (kept, p ** len(basis))}
             for new_key, (t, size) in new.items():
                 seen = nxt.get(new_key)
                 if seen is None:
@@ -217,7 +208,7 @@ def count_points(req):
     if work > _cap_exponent(q, req.cap):
         raise WorkCapExceededError((q, work), req.cap)
     og, _ = degeneracy_order(g)
-    count = _frontier_count(g, list(reversed(og.order)), ResidueForm(space))
+    count = _frontier_count(g, list(reversed(og.order)), space)
     d = expected_dimension(g, space)
     return CountReport(
         count=count,

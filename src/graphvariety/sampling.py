@@ -1,14 +1,15 @@
 """Constructive point generation on the variety.
 
 `sample_regular_point` walks the vertices from the oldest down.  Each new
-vector is drawn from the orthogonality kernel determined by the already
-assigned older neighbors, then rejected if it is zero or if it lands in the
-span of some partially assembled older-neighbor family of a younger vertex.
+vector is drawn from the vectors orthogonal to every already assigned older
+neighbor (`BilinearSpace.perp`), then rejected if it is zero or if it lands
+in the span of some partially assembled older-neighbor family of a younger
+vertex.
 Every accepted run therefore satisfies membership and the regular-part test
 by construction, and both are still re-checked by independent code in the
 variety module (`vectors_independent`, not the echelon rows below).
 
-The sampler works on integers.  Per vertex, the `kernel` basis is written
+The sampler works on integers.  Per vertex, the `perp` basis is written
 once as integer numerators over one common denominator L (over F_p, L is 1
 and the entries are residues).  A draw sums c_k * b_k on ints, so a
 candidate is an integer vector; over Q it stands for that vector over L,
@@ -23,8 +24,8 @@ by their content.  The RNG calls and every accept/reject decision are the
 same as drawing and re-ranking on field scalars.
 
 `cycle_singular_point` and `zero_point` produce the known singular points:
-a cycle with every vertex carrying one fixed self-orthogonal vector, and the
-origin.
+a cycle with every vertex carrying one fixed self-orthogonal vector, with
+its certificate from `singular_certificate`, and the origin.
 """
 
 import random
@@ -40,8 +41,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .graphs import cycle_graph
-from .linalg import kernel
-from .variety import SingularityCertificate, VertexAssignment, edge_gradient
+from .variety import VarietyContext, VertexAssignment, singular_certificate
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ def sample_regular_point(og, space, cfg=None):
     for v in reversed(og.order):
         older = og.older_neighbors(v)
         younger = og.younger_neighbors(v)
-        rows = [edge_gradient(space, v, u, vectors[u]) for u in older]
-        basis = kernel(rows, space.n, p)
+        basis = space.perp([vectors[u] for u in older])
         denominator = 1
         if p is None:
             flat, denominator = _numerators([x for vec in basis for x in vec])
@@ -159,16 +158,12 @@ def cycle_singular_point(k, space):
     """The all-equal singular point on the k-cycle, with its certificate.
 
     Symplectic: any k >= 3, n >= 4; every vertex carries the first basis
-    vector, and the edge weights are +1 along the consecutive edges and -1 on
-    the wrap-around edge (all-ones against the cyclic orientation).
-
-    Symmetric: k must be even and the Gram matrix must expose an isotropic
-    basis vector (the hyperbolic standard space does); every vertex carries
-    that vector and the weights alternate in sign around the cycle.
+    vector.  Symmetric: k must be even and the Gram matrix must expose an
+    isotropic basis vector (the hyperbolic standard space does); every
+    vertex carries that vector.  The certificate is `singular_certificate`'s.
     """
     if k < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    g = cycle_graph(k)
     field = space.field
     if space.kind == "symplectic":
         if space.n < 4:
@@ -176,9 +171,6 @@ def cycle_singular_point(k, space):
                 "symplectic cycle points need dimension >= 4"
             )
         idx = 0
-        values = tuple(
-            field(1) if hi == lo + 1 else field(-1) for lo, hi in g.edges
-        )
     else:
         if k % 2 != 0:
             raise UnsupportedCombinationError(
@@ -189,11 +181,7 @@ def cycle_singular_point(k, space):
             raise UnsupportedCombinationError(
                 "no isotropic basis vector in this symmetric space"
             )
-        values = tuple(
-            field((-1) ** lo) if hi == lo + 1 else field(-1) for lo, hi in g.edges
-        )
     vec = [field.zero()] * space.n
     vec[idx] = field.one()
     assignment = VertexAssignment(field, [vec] * k)
-    certificate = SingularityCertificate(edges=g.edges, values=values)
-    return assignment, certificate
+    return assignment, singular_certificate(VarietyContext(cycle_graph(k), space), assignment)

@@ -11,7 +11,8 @@ full row rank |E| there.  A rank defect is witnessed by a nonzero left-kernel
 vector of the Jacobian, one scalar per edge.  The certificate we hand out is
 the unique dependency of the first edge row f (in edge order) that depends
 on the rows before it, with coefficient 1 at f and zeros after f.  It can be
-re-checked without any matrix computation via one vector identity per vertex.
+re-checked without any matrix computation via one vector identity per vertex;
+`singular_certificate` checks membership once and re-checks only those.
 """
 
 from dataclasses import dataclass
@@ -86,24 +87,15 @@ def is_member(ctx, assignment):
     return all(r == 0 for r in residual(ctx, assignment))
 
 
-def edge_gradient(space, v, u, wu):
-    """The gradient in w(v) of the equation of edge {v, u}, at w(u) = wu.
-
-    The edge is stored as (min, max) and the form need not be symmetric, so
-    the equation <w(lo), w(hi)> = 0 is linear in w(v) with coefficients
-    gram * w(u) when v < u and gram^T * w(u) when v > u.
-    """
-    return space.gram_times(wu) if v < u else space.gram_transpose_times(wu)
-
-
 def _edge_rows(ctx, assignment):
-    """The Jacobian's rows as sparse {column: nonzero scalar} dicts; each
-    endpoint's gradient is computed once per (side of the edge, other end)."""
-    n, w, grads = ctx.space.n, assignment.vectors, {}
+    """The Jacobian's rows as sparse {column: nonzero scalar} dicts: edge
+    (lo, hi) has gram w(hi) in lo's block and gram^T w(lo) in hi's, each
+    product taken once per (side of the edge, other end)."""
+    space, n, w, grads = ctx.space, ctx.space.n, assignment.vectors, {}
 
     def block(v, u):
         if (v < u, u) not in grads:
-            grad = edge_gradient(ctx.space, v, u, w[u])
+            grad = space.gram_times(w[u]) if v < u else space.gram_transpose_times(w[u])
             grads[v < u, u] = [(i, x) for i, x in enumerate(grad) if x]
         return [(v * n + i, x) for i, x in grads[v < u, u]]
 
@@ -128,30 +120,36 @@ class SingularityCertificate:
 def verify_certificate(ctx, assignment, certificate):
     """Check a certificate from first principles, without rank computations.
 
-    The certificate is valid when the assignment is a member, the edge values
-    are not all zero, and for every vertex v the weighted sum of the incident
-    edge gradients restricted to v's block vanishes:
+    The certificate is valid when its edges are the edge order, the
+    assignment is a member, the edge values are not all zero, and for every
+    vertex v the weighted sum of the incident edge gradients restricted to
+    v's block vanishes:
 
         sum over edges e = (lo, hi) at v of
             value(e) * (gram * w(hi))     if v == lo
             value(e) * (gram^T * w(lo))   if v == hi
 
-    One pass adds into per-vertex sums, taking each Gram product once.
+    Edges may be lists and values ints or decimal strings, as in JSON.
     """
     _check_shape(ctx, assignment)
-    if tuple(certificate.edges) != tuple(ctx.edge_order):
+    if tuple(map(tuple, certificate.edges)) != tuple(ctx.edge_order):
         return False
     if len(certificate.values) != len(ctx.edge_order):
         return False
-    if not is_member(ctx, assignment):
+    return is_member(ctx, assignment) and _certifies(ctx, assignment.vectors, certificate.values)
+
+
+def _certifies(ctx, w, values):
+    """The value checks of `verify_certificate` at the member point w, by
+    one pass adding into per-vertex sums with each Gram product taken once."""
+    values = [ctx.field(x) for x in values]
+    if not any(values):
         return False
-    if not any(map(ctx.field, certificate.values)):
-        return False
-    space, w, z = ctx.space, assignment.vectors, ctx.field.zero()
+    space, z = ctx.space, ctx.field.zero()
     acc = [[z] * space.n for _ in w]
     gram_w, gram_t_w = {}, {}
-    for (lo, hi), lam in zip(ctx.edge_order, certificate.values):
-        if not ctx.field(lam):
+    for (lo, hi), lam in zip(ctx.edge_order, values):
+        if not lam:
             continue
         if hi not in gram_w:
             gram_w[hi] = space.gram_times(w[hi])
@@ -165,8 +163,9 @@ def verify_certificate(ctx, assignment, certificate):
 def singular_certificate(ctx, assignment):
     """A singularity certificate at a member point, or None when smooth.
 
-    The returned certificate is re-verified through `verify_certificate`
-    before being handed back, so the two code paths cross-check each other.
+    Membership is checked once.  The left-kernel vector is then re-verified
+    by `_certifies`, the value checks of `verify_certificate`, before it is
+    handed back, so the two code paths cross-check each other.
     """
     if not is_member(ctx, assignment):
         raise NotOnVarietyError("certificates are only defined at member points")
@@ -174,10 +173,9 @@ def singular_certificate(ctx, assignment):
     if combo is None:
         return None
     values = tuple(combo.get(e, ctx.field.zero()) for e in range(ctx.graph.num_edges))
-    cert = SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
-    if not verify_certificate(ctx, assignment, cert):
+    if not _certifies(ctx, assignment.vectors, values):
         raise AssertionError("internal error: left-kernel vector failed re-verification")
-    return cert
+    return SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
 
 
 def regular_part_test(og, assignment):

@@ -57,6 +57,24 @@ def left_kernel(field, rows):
     return kernel(transpose(rows), len(rows), field.p)
 
 
+def orbit_keys(space):
+    """Whether Witt's extension theorem applies to the prime-field space:
+    an alternating form, or odd characteristic."""
+    return space.field.p != 2 or all(space.gram[i][i] == 0 for i in range(space.n))
+
+
+def frontier_key(space, vectors):
+    """The point counter's key of a frontier tuple of residue vectors, by
+    its definition: where orbit keys apply, the tuple's Gram matrix by
+    `pair` and the nonzero rows of the `rref` of the n x k matrix whose
+    columns are the tuple; otherwise the tuple itself."""
+    if not orbit_keys(space):
+        return vectors
+    pairs = tuple(space.pair(u, w) for u in vectors for w in vectors)
+    reduced, pivots = rref(list(zip(*vectors)), len(vectors), space.field.p)
+    return pairs, tuple(tuple(row) for row in reduced[: len(pivots)])
+
+
 def naive_point_count(graph, space):
     """Count points by enumerating every vertex assignment."""
     vecs = list(itertools.product(range(space.field.p), repeat=space.n))

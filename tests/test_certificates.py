@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from graphvariety import (
+    BilinearSpace,
     Graph,
     PrimeField,
     RATIONALS,
@@ -289,3 +290,47 @@ class TestOnePassVerifier:
         assert verify_certificate(ctx, point, cert)
         bad = SingularityCertificate(cert.edges, (7, 14, 0, -7))
         assert not verify_certificate(ctx, point, bad)
+
+
+class TestWireShape:
+    """Certificates as JSON gives them: list edges, str or int values."""
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=lambda f: f.name)
+    @pytest.mark.parametrize("wire", [str, int])
+    def test_wire_values_and_list_edges_verify(self, field, wire):
+        space = standard_space("symplectic", 4, field)
+        point, cert = cycle_singular_point(4, space)
+        ctx = VarietyContext(cycle_graph(4), space)
+        edges = [list(e) for e in cert.edges]
+        values = [wire(x) for x in cert.values]
+        assert verify_certificate(ctx, point, SingularityCertificate(edges, values))
+        changed = [wire(cert.values[0] + 1)] + values[1:]
+        assert not verify_certificate(ctx, point, SingularityCertificate(edges, changed))
+        off = [list(v) for v in point.vectors]
+        off[0][2] = field(1)
+        off_point = VertexAssignment(field, off)
+        assert not verify_certificate(ctx, off_point, SingularityCertificate(edges, values))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=lambda f: f.name)
+def test_certificate_checks_membership_once(monkeypatch, field):
+    calls = []
+    pair = BilinearSpace.pair
+
+    def counted(self, u, v):
+        calls.append(1)
+        return pair(self, u, v)
+
+    monkeypatch.setattr(BilinearSpace, "pair", counted)
+    # K3,3 on six pairwise independent vectors of the Lagrangian plane
+    # span(e0, e1): a member point whose edge rows have one dependency
+    g = complete_bipartite_graph(3, 3)
+    plane = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3)]
+    point = VertexAssignment(field, [[a, b, 0, 0] for a, b in plane])
+    ctx = VarietyContext(g, standard_space("symplectic", 4, field))
+    cert = singular_certificate(ctx, point)
+    assert cert is not None
+    assert len(calls) == g.num_edges == 9
+    calls.clear()
+    assert verify_certificate(ctx, point, cert)
+    assert len(calls) == 9

@@ -24,9 +24,15 @@ from graphvariety import (
     standard_space,
     star_graph,
 )
-from graphvariety.counting import ResidueForm, _extensions
+from graphvariety.counting import _extensions, _kept_echelon
 from graphvariety.linalg import kernel
-from oracles import c4_point_count, enumerate_point_count, naive_point_count
+from oracles import (
+    c4_point_count,
+    enumerate_point_count,
+    frontier_key,
+    naive_point_count,
+    orbit_keys,
+)
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
 K4_MINUS_EDGE = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -234,12 +240,11 @@ class TestFrontierCount:
 
 class TestFrontierKey:
     def test_isometric_tuples_share_a_key(self):
-        f = PrimeField(5)
-        form = ResidueForm(standard_space("symplectic", 4, f))
-        assert form.orbit_keys
+        space = standard_space("symplectic", 4, PrimeField(5))
+        assert orbit_keys(space)
 
         def omega(x, y):
-            return form.space.pair(x, y)
+            return space.pair(x, y)
 
         u, c = (1, 2, 0, 3), 2
 
@@ -252,20 +257,20 @@ class TestFrontierKey:
         vectors = (w1, w2, w3, (0, 0, 0, 0))
         image = tuple(transvection(w) for w in vectors)
         assert image != vectors
-        assert form.key(image) == form.key(vectors)
+        assert frontier_key(space, image) == frontier_key(space, vectors)
         # the same vectors with another linear relation pattern
-        assert form.key((w1, w2, w1, (0, 0, 0, 0))) != form.key(vectors)
+        assert frontier_key(space, (w1, w2, w1, (0, 0, 0, 0))) != frontier_key(space, vectors)
 
     def test_identity_form_over_f2_uses_raw_vectors(self):
-        form = ResidueForm(standard_space("symmetric", 3, PrimeField(2)))
-        assert not form.orbit_keys
+        space = standard_space("symmetric", 3, PrimeField(2))
+        assert not orbit_keys(space)
         vectors = ((1, 0, 0), (0, 1, 1))
-        assert form.key(vectors) == vectors
+        assert frontier_key(space, vectors) == vectors
 
     def test_hyperbolic_over_f2_is_alternating(self):
-        form = ResidueForm(standard_space("hyperbolic", 2, PrimeField(2)))
-        assert form.orbit_keys
-        assert form.key(((1, 0),)) == form.key(((0, 1),))
+        space = standard_space("hyperbolic", 2, PrimeField(2))
+        assert orbit_keys(space)
+        assert frontier_key(space, ((1, 0),)) == frontier_key(space, ((0, 1),))
 
 
 EXTENSION_SPACES = {
@@ -283,25 +288,33 @@ EXTENSION_SPACES = {
 
 
 @st.composite
-def extension_cases(draw, space):
-    """A kept tuple of 0..3 vectors, some zero or combinations of earlier
-    ones, and a kernel basis: of 0..n random rows, or trivial."""
+def frontier_tuples(draw, space, max_size):
+    """A tuple of 0..max_size vectors, some zero or combinations of earlier
+    ones."""
     n, p = space.n, space.field.p
     scalars = st.integers(0, p - 1)
-    vectors = st.tuples(*[scalars] * n)
-    kept = []
-    for _ in range(draw(st.integers(0, 3))):
+    vectors = []
+    for _ in range(draw(st.integers(0, max_size))):
         shape = draw(st.sampled_from(["free", "zero", "dependent"]))
         if shape == "zero":
-            kept.append((0,) * n)
-        elif shape == "dependent" and kept:
-            cs = draw(st.lists(scalars, min_size=len(kept), max_size=len(kept)))
-            kept.append(tuple(sum(c * u[i] for c, u in zip(cs, kept)) % p for i in range(n)))
+            vectors.append((0,) * n)
+        elif shape == "dependent" and vectors:
+            cs = draw(st.lists(scalars, min_size=len(vectors), max_size=len(vectors)))
+            vectors.append(tuple(sum(c * u[i] for c, u in zip(cs, vectors)) % p for i in range(n)))
         else:
-            kept.append(draw(vectors))
+            vectors.append(draw(st.tuples(*[scalars] * n)))
+    return tuple(vectors)
+
+
+@st.composite
+def extension_cases(draw, space):
+    """A kept tuple of 0..3 vectors (`frontier_tuples`) and a kernel basis:
+    of 0..n random rows, or trivial."""
+    n, p = space.n, space.field.p
+    kept = draw(frontier_tuples(space, 3))
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rows = draw(st.lists(vectors, max_size=n) | st.just(identity))
-    return tuple(kept), kernel(rows, n, p)
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=n) | st.just(identity))
+    return kept, kernel(rows, n, p)
 
 
 class TestExtensionKeys:
@@ -310,20 +323,35 @@ class TestExtensionKeys:
     @settings(max_examples=25, deadline=None)
     def test_assembled_keys_are_tuple_keys(self, space, data):
         kept, basis = data.draw(extension_cases(space))
-        form = ResidueForm(space)
-        assert form.orbit_keys
+        assert orbit_keys(space)
         n, p = space.n, space.field.p
         span = {
             tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p for i in range(n))
             for cs in itertools.product(range(p), repeat=len(basis))
         }
-        tally = Counter(form.key(kept + (x,)) for x in span)
+        tally = Counter(frontier_key(space, kept + (x,)) for x in span)
         gram = tuple(space.pair(u, w) for u in kept for w in kept)
-        classes = _extensions(form, gram, kept, basis)
+        classes = _extensions(space, gram, kept, basis)
         assert {key: size for key, (_, size) in classes.items()} == tally
         assert sum(size for _, size in classes.values()) == p ** len(basis)
         for key, (t, _) in classes.items():
-            assert t[:-1] == kept and t[-1] in span and form.key(t) == key
+            assert t[:-1] == kept and t[-1] in span and frontier_key(space, t) == key
+
+    @pytest.mark.parametrize("space", EXTENSION_SPACES.values(), ids=EXTENSION_SPACES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_shrunk_keys_are_tuple_keys(self, space, data):
+        # a step that only shrinks the frontier reads the kept tuple's key
+        # off the state key: the Gram block by index, the echelon part by
+        # `_kept_echelon`
+        vectors = data.draw(frontier_tuples(space, 4))
+        k, p = len(vectors), space.field.p
+        pairs, echelon = frontier_key(space, vectors)
+        for size in range(k + 1):
+            for keep in itertools.combinations(range(k), size):
+                gram = tuple(pairs[a * k + b] for a in keep for b in keep)
+                derived = gram, _kept_echelon(echelon, keep, p)
+                assert derived == frontier_key(space, tuple(vectors[a] for a in keep))
 
 
 class TestDimensionProbe:

@@ -246,6 +246,29 @@ class TestCycleSingularPoint:
         assert not is_smooth_point(ctx, pt)
         assert verify_certificate(ctx, pt, cert)
 
+    # 54 cases: symplectic n = 4, 6 with k = 3..8 and hyperbolic n = 2, 4
+    # with k = 4, 6, 8, each over Q, F_3 and F_7
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(3), PrimeField(7)],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("form,n,ks", [
+        ("symplectic", 4, range(3, 9)),
+        ("symplectic", 6, range(3, 9)),
+        ("hyperbolic", 2, (4, 6, 8)),
+        ("hyperbolic", 4, (4, 6, 8)),
+    ])
+    def test_certificate_equals_sign_formulas(self, field, form, n, ks):
+        # the hand-derived weights: symplectic +1 along the consecutive edges
+        # and -1 on the wrap-around edge; symmetric alternating in sign
+        space = standard_space(form, n, field)
+        for k in ks:
+            _, cert = cycle_singular_point(k, space)
+            if form == "symplectic":
+                values = [1 if hi == lo + 1 else -1 for lo, hi in cert.edges]
+            else:
+                values = [(-1) ** lo if hi == lo + 1 else -1 for lo, hi in cert.edges]
+            assert cert.edges == cycle_graph(k).edges
+            assert cert.values == tuple(map(field, values))
+
     def test_symplectic_low_dimension_rejected(self):
         with pytest.raises(PreconditionViolatedError):
             cycle_singular_point(4, standard_space("symplectic", 2, RATIONALS))

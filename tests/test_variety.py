@@ -35,7 +35,9 @@ from graphvariety import (
     verify_certificate,
     zero_point,
 )
-from oracles import dot, jacobian, random_tangent, rank
+from graphvariety.linalg import kernel
+from graphvariety.serialization import gram_rows_from_obj
+from oracles import dot, gram_product, jacobian, random_tangent, rank
 
 
 def symplectic2():
@@ -110,6 +112,72 @@ class TestBilinearSpace:
         v = [Fraction(x) for x in (5, -1, 0, 2)]
         assert dot(RATIONALS, u, sp.gram_times(v)) == sp.pair(u, v)
         assert dot(RATIONALS, v, sp.gram_transpose_times(u)) == sp.pair(u, v)
+
+
+def gram_file_space(kind, n, seed):
+    """A space on a random non-degenerate Gram matrix with fractional
+    entries, read as `--gram` reads its JSON rows of decimal strings."""
+    rng = random.Random(seed)
+    sign = 1 if kind == "symmetric" else -1
+    while True:
+        gram = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if kind == "symmetric" else i + 1, n):
+                gram[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                gram[j][i] = sign * gram[i][j]
+        rows = gram_rows_from_obj([[str(x) for x in row] for row in gram], RATIONALS)
+        try:
+            return BilinearSpace(n, kind, rows, RATIONALS)
+        except ValueError:  # degenerate: draw again
+            continue
+
+
+PERP_SPACES = {
+    f"{form}{n}-{field.name}": standard_space(form, n, field)
+    for field in (RATIONALS, PrimeField(3), PrimeField(7), PrimeField(10007))
+    for form, n in (("symplectic", 4), ("symmetric", 3), ("hyperbolic", 4))
+}
+PERP_SPACES.update({
+    "gram-symmetric3-Q": gram_file_space("symmetric", 3, seed=1),
+    "gram-symmetric4-Q": gram_file_space("symmetric", 4, seed=2),
+    "gram-antisymmetric4-Q": gram_file_space("symplectic", 4, seed=3),
+})
+
+
+@st.composite
+def vector_families(draw, space):
+    """0..4 vectors of the space, some zero or combinations of earlier ones."""
+    field, n = space.field, space.n
+    if field.p is None:
+        scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    else:
+        scalars = st.integers(0, field.p - 1).map(field)
+    family = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if shape == "zero":
+            family.append([field.zero()] * n)
+        elif shape == "dependent" and family:
+            cs = draw(st.lists(scalars, min_size=len(family), max_size=len(family)))
+            family.append([field(sum(c * u[i] for c, u in zip(cs, family))) for i in range(n)])
+        else:
+            family.append(draw(st.lists(scalars, min_size=n, max_size=n)))
+    return family
+
+
+class TestPerp:
+    @pytest.mark.parametrize("space", PERP_SPACES.values(), ids=PERP_SPACES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_perp_is_the_orthogonal_complement(self, space, data):
+        family = data.draw(vector_families(space))
+        basis = space.perp(family)
+        for x in basis:
+            for u in family:
+                assert space.pair(x, u) == 0 and space.pair(u, x) == 0
+        assert len(basis) == space.n - rank(space.field, family)
+        dense = [gram_product(space, u) for u in family]
+        assert basis == kernel(dense, space.n, space.field.p)
 
 
 class TestExpectedDimension:
