@@ -15,7 +15,6 @@ from .counting import (
     CountReport,
     CountRequest,
     count_points,
-    dimension_probe,
     edge_count_closed_form,
 )
 from .errors import (
@@ -28,7 +27,6 @@ from .errors import (
     OddDimensionError,
     PreconditionViolatedError,
     RetriesExhaustedError,
-    SearchSpaceTooLargeError,
     UnsupportedCombinationError,
     WorkCapExceededError,
 )
@@ -39,28 +37,20 @@ from .graphs import (
     OrderedGraph,
     bfs_layers,
     biconnected_edge_components,
-    complete_bipartite_graph,
-    complete_graph,
     connected_components,
     cycle_graph,
     degeneracy_order,
-    format_edge_list,
     has_even_cycle,
     induced_subgraph_with_map,
     is_forest,
     parse_edge_list,
-    path_graph,
     proper_vertex_numbering,
-    star_graph,
 )
-from .linalg import vectors_independent
-from .sampling import SamplerConfig, cycle_singular_point, sample_regular_point, zero_point
+from .sampling import SamplerConfig, cycle_singular_point, sample_regular_point
 from .splitting import (
-    BRUTE_FORCE_CAP,
     EdgeVerdict,
     SplittingReport,
     VertexWeighting,
-    brute_force_min_colors,
     color_budget,
     color_classes,
     palette,
@@ -78,9 +68,7 @@ from .variety import (
     expected_dimension,
     is_anti_ample,
     is_member,
-    is_smooth_point,
     projective_smoothness,
-    regular_part_test,
     residual,
     singular_certificate,
     verify_certificate,

@@ -46,8 +46,12 @@ from .variety import (
 )
 
 
-def _load_json(path):
-    return json.loads(Path(path).read_text())
+def _load_json(path, parse=json.loads):
+    """`parse` of the file's text; nesting too deep to decode is a ValueError."""
+    try:
+        return parse(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
 def _load_graph(args):
@@ -166,7 +170,7 @@ def cmd_split(args):
 
 def cmd_verify_split(args):
     g = _load_graph(args)
-    weighting = weighting_from_json(Path(args.weighting).read_text())
+    weighting = _load_json(args.weighting, weighting_from_json)
     report = color_classes(g, weighting)
     summary = f"valid={report.valid}, {report.color_count} classes used"
     return splitting_report_to_obj(report), summary

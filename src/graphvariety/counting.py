@@ -53,9 +53,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, mul
 
-from .bilinear import standard_space
 from .errors import WorkCapExceededError
-from .fields import PrimeField
 from .graphs import degeneracy_order
 from .linalg import rref
 from .variety import expected_dimension
@@ -229,15 +227,3 @@ def edge_count_closed_form(n, q):
         raise ValueError("dimension must be at least 1")
     return q ** (2 * n - 1) + q**n - q ** (n - 1)
 
-
-def dimension_probe(graph, n, kind, qs, cap=DEFAULT_WORK_CAP):
-    """Counts over several primes, reported with count / q^d ratios.
-
-    Purely diagnostic: ratios drifting toward 1 are consistent with an
-    irreducible variety of expected dimension; no verdict is attached.
-    """
-    reports = []
-    for q in sorted(qs):
-        space = standard_space(kind, n, PrimeField(q))
-        reports.append(count_points(CountRequest(graph, space, cap)))
-    return reports

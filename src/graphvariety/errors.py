@@ -64,10 +64,6 @@ class WorkCapExceededError(GraphVarietyError):
         return e[0] ** e[1] if isinstance(e, tuple) else e
 
 
-class SearchSpaceTooLargeError(GraphVarietyError):
-    """A brute-force search space exceeds its configured cap."""
-
-
 class NotAForestError(GraphVarietyError):
     """A forest-only operation was given a graph containing a cycle."""
 

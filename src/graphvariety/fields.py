@@ -67,7 +67,10 @@ class RationalField:
                 too_big = False
             if too_big:
                 raise ValueError(f"decimal exponent of {value!r} exceeds {MAX_EXPONENT}")
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"{value!r} has a zero denominator") from None
         raise TypeError(f"cannot coerce {value!r} into the rational field")
 
     def zero(self):

@@ -313,26 +313,10 @@ def has_even_cycle(graph):
     return False
 
 
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def cycle_graph(n):
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_bipartite_graph(a, b):
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def parse_edge_list(text):
@@ -364,10 +348,3 @@ def parse_edge_list(text):
         raise ValueError(f"edge list names {n} vertices, more than the limit of {MAX_VERTICES}")
     return Graph(n, edges)
 
-
-def format_edge_list(graph):
-    """Inverse of parse_edge_list; isolated vertices become single-index lines."""
-    covered = {v for e in graph.edges for v in e}
-    lines = [f"{lo} {hi}" for lo, hi in graph.edges]
-    lines.extend(str(v) for v in range(graph.num_vertices) if v not in covered)
-    return "\n".join(lines) + ("\n" if lines else "")

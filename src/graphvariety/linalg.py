@@ -12,9 +12,7 @@ entry is a ratio of two minors of the input, and the reduced form is unique.
 incremental row echelon pass that stops at the first dependent row; it never
 builds dense rows, so sparse Jacobians stay sparse.  Both stay: the sampler
 reads its small kernels off `rref`, where a lazy all-dependencies pass made
-F_p sampling 26-27% slower end to end (ROADMAP item 1).  `vectors_independent`
-ranks with `rref` for the regular-part verifier; the sampler's own acceptance
-test runs on integer echelon rows in `sampling`, so the two stay independent.
+F_p sampling 26-27% slower end to end (ROADMAP item 1).
 """
 
 from fractions import Fraction
@@ -113,13 +111,4 @@ def first_dependency(rows, p=None):
         x = row.pop(c)
         pivots[c] = (1 / x if p is None else pow(x, -1, p), row, combo)
     return None
-
-
-def vectors_independent(field, vectors, length):
-    """True when the given vectors of field scalars, each of the stated
-    length, are linearly independent."""
-    vecs = list(vectors)
-    if any(len(v) != length for v in vecs):
-        raise ValueError(f"vectors must have length {length}")
-    return len(rref(vecs, length, field.p)[1]) == len(vecs)
 

@@ -6,8 +6,8 @@ neighbor (`BilinearSpace.perp`), then rejected if it is zero or if it lands
 in the span of some partially assembled older-neighbor family of a younger
 vertex.
 Every accepted run therefore satisfies membership and the regular-part test
-by construction, and both are still re-checked by independent code in the
-variety module (`vectors_independent`, not the echelon rows below).
+by construction, and both are still re-checked by the tests, with dense
+ranks rather than the echelon rows below.
 
 The sampler works on integers.  Per vertex, the `perp` basis is written
 once as integer numerators over one common denominator L (over F_p, L is 1
@@ -23,9 +23,9 @@ that.  An accepted vector's remainders become the new rows, over Q divided
 by their content.  The RNG calls and every accept/reject decision are the
 same as drawing and re-ranking on field scalars.
 
-`cycle_singular_point` and `zero_point` produce the known singular points:
-a cycle with every vertex carrying one fixed self-orthogonal vector, with
-its certificate from `singular_certificate`, and the origin.
+`cycle_singular_point` produces a known singular point: a cycle with every
+vertex carrying one fixed self-orthogonal vector, with its certificate from
+`singular_certificate`.
 """
 
 import random
@@ -147,11 +147,6 @@ def sample_regular_point(og, space, cfg=None):
             candidate if p is not None else [Fraction(x, denominator) for x in candidate]
         )
     return VertexAssignment(field, [vectors[v] for v in range(g.num_vertices)])
-
-
-def zero_point(graph, space):
-    """The origin: always a member, singular as soon as the graph has an edge."""
-    return VertexAssignment.zero(space.field, graph.num_vertices, space.n)
 
 
 def cycle_singular_point(k, space):

@@ -166,10 +166,13 @@ def _weight_vector(vec, what):
 
 
 def _weighting(obj, vector):
-    colors = tuple(_scalars(obj["colors"], "colors"))
+    colors = obj["colors"]
+    # names become JSON object keys in the verifier's report, so they must be strings
+    if type(colors) is not list or not set(map(type, colors)) <= {str}:
+        raise ValueError("colors must be a JSON list of strings")
     if len(set(colors)) != len(colors):
         raise ValueError("colors must not repeat a name")
-    return VertexWeighting(colors, dict(enumerate(_vectors_by_vertex(obj["weights"], vector))))
+    return VertexWeighting(tuple(colors), dict(enumerate(_vectors_by_vertex(obj["weights"], vector))))
 
 
 def weighting_from_obj(obj):

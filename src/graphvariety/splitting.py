@@ -34,13 +34,11 @@ in `palette` and in the weighting `split_into_matchings` returns.
 
 import heapq
 from dataclasses import dataclass
-from itertools import product
 from operator import add
 
 from .errors import (
     InternalConflictError,
     NotAForestError,
-    SearchSpaceTooLargeError,
     WorkCapExceededError,
 )
 from .graphs import (
@@ -51,7 +49,6 @@ from .graphs import (
     proper_vertex_numbering,
 )
 
-BRUTE_FORCE_CAP = 10**7
 WEIGHTING_CAP = 10**7
 
 
@@ -324,43 +321,3 @@ def _leaf_peel(forest):
                     heapq.heappush(heap, u)
     return peel, parent
 
-
-def brute_force_min_colors(graph, max_colors, max_weight, cap=BRUTE_FORCE_CAP):
-    """The least palette size admitting a valid splitting, by exhaustion.
-
-    Tries every weighting with entries in 0..max_weight for each palette size
-    up to max_colors; returns the first size with a valid splitting, or None
-    when none exists in range.  The total search space is bounded up front.
-    """
-    n = graph.num_vertices
-    space = sum((max_weight + 1) ** (m * n) for m in range(1, max_colors + 1))
-    if space > cap:
-        raise SearchSpaceTooLargeError(
-            f"search space {space} exceeds cap {cap}"
-        )
-    edges = graph.edges
-    for m in range(1, max_colors + 1):
-        vectors = list(product(range(max_weight + 1), repeat=m))
-        nv = len(vectors)
-        # strict argmax color for every vector pair, -1 on ties
-        table = []
-        for va in vectors:
-            row = []
-            for vb in vectors:
-                sums = [x + y for x, y in zip(va, vb)]
-                top = max(sums)
-                row.append(sums.index(top) if sums.count(top) == 1 else -1)
-            table.append(row)
-        for candidate in product(range(nv), repeat=n):
-            seen = set()
-            ok = True
-            for lo, hi in edges:
-                c = table[candidate[lo]][candidate[hi]]
-                if c < 0 or (c, lo) in seen or (c, hi) in seen:
-                    ok = False
-                    break
-                seen.add((c, lo))
-                seen.add((c, hi))
-            if ok:
-                return m
-    return None

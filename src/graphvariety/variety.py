@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NotOnVarietyError
 from .graphs import degeneracy_order, has_even_cycle, is_forest
-from .linalg import first_dependency, vectors_independent
+from .linalg import first_dependency
 
 
 class VertexAssignment:
@@ -28,11 +28,6 @@ class VertexAssignment:
     def __init__(self, field, vectors):
         self.field = field
         self.vectors = tuple(tuple(field(x) for x in vec) for vec in vectors)
-
-    @classmethod
-    def zero(cls, field, num_vertices, n):
-        z = field.zero()
-        return cls(field, [[z] * n for _ in range(num_vertices)])
 
     @property
     def num_vertices(self):
@@ -102,13 +97,6 @@ def _edge_rows(ctx, assignment):
     return [dict(block(lo, hi) + block(hi, lo)) for lo, hi in ctx.edge_order]
 
 
-def is_smooth_point(ctx, assignment):
-    """Whether the Jacobian has full row rank |E| at a member point."""
-    if not is_member(ctx, assignment):
-        raise NotOnVarietyError("smoothness is only defined at member points")
-    return first_dependency(_edge_rows(ctx, assignment), ctx.field.p) is None
-
-
 @dataclass(frozen=True)
 class SingularityCertificate:
     """A nonzero edge weighting in the left kernel of the Jacobian."""
@@ -176,27 +164,6 @@ def singular_certificate(ctx, assignment):
     if not _certifies(ctx, assignment.vectors, values):
         raise AssertionError("internal error: left-kernel vector failed re-verification")
     return SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
-
-
-def regular_part_test(og, assignment):
-    """Whether the assignment lies in the regular part for the given order.
-
-    For every vertex, the vectors assigned to its older neighbors must be
-    linearly independent.  Membership in the variety is not required; the two
-    tests are independent.
-    """
-    if assignment.num_vertices != og.graph.num_vertices:
-        raise ValueError("assignment has the wrong number of vertices")
-    w = assignment.vectors
-    if og.graph.num_vertices == 0:
-        return True
-    length = len(w[0])
-    for v in range(og.graph.num_vertices):
-        older = og.older_neighbors(v)
-        vecs = [w[u] for u in older]
-        if not vectors_independent(assignment.field, vecs, length):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ search, direct definitions.  Slow but obviously correct on small inputs.
 
 import itertools
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from graphvariety import Graph, VertexAssignment, degeneracy_order
 from graphvariety.linalg import kernel, rref
@@ -45,6 +45,21 @@ def jacobian(ctx, assignment):
 def rank(field, rows):
     """The rank of the dense matrix with these rows."""
     return len(rref(rows, len(rows[0]) if rows else 0, field.p)[1])
+
+
+def regular_part_test(og, assignment):
+    """Whether each vertex's older neighbors carry vectors of full rank (the
+    regular part of the order); membership in the variety is not required."""
+    if assignment.num_vertices != og.graph.num_vertices:
+        raise ValueError("assignment has the wrong number of vertices")
+    w = assignment.vectors
+    older = map(og.older_neighbors, range(og.graph.num_vertices))
+    return all(rank(assignment.field, [w[u] for u in us]) == len(us) for us in older)
+
+
+def origin(graph, space):
+    """The zero assignment: always a member, singular once there is an edge."""
+    return VertexAssignment(space.field, [[0] * space.n] * graph.num_vertices)
 
 
 def transpose(rows):
@@ -116,6 +131,42 @@ def enumerate_point_count(graph, space):
         return total
 
     return recurse(0) if order else 1
+
+
+BRUTE_FORCE_CAP = 10**7
+
+
+class SearchSpaceTooLargeError(Exception):
+    """A brute-force search space exceeds its cap."""
+
+
+def strict_argmax(values):
+    top = max(values)
+    return values.index(top) if values.count(top) == 1 else -1
+
+
+def brute_force_min_colors(graph, max_colors, max_weight, cap=BRUTE_FORCE_CAP):
+    """The least palette size up to max_colors with a valid splitting by
+    weights in 0..max_weight, by exhaustion, or None; the search space is
+    bounded up front."""
+    n = graph.num_vertices
+    space = sum((max_weight + 1) ** (m * n) for m in range(1, max_colors + 1))
+    if space > cap:
+        raise SearchSpaceTooLargeError(f"search space {space} exceeds cap {cap}")
+    for m in range(1, max_colors + 1):
+        vectors = list(itertools.product(range(max_weight + 1), repeat=m))
+        # strict argmax color for every vector pair, -1 on ties
+        table = [[strict_argmax(list(map(add, va, vb))) for vb in vectors] for va in vectors]
+        for candidate in itertools.product(range(len(vectors)), repeat=n):
+            seen = set()
+            for lo, hi in graph.edges:
+                c = table[candidate[lo]][candidate[hi]]
+                if c < 0 or (c, lo) in seen or (c, hi) in seen:
+                    break
+                seen.update(((c, lo), (c, hi)))
+            else:
+                return m
+    return None
 
 
 def brute_degeneracy(graph):
@@ -194,6 +245,30 @@ def brute_has_even_cycle(graph):
     return any(len(c) % 2 == 0 for c in _all_simple_cycles(graph))
 
 
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_graph(n):
+    return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def complete_bipartite_graph(a, b):
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def format_edge_list(graph):
+    """The inverse of `parse_edge_list`; each isolated vertex gets a line."""
+    covered = {v for e in graph.edges for v in e}
+    lines = [f"{lo} {hi}" for lo, hi in graph.edges]
+    lines.extend(str(v) for v in range(graph.num_vertices) if v not in covered)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def random_connected_graph(rng, num_vertices, extra_edges):
     """Spanning tree plus up to extra_edges random chords."""
     verts = list(range(num_vertices))
@@ -216,15 +291,6 @@ def random_connected_graph(rng, num_vertices, extra_edges):
 
 def random_tree(rng, num_vertices):
     return random_connected_graph(rng, num_vertices, 0)
-
-
-def random_graph_with_degeneracy_at_most(rng, num_vertices, cap, extra_edges):
-    """Retry random connected graphs until the degeneracy fits under cap."""
-    while True:
-        g = random_connected_graph(rng, num_vertices, extra_edges)
-        _, d = degeneracy_order(g)
-        if d <= cap:
-            return g
 
 
 def independent_set_point(rng, graph, space, bound=5):

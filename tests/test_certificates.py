@@ -21,21 +21,19 @@ from graphvariety import (
     SingularityCertificate,
     VarietyContext,
     VertexAssignment,
-    complete_bipartite_graph,
     cycle_graph,
     cycle_singular_point,
     degeneracy_order,
-    is_smooth_point,
     sample_regular_point,
     singular_certificate,
     standard_space,
     verify_certificate,
-    zero_point,
 )
 from graphvariety.cli import main
 from graphvariety.linalg import first_dependency, kernel, rref
 from graphvariety.sampling import SamplerConfig
-from oracles import independent_set_point, jacobian, left_kernel, random_connected_graph, rank
+from oracles import (complete_bipartite_graph, independent_set_point, jacobian, left_kernel,
+                     origin, random_connected_graph, rank)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -108,7 +106,7 @@ def cases(field, seed):
             yield g, space, lagrangian_point(rng, g, space)
             yield g, space, repeated_point(rng, g, space)
             yield g, space, independent_set_point(rng, g, space, bound=3)
-            yield g, space, zero_point(g, space)
+            yield g, space, origin(g, space)
             og, width = degeneracy_order(g)
             if space.n >= 2 * width and (field.p is None or field.p > 1000):
                 cfg = SamplerConfig(seed=rng.randrange(2**31), bound=3)
@@ -120,10 +118,8 @@ def assert_matches_dense(g, space, point):
     dense = jacobian(ctx, point)
     full_rank = rank(space.field, dense) == g.num_edges
     cert = singular_certificate(ctx, point)
-    assert is_smooth_point(ctx, point) == full_rank
-    if full_rank:
-        assert cert is None
-    else:
+    assert (cert is None) == full_rank
+    if not full_rank:
         assert cert.values == tuple(left_kernel(space.field, dense)[0])
     return full_rank
 

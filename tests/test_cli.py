@@ -3,6 +3,8 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from graphvariety import edge_count_closed_form
 from graphvariety.bilinear import MAX_DIMENSION
@@ -421,9 +423,13 @@ class TestErrorHandling:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+DEEP = "[" * 10**5 + "]" * 10**5  # past the JSON decoder's recursion limit
+
+
 class TestMalformedInputShapes:
-    """Each file is well-formed JSON of the wrong shape: every reader must
-    refuse it with a JSON ValueError instead of misreading it or crashing."""
+    """Each file is well-formed JSON of the wrong shape, or JSON text nested
+    too deeply to decode: every reader must refuse it with a JSON ValueError
+    instead of misreading it or crashing."""
 
     GOOD_VECTORS = {"0": ["1", "0"], "1": ["0", "1"], "2": ["1", "0"]}
     CASES = {
@@ -459,6 +465,19 @@ class TestMalformedInputShapes:
             {"colors": ["c1", "c2"], "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"],
                                                   "3": ["0", "0"]}},
             "exactly the vertices"),
+        "point-zero-denominator": (
+            "check", "--point", {"field": "Q", "vectors": dict(GOOD_VECTORS, **{"1": ["0", "1/0"]})},
+            "'1/0' has a zero denominator"),
+        "gram-zero-denominator": (
+            "analyze", "--gram", [["1/0", "0"], ["0", "1"]], "'1/0' has a zero denominator"),
+        # names are keys of the report's "classes" object, so they must be strings
+        "weighting-integer-colors": (
+            "verify-split", "--weighting",
+            {"colors": [1, 2], "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"]}},
+            "colors must be a JSON list of strings"),
+        "point-deep": ("check", "--point", DEEP, "nested too deeply"),
+        "gram-deep": ("analyze", "--gram", DEEP, "nested too deeply"),
+        "weighting-deep": ("verify-split", "--weighting", DEEP, "nested too deeply"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -466,14 +485,79 @@ class TestMalformedInputShapes:
         command, flag, obj, message = self.CASES[case]
         g = graph_file("p.txt", PATH3)
         data = tmp_path / "data.json"
-        data.write_text(json.dumps(obj))
+        data.write_text(obj if obj is DEEP else json.dumps(obj))
         argv = [command, "--graph", g, flag, str(data)]
         if command != "verify-split":
             argv += ["--form", "symmetric", "--dim", "2"]
-        code, out, err = run(capsys, argv)
+        for out_flag in ([], ["--out", str(tmp_path / "out.json")]):  # nothing written either way
+            code, out, err = run(capsys, argv + out_flag)
+            assert code == 1 and out == "" and not (tmp_path / "out.json").exists()
+            error = json.loads(err)["error"]
+            assert error["type"] == "ValueError" and message in error["message"]
+
+
+# JSON that no reader accepts at any place: null, bools, floats and containers of them
+JUNK = st.recursive(st.none() | st.booleans() | st.floats(allow_nan=False),
+                    lambda kids: st.lists(kids, max_size=2)
+                    | st.dictionaries(st.sampled_from(["field", "vectors", "colors", "0"]), kids,
+                                      max_size=2), max_leaves=4)
+FUZZ_GOOD = {"--point": {"field": "Q", "vectors": {"0": ["1", "0"], "1": ["1", "0"], "2": ["1", "0"]}},
+             "--gram": [["0", "1"], ["-1", "0"]],
+             "--weighting": {"colors": ["c1", "c2"],
+                             "weights": {"0": ["1", "0"], "1": ["0", "2"], "2": ["3", "0"]}}}
+BAD_LINES = ["0 1 2", "x 1", "0 -1", "1.5", "2 2", "0 1\n1 0", "0 1e3", f"0 {MAX_VERTICES}"]
+
+
+def fuzz_argv(flag, graph, data):  # the command reading the file `flag` names
+    return {"--graph": ["analyze", "--graph", graph, "--dim", "2"],
+            "--point": ["check", "--graph", graph, "--dim", "2", "--point", data],
+            "--gram": ["analyze", "--graph", graph, "--gram", data],
+            "--weighting": ["verify-split", "--graph", graph, "--weighting", data]}[flag]
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one member, at any depth, dropped or replaced by junk."""
+    if not isinstance(doc, (list, dict)) or not doc or draw(st.integers(0, 3)) == 0:
+        return draw(JUNK)
+    doc = doc.copy()
+    key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+    if draw(st.integers(0, 4)) == 0:
+        del doc[key]
+    else:
+        doc[key] = draw(mutated(doc[key]))
+    return doc
+
+
+@st.composite
+def malformed_files(draw):
+    """An input kind and a file of that kind broken somewhere: a graph with
+    a bad line, a strict prefix of a good JSON file, or a mutated document."""
+    flag = draw(st.sampled_from(["--graph", *FUZZ_GOOD]))
+    if flag == "--graph":
+        lines = draw(st.lists(st.sampled_from(["0 1", "1 2", "# note", "", "2"]), max_size=4))
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+        return flag, "\n".join(lines)
+    text = json.dumps(FUZZ_GOOD[flag])
+    prefix = text[:draw(st.integers(0, len(text) - 1))]
+    return flag, prefix if draw(st.booleans()) else json.dumps(draw(mutated(FUZZ_GOOD[flag])))
+
+
+class TestMalformedFilesFuzz:
+    @given(case=malformed_files())
+    @example(case=("--point", json.dumps(dict(FUZZ_GOOD["--point"], vectors={"0": ["1/0", "0"]}))))
+    @example(case=("--gram", '[["1/0", "0"], ["0", "1"]]'))
+    @example(case=("--weighting", json.dumps(dict(FUZZ_GOOD["--weighting"], colors=[1, 2]))))
+    @example(case=("--point", DEEP))
+    @example(case=("--gram", DEEP))
+    @example(case=("--weighting", DEEP))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_1_with_one_json_error(self, capsys, graph_file, case):
+        flag, text = case
+        graph = graph_file("g.txt", text if flag == "--graph" else PATH3)
+        code, out, err = run(capsys, fuzz_argv(flag, graph, graph_file("data.json", text)))
         assert code == 1 and out == ""
-        error = json.loads(err)["error"]
-        assert error["type"] == "ValueError" and message in error["message"]
+        assert set(json.loads(err)) == {"error"} and set(json.loads(err)["error"]) == {"type", "message"}
 
 
 class TestWeightingFileSyntax:

@@ -14,24 +14,23 @@ from graphvariety import (
     PrimeField,
     RATIONALS,
     WorkCapExceededError,
-    complete_bipartite_graph,
     count_points,
     cycle_graph,
-    dimension_probe,
     edge_count_closed_form,
     expected_dimension,
-    path_graph,
     standard_space,
-    star_graph,
 )
 from graphvariety.counting import _extensions, _kept_echelon
 from graphvariety.linalg import kernel
 from oracles import (
     c4_point_count,
+    complete_bipartite_graph,
     enumerate_point_count,
     frontier_key,
     naive_point_count,
     orbit_keys,
+    path_graph,
+    star_graph,
 )
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
@@ -356,19 +355,15 @@ class TestExtensionKeys:
 
 class TestDimensionProbe:
     def test_single_edge_ratios(self):
-        reports = dimension_probe(SINGLE_EDGE, 2, "symmetric", [5, 2, 3])
+        reports = [count_points(CountRequest(SINGLE_EDGE, symmetric(2, q))) for q in (2, 3, 5)]
         assert [r.q for r in reports] == [2, 3, 5]
-        assert [r.ratio for r in reports] == [
-            Fraction(10, 8),
-            Fraction(33, 27),
-            Fraction(145, 125),
-        ]
+        assert [r.ratio for r in reports] == [Fraction(10, 8), Fraction(33, 27), Fraction(145, 125)]
 
     def test_ratio_drifts_toward_one(self):
-        reports = dimension_probe(SINGLE_EDGE, 2, "symmetric", [2, 3, 5, 7, 11])
+        reports = [count_points(CountRequest(SINGLE_EDGE, symmetric(2, q))) for q in (2, 3, 5, 7, 11)]
         gaps = [abs(r.ratio - 1) for r in reports]
         assert gaps == sorted(gaps, reverse=True)
 
     def test_probe_respects_cap(self):
         with pytest.raises(WorkCapExceededError):
-            dimension_probe(path_graph(5), 3, "symmetric", [7], cap=100)
+            count_points(CountRequest(path_graph(5), symmetric(3, 7), cap=100))

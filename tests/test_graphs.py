@@ -10,26 +10,26 @@ from graphvariety import (
     Graph,
     bfs_layers,
     biconnected_edge_components,
-    complete_bipartite_graph,
-    complete_graph,
     connected_components,
     cycle_graph,
     degeneracy_order,
-    format_edge_list,
     has_even_cycle,
     induced_subgraph_with_map,
     is_forest,
     parse_edge_list,
-    path_graph,
     proper_vertex_numbering,
-    star_graph,
 )
 from graphvariety.graphs import MAX_VERTICES
 from oracles import (
     brute_degeneracy,
     brute_has_even_cycle,
+    complete_bipartite_graph,
+    complete_graph,
+    format_edge_list,
+    path_graph,
     random_connected_graph,
     scan_degeneracy_order,
+    star_graph,
 )
 from strategies import connected_graphs, forests, graphs
 

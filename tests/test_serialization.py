@@ -20,7 +20,6 @@ from graphvariety import (
     cycle_graph,
     cycle_singular_point,
     equations,
-    path_graph,
     split_into_matchings,
     standard_space,
 )
@@ -39,6 +38,7 @@ from graphvariety.serialization import (
     weighting_to_obj,
     write_canonical,
 )
+from oracles import path_graph
 
 
 class TestScalars:

@@ -9,26 +9,21 @@ from hypothesis import strategies as st
 from graphvariety import (
     Graph,
     NotAForestError,
-    SearchSpaceTooLargeError,
     VertexWeighting,
     bfs_layers,
-    brute_force_min_colors,
     color_budget,
     color_classes,
-    complete_bipartite_graph,
-    complete_graph,
     connected_components,
     cycle_graph,
-    degeneracy_order,
     palette,
-    path_graph,
     split_forest_into_matchings,
     split_into_matchings,
-    star_graph,
 )
 from graphvariety.serialization import canonical_dumps, weighting_to_obj
 from graphvariety.splitting import _leaf_peel, _split_component
-from oracles import random_connected_graph, random_tree, scan_leaf_peel
+from oracles import (brute_force_min_colors, complete_bipartite_graph, complete_graph, path_graph,
+                     random_connected_graph, random_tree, scan_leaf_peel, SearchSpaceTooLargeError,
+                     star_graph)
 from strategies import forests
 
 
