@@ -24,7 +24,9 @@ terms of row i, and d = dv * s.  From there:
   -gram_times(v) for a symplectic one, since `__init__` checks that the
   Gram matrix equals its transpose or its negated transpose;
 - `perp(vectors)` is the `kernel` of the rows gram u: the x with
-  <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.
+  <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.  Over Q,
+  `_perp_numerators` eliminates the integer images g themselves and gives
+  the same basis as integer vectors over one denominator.
 
 Every step is exact integer arithmetic, so each value equals the dense
 product on field scalars.
@@ -36,7 +38,7 @@ from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import kernel, rref
+from .linalg import _integer_kernel, _numerators, kernel, rref
 
 # The largest ambient dimension accepted.  The dense Gram and its degeneracy
 # check grow as n^2 and worse: `analyze` on one edge took about 1 s at
@@ -132,6 +134,11 @@ class BilinearSpace:
         <u, x> = 0) for every u in `vectors`."""
         return kernel([self.gram_times(u) for u in vectors], self.n, self.field.p)
 
+    def _perp_numerators(self, vectors):
+        """Over Q, the `perp` basis as integer vectors over one denominator
+        L > 0, from the integer images of `_image` without a `Fraction`."""
+        return _integer_kernel([self._image(u)[0] for u in vectors], self.n)
+
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""
         for i in range(self.n):
@@ -156,13 +163,6 @@ def check_dimension_ceiling(n):
     """Refuse a dimension past MAX_DIMENSION, before any Gram row is built."""
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the limit of {MAX_DIMENSION}")
-
-
-def _numerators(u):
-    """Integers a and d > 0 with u_i == a_i / d for every i, d the least
-    common denominator of the rationals u."""
-    d = lcm(*(x.denominator for x in u))
-    return [x.numerator * (d // x.denominator) for x in u], d
 
 
 def standard_space(form, n, field=RATIONALS):

@@ -255,14 +255,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, summary = args.func(args)
+        if args.out:
+            with open(args.out, "w") as f:
+                write_canonical(payload, f)
+        else:
+            write_canonical(payload, sys.stdout)
     except (GraphVarietyError, ValueError, TypeError, KeyError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(canonical_dumps(err))
         return 1
     if args.out:
-        with open(args.out, "w") as f:
-            write_canonical(payload, f)
         print(summary)
-    else:
-        write_canonical(payload, sys.stdout)
     return 0

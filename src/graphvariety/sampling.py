@@ -9,12 +9,13 @@ Every accepted run therefore satisfies membership and the regular-part test
 by construction, and both are still re-checked by the tests, with dense
 ranks rather than the echelon rows below.
 
-The sampler works on integers.  Per vertex, the `perp` basis is written
-once as integer numerators over one common denominator L (over F_p, L is 1
-and the entries are residues).  A draw sums c_k * b_k on ints, so a
-candidate is an integer vector; over Q it stands for that vector over L,
-and only an accepted one becomes one `Fraction(x, L)` per coordinate, over
-F_p one residue `x % p`.  Each younger vertex keeps its partial family as
+The sampler works on integers.  Per vertex, the `perp` basis comes as
+integer vectors over one denominator L > 0, straight from the integer
+elimination (`BilinearSpace._perp_numerators`); over F_p, L is 1 and the
+entries are residues.  A draw sums c_k * b_k on ints, so a candidate is
+an integer vector; over Q it stands for that vector over L, and only an
+accepted one becomes one `Fraction(x, L)` per coordinate, over F_p one
+residue `x % p`.  Each younger vertex keeps its partial family as
 echelon rows: integer rows (Q) or residue rows (F_p), each with its pivot
 column, every row zero at the pivots of the rows kept before it.  A
 candidate reduced against them by cross-multiplication leaves a nonzero
@@ -34,7 +35,6 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .bilinear import _numerators
 from .errors import (
     PreconditionViolatedError,
     RetriesExhaustedError,
@@ -126,11 +126,11 @@ def sample_regular_point(og, space, cfg=None):
     for v in reversed(og.order):
         older = og.older_neighbors(v)
         younger = og.younger_neighbors(v)
-        basis = space.perp([vectors[u] for u in older])
-        denominator = 1
+        family = [vectors[u] for u in older]
         if p is None:
-            flat, denominator = _numerators([x for vec in basis for x in vec])
-            basis = [flat[k:k + space.n] for k in range(0, len(flat), space.n)]
+            basis, denominator = space._perp_numerators(family)
+        else:
+            basis, denominator = space.perp(family), 1
         columns = list(zip(*basis))
         for _ in range(cfg.max_retries):
             candidate = _draw(columns, rng, cfg.bound, p)

@@ -9,7 +9,108 @@ from fractions import Fraction
 from operator import add, mul
 
 from graphvariety import Graph, VertexAssignment, degeneracy_order
-from graphvariety.linalg import kernel, rref
+
+
+# Elimination with every row operation on field scalars: `Fraction`s over Q,
+# residues mod p.  The property tests hold the package's fraction-free Q
+# elimination to these, and the oracles below rank and take kernels with them.
+
+
+def reference_rref(rows, ncols, p=None):
+    """Reduced row echelon form, as (row list, pivot column list).
+
+    `rows` are sequences of ints in [0, p) for a prime `p`, or of
+    `Fraction`s when `p` is None; the result is new lists of the same kind.
+    Entries must be reduced: an unreduced multiple of p would be taken for
+    a nonzero pivot.
+    The pivot in each column is the first nonzero entry at or below the
+    current row.  Left of the pivot column the pivot row is zero, so row
+    updates touch only the columns from the pivot on.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(rows):
+            break
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        if p is None:
+            inv = Fraction(1) / rows[r][c]
+            tail = [x * inv for x in rows[r][c:]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            tail = [x * inv % p for x in rows[r][c:]]
+        rows[r][c:] = tail
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                if p is None:
+                    row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
+                else:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def reference_kernel(rows, ncols, p=None):
+    """A basis of the right kernel of `rows` (scalars as in
+    `reference_rref`), one vector per free column in increasing order, with
+    a 1 in that column."""
+    reduced, pivots = reference_rref(rows, ncols, p)
+    pivot_set = set(pivots)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f] if p is None else -reduced[r][f] % p
+        basis.append(vec)
+    return basis
+
+
+def reference_first_dependency(rows, p=None):
+    """The dependency of the first row that depends on the rows before it,
+    as {row index: coefficient}, or None when all rows are independent.
+
+    `rows` are dicts {column: nonzero scalar}, scalars as in
+    `reference_rref`.  Each row is reduced at its smallest column against
+    earlier pivot rows (zero left of their pivots), keeping beside it the
+    combination of input rows it has become.  The first row f to reach zero
+    returns that combination: coefficient 1 at f, support in 0..f, unique as
+    rows 0..f-1 are independent.
+    """
+    pivots = {}  # pivot column -> (inverse pivot, rest of the row, combination)
+    for f, row in enumerate(rows):
+        row, combo = dict(row), {f: Fraction(1) if p is None else 1}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                break
+            inv, rest, pivot_combo = pivots[c]
+            factor = row.pop(c) * inv
+            for target, source in ((row, rest), (combo, pivot_combo)):
+                for k, x in source.items():  # target -= factor * source
+                    y = target.get(k, 0) - factor * x
+                    if p is not None:
+                        y %= p
+                    if y:
+                        target[k] = y
+                    else:
+                        del target[k]
+        else:
+            return combo
+        x = row.pop(c)
+        pivots[c] = (1 / x if p is None else pow(x, -1, p), row, combo)
+    return None
 
 
 def dot(field, u, v):
@@ -44,7 +145,7 @@ def jacobian(ctx, assignment):
 
 def rank(field, rows):
     """The rank of the dense matrix with these rows."""
-    return len(rref(rows, len(rows[0]) if rows else 0, field.p)[1])
+    return len(reference_rref(rows, len(rows[0]) if rows else 0, field.p)[1])
 
 
 def regular_part_test(og, assignment):
@@ -69,7 +170,7 @@ def transpose(rows):
 def left_kernel(field, rows):
     """A basis of the left kernel of the dense matrix with these rows: the
     right kernel of its transpose, vectors y with y * rows = 0."""
-    return kernel(transpose(rows), len(rows), field.p)
+    return reference_kernel(transpose(rows), len(rows), field.p)
 
 
 def orbit_keys(space):
@@ -86,7 +187,7 @@ def frontier_key(space, vectors):
     if not orbit_keys(space):
         return vectors
     pairs = tuple(space.pair(u, w) for u in vectors for w in vectors)
-    reduced, pivots = rref(list(zip(*vectors)), len(vectors), space.field.p)
+    reduced, pivots = reference_rref(list(zip(*vectors)), len(vectors), space.field.p)
     return pairs, tuple(tuple(row) for row in reduced[: len(pivots)])
 
 
@@ -117,7 +218,7 @@ def enumerate_point_count(graph, space):
             for u in graph.adjacency[v]
             if u in vectors
         ]
-        basis = kernel(rows, space.n, field.p)
+        basis = reference_kernel(rows, space.n, field.p)
         if i == len(order) - 1:
             return q ** len(basis)
         total = 0

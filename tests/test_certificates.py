@@ -32,8 +32,9 @@ from graphvariety import (
 from graphvariety.cli import main
 from graphvariety.linalg import first_dependency, kernel, rref
 from graphvariety.sampling import SamplerConfig
+from graphvariety.variety import _edge_rows
 from oracles import (complete_bipartite_graph, independent_set_point, jacobian, left_kernel,
-                     origin, random_connected_graph, rank)
+                     origin, random_connected_graph, rank, reference_first_dependency)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -150,6 +151,33 @@ def test_cycle_singular_points(field, k):
     space = standard_space("symplectic", 4, field)
     point, _ = cycle_singular_point(k, space)
     assert not assert_matches_dense(cycle_graph(k), space, point)
+
+
+def rational_lagrangian_point(rng, a, n):
+    """Vectors of span(e_0..e_{n/2-1}), isotropic for the standard
+    symplectic form, with entries of mixed denominators, on K_{a,a}."""
+    h = n // 2
+    return VertexAssignment(RATIONALS, [
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12, 10**9 + 7)))
+         for _ in range(h)] + [0] * (n - h)
+        for _ in range(2 * a)
+    ])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_singular_points_verify(seed):
+    # a^2 edge rows against a Jacobian rank of at most a * n: singular once a > n
+    rng = random.Random(seed)
+    for a, n in ((3, 2), (4, 2), (5, 4), (6, 4)):
+        ctx = VarietyContext(complete_bipartite_graph(a, a), standard_space("symplectic", n))
+        for _ in range(3):
+            point = rational_lagrangian_point(rng, a, n)
+            rows = _edge_rows(ctx, point)
+            combo = first_dependency(rows)
+            assert combo is not None and combo == reference_first_dependency(rows)
+            cert = singular_certificate(ctx, point)
+            assert cert.values == tuple(combo.get(e, 0) for e in range(len(rows)))
+            assert verify_certificate(ctx, point, cert)
 
 
 def sparse_rows(rng, p, nrows, ncols):

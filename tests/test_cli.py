@@ -607,6 +607,21 @@ class TestOutFlag:
         # stdout carries a short summary, not the payload
         assert "{" not in out.splitlines()[0]
 
+    def test_out_file_holds_the_stdout_bytes(self, capsys, graph_file, tmp_path):
+        g = graph_file("p.txt", PATH3)
+        argv = ["analyze", "--graph", g, "--form", "symplectic", "--dim", "4"]
+        _, stdout, _ = run(capsys, argv)
+        out_file = tmp_path / "report.json"
+        assert run(capsys, argv + ["--out", str(out_file)])[0] == 0
+        assert out_file.read_bytes() == stdout.encode()
+
+    def test_unwritable_out_is_a_json_error(self, capsys, graph_file, tmp_path):
+        g = graph_file("p.txt", PATH3)
+        out_file = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["analyze", "--graph", g, "--dim", "2", "--out", str(out_file)])
+        assert code == 1 and out == "" and not out_file.exists()
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
     def test_repeated_runs_are_byte_identical(self, capsys, graph_file, tmp_path):
         g = graph_file("p.txt", PATH3)
         argv = ["sample", "--graph", g, "--form", "symplectic", "--dim", "4", "--seed", "9"]

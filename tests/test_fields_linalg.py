@@ -11,8 +11,9 @@ from graphvariety import (
     field_from_spec,
 )
 from graphvariety.fields import _is_prime
-from graphvariety.linalg import kernel
-from oracles import dot, left_kernel, rank, transpose
+from graphvariety.linalg import first_dependency, kernel, rref
+from oracles import (dot, left_kernel, rank, reference_first_dependency, reference_kernel,
+                     reference_rref, transpose)
 
 
 class TestRationalField:
@@ -215,3 +216,65 @@ class TestVectorHelpers:
         assert dot(RATIONALS, [1, 2, 3], [4, 5, 6]) == 32
         f = PrimeField(5)
         assert dot(f, [f(2), f(3)], [f(4), f(4)]) == f(0)
+
+
+# Rationals with small, mixed and large denominators, negatives and zeros.
+SCALARS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def q_matrices(draw, max_rows=7, max_cols=7):
+    """(ncols, rows) of tall, wide or empty shape, with a zero row, a
+    repeated row or a combination of earlier rows planted at chosen rows."""
+    ncols = draw(st.integers(0, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    rows = [draw(st.lists(SCALARS, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        k = draw(st.integers(0, nrows - 1))
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows[k] = [Fraction(0)] * ncols
+        elif kind == "repeat" and k:
+            rows[k] = list(rows[draw(st.integers(0, k - 1))])
+        elif k:
+            coeffs = draw(st.lists(SCALARS, min_size=k, max_size=k))
+            rows[k] = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+                       for j in range(ncols)]
+    return ncols, rows
+
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+class TestFractionFreeElimination:
+    """The integer elimination over Q returns exactly what elimination on
+    `Fraction`s (the reference in `oracles`) returns."""
+
+    @given(q_matrices())
+    @settings(max_examples=250, deadline=None)
+    def test_rref_kernel_and_first_dependency_match_the_reference(self, matrix):
+        ncols, rows = matrix
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        copies = [list(r) for r in rows], [dict(r) for r in sparse]
+        reduced, pivots = rref(rows, ncols)
+        assert (reduced, pivots) == reference_rref(rows, ncols)
+        assert all(all_fractions(row) for row in reduced)
+        basis = kernel(rows, ncols)
+        assert basis == reference_kernel(rows, ncols)
+        assert all(all_fractions(vec) for vec in basis)
+        combo = first_dependency(sparse)
+        assert combo == reference_first_dependency(sparse)
+        assert combo is None or all_fractions(combo.values())
+        assert (rows, sparse) == copies
+
+    def test_planted_dependency_with_denominators(self):
+        rows = [{0: Fraction(1, 3), 2: Fraction(5, 7)}, {1: Fraction(-2, 9)},
+                {0: Fraction(2, 3), 1: Fraction(4, 27), 2: Fraction(10, 7)}]
+        # row 2 = 2 * row 0 - (2/3) * row 1
+        assert first_dependency(rows) == {0: Fraction(-2), 1: Fraction(2, 3), 2: Fraction(1)}
+        assert rref([[Fraction(2, 3), Fraction(1, 5)]], 2) == ([[1, Fraction(3, 10)]], [0])
