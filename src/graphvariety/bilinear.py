@@ -24,9 +24,9 @@ terms of row i, and d = dv * s.  From there:
   -gram_times(v) for a symplectic one, since `__init__` checks that the
   Gram matrix equals its transpose or its negated transpose;
 - `perp(vectors)` is the `kernel` of the rows gram u: the x with
-  <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.  Over Q,
-  `_perp_numerators` eliminates the integer images g themselves and gives
-  the same basis as integer vectors over one denominator.
+  <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.  Its rows
+  are the integer images g themselves over Q and gram_times(u) over F_p,
+  and its basis comes as integer vectors over one denominator (1 over F_p).
 
 Every step is exact integer arithmetic, so each value equals the dense
 product on field scalars.
@@ -38,7 +38,7 @@ from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import _integer_kernel, _numerators, kernel, rref
+from .linalg import _numerators, kernel, rref
 
 # The largest ambient dimension accepted.  The dense Gram and its degeneracy
 # check grow as n^2 and worse: `analyze` on one edge took about 1 s at
@@ -130,14 +130,12 @@ class BilinearSpace:
         return g if self.kind == "symmetric" else [self.field(-x) for x in g]
 
     def perp(self, vectors):
-        """A basis, as `kernel` gives it, of the x with <x, u> = 0 (and so
-        <u, x> = 0) for every u in `vectors`."""
-        return kernel([self.gram_times(u) for u in vectors], self.n, self.field.p)
-
-    def _perp_numerators(self, vectors):
-        """Over Q, the `perp` basis as integer vectors over one denominator
-        L > 0, from the integer images of `_image` without a `Fraction`."""
-        return _integer_kernel([self._image(u)[0] for u in vectors], self.n)
+        """A basis of the x with <x, u> = 0 (and so <u, x> = 0) for every u
+        in `vectors`, as `kernel` gives it: (integer vectors, L)."""
+        p = self.field.p
+        if p is None:
+            return kernel([self._image(u)[0] for u in vectors], self.n)
+        return kernel([self.gram_times(u) for u in vectors], self.n, p)
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""

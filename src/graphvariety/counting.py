@@ -160,7 +160,7 @@ def _frontier_count(g, order, space):
         width = len(frontier)
         nxt = {}
         for key, (rep, mult) in states.items():
-            basis = space.perp([rep[k] for k in slots])
+            basis = space.perp([rep[k] for k in slots])[0]
             kept = tuple(rep[k] for k in keep)
             if orbit_keys and not unchanged:
                 # kept's Gram block, read off the state key's Gram matrix

@@ -1,29 +1,28 @@
 """Exact linear algebra on row lists over a field object from `fields`.
 
 There is no matrix type: a matrix is a list of rows, each a sequence of
-scalars, and the caller passes the column count where it matters.  Scalars
-are what the field makes: ints in [0, p) over F_p, `Fraction`s over the
-rationals, and every routine takes the modulus `p` (None over Q).
-`rref` is dense Gauss-Jordan elimination with one pivot rule for both
-fields, the first nonzero entry of the column at or below the current row.
-`kernel` reads a right-kernel basis off the same elimination.
-`first_dependency` is a sparse incremental row echelon pass that stops at
-the first dependent row; it never builds dense rows, so sparse Jacobians
-stay sparse.  Both stay: the sampler reads its small kernels off the dense
-elimination, where a lazy all-dependencies pass made F_p sampling 26-27%
-slower end to end (ROADMAP item 1).
+scalars, and the caller passes the column count where it matters.  Every
+routine takes the modulus `p` (None over Q).
 
-Over Q no row operation touches a `Fraction` (fraction-free elimination,
-Bareiss, Math. Comp. 22, 1968).  Each row is scaled to integers by the lcm
-of its denominators, updated by cross-multiplication, piv * a - f * b, and
-divided by its content, the gcd of its entries, which keeps entries small.
+`_eliminate` is the one dense elimination: Gauss-Jordan with one pivot
+rule, the first nonzero entry of the column at or below the current row,
+and one update loop whose row update depends on the field.  Over F_p the
+rows are residues; the pivot row is scaled to pivot 1 and each other row
+becomes row - f * pivot row mod p, from the pivot column on.  Over Q the
+rows are ints and no row operation touches a `Fraction` (fraction-free
+elimination, Bareiss, Math. Comp. 22, 1968): each other row becomes
+piv * row - f * pivot row, divided by its content, the gcd of its entries.
 An integer row is a nonzero multiple of the row an elimination on
 `Fraction`s would hold, so both see the same zeros and choose the same
-pivots.  The reduced form, the kernel basis and the first dependency are
-unique, so `Fraction`s are made only for the values returned: each entry
-divided by its row's pivot, by one common denominator, or by the
-dependency's coefficient at its own row.  `_integer_kernel` gives the
-sampler its kernels as integers over one denominator, with no `Fraction`.
+pivots.
+
+`rref` returns the F_p result as it is; over Q it scales each row to
+integers by the lcm of its denominators and makes `Fraction`s only for the
+values returned.  `kernel` takes integer rows for both fields and returns
+integer vectors over one denominator L > 0, 1 over F_p.
+`first_dependency` is a sparse incremental row echelon pass with the same
+two update rules on dict rows, which stops at the first dependent row; it
+never builds dense rows, so sparse Jacobians stay sparse.
 """
 
 from fractions import Fraction
@@ -45,25 +44,37 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(rows, ncols):
-    """Gauss-Jordan on integer rows by the pivot rule of `rref`, as new
-    (rows, pivot columns): pivot row r has a nonzero entry at pivots[r] and
-    zeros at the other pivots, and the rows after the last pivot row are zero."""
-    rows = [_primitive(r) for r in rows]
+def _eliminate(rows, ncols, p=None):
+    """Gauss-Jordan elimination of the first `ncols` columns (module
+    docstring), as new (rows, pivot columns): pivot row r has a nonzero
+    entry at pivots[r], 1 over F_p, and zeros at the other pivots; the rows
+    after the last pivot row are zero in the first `ncols` columns.  Columns
+    past `ncols` take part in every row operation.  `rows` are residues mod
+    a prime `p`, or ints when `p` is None."""
+    rows = [list(r) for r in rows] if p is not None else [_primitive(r) for r in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
+        if r == len(rows):
+            break
         for i in range(r, len(rows)):
             if rows[i][c]:
                 break
         else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        pivot_row, a = rows[r], rows[r][c]
+        pivot_row = rows[r]
+        a = pivot_row[c]
+        if p is not None:
+            inv = pow(a, -1, p)
+            pivot_row[c:] = tail = [x * inv % p for x in pivot_row[c:]]
         for j, row in enumerate(rows):
             f = row[c]
             if f and j != r:
-                rows[j] = _primitive([a * x - f * y for x, y in zip(row, pivot_row)])
+                if p is not None:
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                else:
+                    rows[j] = _primitive([a * x - f * y for x, y in zip(row, pivot_row)])
         pivots.append(c)
     return rows, pivots
 
@@ -74,73 +85,44 @@ def rref(rows, ncols, p=None):
     `rows` are sequences of ints in [0, p) for a prime `p`, or of
     `Fraction`s when `p` is None; the result is new lists of the same kind.
     Entries must be reduced: an unreduced multiple of p would be taken for
-    a nonzero pivot.
-    The pivot in each column is the first nonzero entry at or below the
-    current row.  Over F_p, left of the pivot column the pivot row is zero,
-    so row updates touch only the columns from the pivot on.  Over Q the
-    rows stay integers, and each pivot row is divided by its pivot at the end.
+    a nonzero pivot.  Over F_p a row may be longer than `ncols`, and its
+    columns past `ncols` take part in the row operations; over Q a longer
+    row raises `ValueError`.
     """
-    if p is None:
-        rows, pivots = _eliminate([_numerators(r)[0] for r in rows], ncols)
-        reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-                   for row, c in zip(rows, pivots)]
-        return reduced + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        tail = [x * inv % p for x in rows[r][c:]]
-        rows[r][c:] = tail
-        for j, row in enumerate(rows):
-            f = row[c]
-            if f and j != r:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    if p is not None:
+        return _eliminate(rows, ncols, p)
+    if any(len(row) > ncols for row in rows):
+        raise ValueError(f"rows over Q must have at most {ncols} entries")
+    rows, pivots = _eliminate([_numerators(r)[0] for r in rows], ncols)
+    reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+               for row, c in zip(rows, pivots)]
+    return reduced + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
 
 
 def kernel(rows, ncols, p=None):
-    """A basis of the right kernel of `rows` (scalars as in `rref`), one
-    vector per free column in increasing order, with a 1 in that column."""
+    """A basis of the right kernel of `rows`, as (integer vectors, L) with
+    L > 0: the basis vectors are the integer ones divided by L, one per
+    free column in increasing order, with a 1 in that column.  `rows` are
+    residues mod a prime `p`, with L == 1, or any ints when `p` is None."""
+    rows, pivots = _eliminate(rows, ncols, p)
     if p is None:
-        basis, denominator = _integer_kernel([_numerators(r)[0] for r in rows], ncols)
-        return [[Fraction(x, denominator) for x in vec] for vec in basis]
-    reduced, pivots = rref(rows, ncols, p)
+        denominator = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        scales = [denominator // row[c] for row, c in zip(rows, pivots)]
+    else:
+        denominator = 1
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
         vec = [0] * ncols
-        vec[f] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][f] % p
-        basis.append(vec)
-    return basis
-
-
-def _integer_kernel(rows, ncols):
-    """`kernel` over Q of integer rows, as (integer vectors, L) with L > 0:
-    the basis vectors are the integer ones divided by L."""
-    rows, pivots = _eliminate(rows, ncols)
-    denominator = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    scaled = [(c, row, denominator // row[c]) for row, c in zip(rows, pivots)]
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
         vec[f] = denominator
-        for c, row, scale in scaled:
-            vec[c] = -row[f] * scale
+        if p is not None:
+            for r, c in enumerate(pivots):
+                vec[c] = -rows[r][f] % p
+        else:
+            for r, c in enumerate(pivots):
+                vec[c] = -rows[r][f] * scales[r]
         basis.append(vec)
     return basis, denominator
 

@@ -9,19 +9,18 @@ Every accepted run therefore satisfies membership and the regular-part test
 by construction, and both are still re-checked by the tests, with dense
 ranks rather than the echelon rows below.
 
-The sampler works on integers.  Per vertex, the `perp` basis comes as
-integer vectors over one denominator L > 0, straight from the integer
-elimination (`BilinearSpace._perp_numerators`); over F_p, L is 1 and the
-entries are residues.  A draw sums c_k * b_k on ints, so a candidate is
-an integer vector; over Q it stands for that vector over L, and only an
-accepted one becomes one `Fraction(x, L)` per coordinate, over F_p one
-residue `x % p`.  Each younger vertex keeps its partial family as
-echelon rows: integer rows (Q) or residue rows (F_p), each with its pivot
-column, every row zero at the pivots of the rows kept before it.  A
-candidate reduced against them by cross-multiplication leaves a nonzero
-remainder exactly when it is independent of them; scaling never changes
-that.  An accepted vector's remainders become the new rows, over Q divided
-by their content.  The RNG calls and every accept/reject decision are the
+The sampler works on integers.  Per vertex, `BilinearSpace.perp` gives
+the basis as integer vectors over one denominator L > 0, straight from the
+elimination; over F_p, L is 1 and the entries are residues.  A draw sums
+c_k * b_k on ints, so a candidate is an integer vector; over Q it stands
+for that vector over L, and only an accepted one becomes one
+`Fraction(x, L)` per coordinate, over F_p one residue `x % p`.  Each
+younger vertex keeps its partial family as echelon rows: integer rows (Q)
+or residue rows (F_p), each with its pivot column, every row zero at the
+pivots of the rows kept before it.  A candidate reduced against them by
+cross-multiplication leaves a nonzero remainder exactly when it is
+independent of them; scaling never changes that.  An accepted vector's
+remainders become the new rows, over Q divided by their content.  The RNG calls and every accept/reject decision are the
 same as drawing and re-ranking on field scalars.
 
 `cycle_singular_point` produces a known singular point: a cycle with every
@@ -127,10 +126,7 @@ def sample_regular_point(og, space, cfg=None):
         older = og.older_neighbors(v)
         younger = og.younger_neighbors(v)
         family = [vectors[u] for u in older]
-        if p is None:
-            basis, denominator = space._perp_numerators(family)
-        else:
-            basis, denominator = space.perp(family), 1
+        basis, denominator = space.perp(family)
         columns = list(zip(*basis))
         for _ in range(cfg.max_retries):
             candidate = _draw(columns, rng, cfg.bound, p)

@@ -175,13 +175,9 @@ def _weighting(obj, vector):
     return VertexWeighting(tuple(colors), dict(enumerate(_vectors_by_vertex(obj["weights"], vector))))
 
 
-def weighting_from_obj(obj):
-    return _weighting(obj, _weight_vector)
-
-
 def weighting_from_json(text):
-    """`weighting_from_obj(json.loads(text))`, converting each vector of the
-    top-level "weights" object to ints as soon as it is parsed."""
+    """The weighting of the JSON document `text`, converting each vector of
+    the top-level "weights" object to ints as soon as it is parsed."""
     def vector(key, idx):
         vec, idx = _decode(text, idx)
         with contextlib.suppress(ValueError):  # kept as parsed, for the checks to report

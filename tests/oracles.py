@@ -6,14 +6,17 @@ search, direct definitions.  Slow but obviously correct on small inputs.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 
 from graphvariety import Graph, VertexAssignment, degeneracy_order
+from graphvariety.linalg import kernel
+from graphvariety.serialization import _weight_vector, _weighting
 
 
 # Elimination with every row operation on field scalars: `Fraction`s over Q,
-# residues mod p.  The property tests hold the package's fraction-free Q
-# elimination to these, and the oracles below rank and take kernels with them.
+# residues mod p.  The property tests hold the package's elimination to
+# these, and the oracles below rank and take kernels with them.
 
 
 def reference_rref(rows, ncols, p=None):
@@ -111,6 +114,34 @@ def reference_first_dependency(rows, p=None):
         x = row.pop(c)
         pivots[c] = (1 / x if p is None else pow(x, -1, p), row, combo)
     return None
+
+
+# The package's `kernel` and `perp` give integer vectors over one
+# denominator; tests written on field scalars read them through these.
+
+
+def field_vectors(basis, p=None):
+    """A basis as `kernel` and `perp` give it, (integer vectors, L), as
+    vectors of field scalars: each entry over L as a `Fraction` over Q, the
+    residues themselves over F_p."""
+    vectors, denominator = basis
+    if p is not None:
+        return vectors
+    return [[Fraction(x, denominator) for x in vec] for vec in vectors]
+
+
+def field_kernel(rows, ncols, p=None):
+    """The package's `kernel` of rows of field scalars, as `field_vectors`:
+    over Q each row goes in as its integer multiple by the lcm of its
+    denominators, which has the same kernel."""
+    if p is None:
+        rows = list(map(_integer_row, rows))
+    return field_vectors(kernel(rows, ncols, p), p)
+
+
+def _integer_row(row):
+    d = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * d) for x in row]
 
 
 def dot(field, u, v):
@@ -437,3 +468,36 @@ def c4_point_count(n, q):
     rank1 = (q**n - 1) * (q + 1)
     rank2 = q ** (2 * n) - 1 - rank1
     return q ** (2 * n) + rank1 * q ** (2 * n - 2) + rank2 * q ** max(2 * n - 4, 0)
+
+
+def symplectic_plane_count(graph, q):
+    """Members over F_q^2 with the symplectic form, for any graph.
+
+    <u, v> = u_0 v_1 - u_1 v_0 vanishes exactly when u and v are parallel
+    (the variety of the binomial edge ideal).  Split on the set Z of
+    vertices carrying zero: on each component C of G - Z the nonzero
+    vectors share one of the q + 1 lines, so the count is the sum over Z of
+    the product over C of (q + 1)(q - 1)^|C|.
+    """
+    total = 0
+    for mask in range(2 ** graph.num_vertices):
+        rest = {v for v in range(graph.num_vertices) if not mask >> v & 1}
+        term = 1
+        while rest:
+            component, stack = set(), [rest.pop()]
+            while stack:
+                v = stack.pop()
+                component.add(v)
+                for u in graph.adjacency[v]:
+                    if u in rest:
+                        rest.remove(u)
+                        stack.append(u)
+            term *= (q + 1) * (q - 1) ** len(component)
+        total += term
+    return total
+
+
+def weighting_from_obj(obj):
+    """The weighting of a parsed JSON document, whole: the reference for
+    the streaming `weighting_from_json`."""
+    return _weighting(obj, _weight_vector)

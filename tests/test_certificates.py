@@ -30,11 +30,12 @@ from graphvariety import (
     verify_certificate,
 )
 from graphvariety.cli import main
-from graphvariety.linalg import first_dependency, kernel, rref
+from graphvariety.linalg import first_dependency, rref
 from graphvariety.sampling import SamplerConfig
 from graphvariety.variety import _edge_rows
-from oracles import (complete_bipartite_graph, independent_set_point, jacobian, left_kernel,
-                     origin, random_connected_graph, rank, reference_first_dependency)
+from oracles import (complete_bipartite_graph, field_kernel, independent_set_point, jacobian,
+                     left_kernel, origin, random_connected_graph, rank,
+                     reference_first_dependency)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -219,7 +220,7 @@ def test_first_dependency_against_rref(p):
             continue
         f = free[0]
         assert max(combo) == f and combo[f] == 1
-        assert [combo.get(i, zero) for i in range(nrows)] == kernel(columns, nrows, p)[0]
+        assert [combo.get(i, zero) for i in range(nrows)] == field_kernel(columns, nrows, p)[0]
         assert all(x % p if p else x for x in combo.values())
         for c in range(ncols):
             total = sum((lam * rows[i].get(c, zero) for i, lam in combo.items()), zero)

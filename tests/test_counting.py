@@ -31,6 +31,7 @@ from oracles import (
     orbit_keys,
     path_graph,
     star_graph,
+    symplectic_plane_count,
 )
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
@@ -223,6 +224,25 @@ class TestFrontierCount:
         report = count_points(CountRequest(cycle_graph(4), space, cap=q ** (4 * space.n)))
         assert report.count == c4_point_count(space.n, q)
 
+    # the DP's cost grows steeply with edges and q (K7 at q=13 takes seconds),
+    # so the random graphs keep to at most 10 edges
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_symplectic_plane_matches_closed_form(self, q):
+        space = standard_space("symplectic", 2, PrimeField(q))
+        rng = random.Random(q)
+        graphs = [cycle_graph(3), K4_MINUS_EDGE, Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])]
+        for _ in range(8):
+            v = rng.randint(1, 7)
+            pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+            graphs.append(Graph(v, sorted(rng.sample(pairs, min(len(pairs), rng.randint(0, 10))))))
+        for g in graphs:
+            report = count_points(CountRequest(g, space, cap=q ** (2 * g.num_vertices)))
+            assert report.count == symplectic_plane_count(g, q), g
+
+    def test_symplectic_plane_closed_form_gives_path5(self):
+        # perfbench's FULL_COUNTS entry for path5, symplectic n=2 over F_5
+        assert symplectic_plane_count(path_graph(5), 5) == 69625
+
     def test_single_edge_pairs_once_per_state(self, monkeypatch):
         calls = []
         pair = BilinearSpace.pair
@@ -313,7 +333,7 @@ def extension_cases(draw, space):
     kept = draw(frontier_tuples(space, 3))
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=n) | st.just(identity))
-    return kept, kernel(rows, n, p)
+    return kept, kernel(rows, n, p)[0]
 
 
 class TestExtensionKeys:

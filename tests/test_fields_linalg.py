@@ -12,8 +12,8 @@ from graphvariety import (
 )
 from graphvariety.fields import _is_prime
 from graphvariety.linalg import first_dependency, kernel, rref
-from oracles import (dot, left_kernel, rank, reference_first_dependency, reference_kernel,
-                     reference_rref, transpose)
+from oracles import (dot, field_kernel, left_kernel, rank, reference_first_dependency,
+                     reference_kernel, reference_rref, transpose)
 
 
 class TestRationalField:
@@ -167,16 +167,16 @@ class TestRank:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert kernel(q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
+        assert field_kernel(q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
 
     def test_zero_matrix_kernel_is_everything(self):
-        assert len(kernel(q_rows([[0, 0, 0], [0, 0, 0]]), 3)) == 3
+        assert len(field_kernel(q_rows([[0, 0, 0], [0, 0, 0]]), 3)) == 3
         # with no rows at all the basis is the identity, in column order
-        assert kernel([], 3) == q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert kernel([], 2, 7) == [[1, 0], [0, 1]]
+        assert field_kernel([], 3) == q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert field_kernel([], 2, 7) == [[1, 0], [0, 1]]
 
     def test_single_relation(self):
-        basis = kernel(q_rows([[1, 1]]), 2)
+        basis = field_kernel(q_rows([[1, 1]]), 2)
         assert len(basis) == 1
         x = basis[0]
         assert x[0] + x[1] == 0 and any(x)
@@ -194,7 +194,7 @@ class TestKernel:
         rows = [r[:width] + [0] * (width - len(r)) for r in raw]
         for field in (RATIONALS, PrimeField(7)):
             m = [[field(x) for x in r] for r in rows]
-            basis = kernel(m, width, field.p)
+            basis = field_kernel(m, width, field.p)
             assert len(basis) == width - rank(field, m)
             zero = field.zero()
             for vec in basis:
@@ -251,9 +251,38 @@ def all_fractions(values):
     return all(type(x) is Fraction for x in values)
 
 
+@st.composite
+def fp_matrices(draw, p, max_rows=7, max_cols=7):
+    """(ncols, rows) of residues mod p, as `q_matrices`, but each row may
+    run up to 3 columns past `ncols`, as the counter's `rref` calls do: a
+    planted zero or dependent row is so only in the first `ncols` columns,
+    and past them it is random, which leaves nonzero remainder rows."""
+    ncols = draw(st.integers(0, max_cols))
+    extra = draw(st.integers(0, 3))
+    nrows = draw(st.integers(0, max_rows))
+    scalars = st.just(0) | st.integers(0, p - 1)
+    rows = [draw(st.lists(scalars, min_size=ncols + extra, max_size=ncols + extra))
+            for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        k = draw(st.integers(0, nrows - 1))
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero":
+            head = [0] * ncols
+        elif kind == "repeat" and k:
+            head = rows[draw(st.integers(0, k - 1))][:ncols]
+        elif k:
+            coeffs = draw(st.lists(scalars, min_size=k, max_size=k))
+            head = [sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(ncols)]
+        else:
+            continue
+        rows[k] = head + rows[k][ncols:]
+    return ncols, rows
+
+
 class TestFractionFreeElimination:
-    """The integer elimination over Q returns exactly what elimination on
-    `Fraction`s (the reference in `oracles`) returns."""
+    """The elimination returns exactly what elimination on field scalars
+    (the reference in `oracles`) returns: integer rows against `Fraction`s
+    over Q, and residues with pivot rows scaled to 1 over F_p."""
 
     @given(q_matrices())
     @settings(max_examples=250, deadline=None)
@@ -264,7 +293,7 @@ class TestFractionFreeElimination:
         reduced, pivots = rref(rows, ncols)
         assert (reduced, pivots) == reference_rref(rows, ncols)
         assert all(all_fractions(row) for row in reduced)
-        basis = kernel(rows, ncols)
+        basis = field_kernel(rows, ncols)
         assert basis == reference_kernel(rows, ncols)
         assert all(all_fractions(vec) for vec in basis)
         combo = first_dependency(sparse)
@@ -278,3 +307,21 @@ class TestFractionFreeElimination:
         # row 2 = 2 * row 0 - (2/3) * row 1
         assert first_dependency(rows) == {0: Fraction(-2), 1: Fraction(2, 3), 2: Fraction(1)}
         assert rref([[Fraction(2, 3), Fraction(1, 5)]], 2) == ([[1, Fraction(3, 10)]], [0])
+
+    def test_rows_longer_than_ncols_are_refused_over_q(self):
+        with pytest.raises(ValueError):
+            rref(q_rows([[1, 0, 1], [1, 0, 2]]), 2)
+        # over F_p the columns past ncols take part in the row operations
+        assert rref([[1, 0, 1], [1, 0, 2]], 2, 7) == ([[1, 0, 1], [0, 0, 1]], [0])
+
+    @pytest.mark.parametrize("p", [3, 7, 10007])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_prime_field_rref_kernel_and_first_dependency_match_the_reference(self, p, data):
+        ncols, rows = data.draw(fp_matrices(p))
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        copies = [list(r) for r in rows], [dict(r) for r in sparse]
+        assert rref(rows, ncols, p) == reference_rref(rows, ncols, p)
+        assert kernel(rows, ncols, p) == (reference_kernel(rows, ncols, p), 1)
+        assert first_dependency(sparse, p) == reference_first_dependency(sparse, p)
+        assert (rows, sparse) == copies

@@ -19,9 +19,8 @@ from graphvariety import (
     singular_certificate,
     standard_space,
 )
-from graphvariety.linalg import kernel
 from graphvariety.sampling import SamplerConfig
-from oracles import dot, jacobian
+from oracles import dot, field_kernel, jacobian
 
 
 def assert_reduced(field, scalars):
@@ -47,7 +46,7 @@ def test_every_returned_scalar_is_reduced(field, seed):
     assert_reduced(field, [dot(field, u, v)])
     m = [coerced[0:4], coerced[4:8], [field(a + b) for a, b in zip(u, v)]]
     assert_reduced(field, [dot(field, row, coerced[8:12]) for row in m])
-    for vec in kernel(m, 4, field.p):
+    for vec in field_kernel(m, 4, field.p):
         assert_reduced(field, vec)
 
     space = standard_space("hyperbolic", 4, field)

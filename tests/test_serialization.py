@@ -34,11 +34,10 @@ from graphvariety.serialization import (
     scalar_to_str,
     splitting_report_to_obj,
     weighting_from_json,
-    weighting_from_obj,
     weighting_to_obj,
     write_canonical,
 )
-from oracles import path_graph
+from oracles import path_graph, weighting_from_obj
 
 
 class TestScalars:

@@ -12,9 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "graphvariety"
-# cycle_singular_point awaits a general witness builder (ROADMAP item 4);
-# weighting_from_obj is the whole-document reader the streaming one is tested against
-UNUSED_BY_DESIGN = {"cycle_singular_point", "weighting_from_obj"}
+# cycle_singular_point awaits a general witness builder (ROADMAP item 4)
+UNUSED_BY_DESIGN = {"cycle_singular_point"}
 
 
 def test_package_imports_only_the_standard_library():
