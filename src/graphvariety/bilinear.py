@@ -25,8 +25,9 @@ terms of row i, and d = dv * s.  From there:
   Gram matrix equals its transpose or its negated transpose;
 - `perp(vectors)` is the `kernel` of the rows gram u: the x with
   <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.  Its rows
-  are the integer images g themselves over Q and gram_times(u) over F_p,
-  and its basis comes as integer vectors over one denominator (1 over F_p).
+  are the integer images g themselves for both fields (g is d * gram u,
+  and `rref` reduces them mod p), and its basis comes as integer vectors
+  over one denominator (1 over F_p).
 
 Every step is exact integer arithmetic, so each value equals the dense
 product on field scalars.
@@ -38,11 +39,13 @@ from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import _numerators, kernel, rref
+from .linalg import _numerators, kernel
 
 # The largest ambient dimension accepted.  The dense Gram and its degeneracy
-# check grow as n^2 and worse: `analyze` on one edge took about 1 s at
-# n = 400 and 3.5 s at n = 800.
+# check grow as n^2 and worse: `analyze` on one edge, with the ceiling
+# lifted, took 0.16 s at n = 256, 0.43 s at n = 400 and 1.9 s at n = 800
+# (Python 3.11 on one Xeon core), mostly in the symmetry checks on
+# `Fraction`s.
 MAX_DIMENSION = 256
 
 
@@ -62,7 +65,7 @@ class BilinearSpace:
         rows = tuple(tuple(field(x) for x in row) for row in gram)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"gram matrix must be {n}x{n}")
-        if len(rref(rows, n, field.p)[1]) != n:
+        if kernel([_numerators(r)[0] for r in rows], n, field.p)[0]:
             raise ValueError("gram matrix is degenerate")
         t = tuple(zip(*rows))
         if kind == "symplectic":
@@ -125,17 +128,16 @@ class BilinearSpace:
         return [x % p for x in g] if p is not None else [Fraction(x, d) for x in g]
 
     def gram_transpose_times(self, v):
-        """gram^T v, which is gram v or -gram v by the kind (checked in `__init__`)."""
+        """gram^T v, which is gram v or -gram v by the kind (checked in
+        `__init__`).  No package code calls it: certificates need only the
+        kind's sign (`variety`), but perfbench's tracer wraps it by name."""
         g = self.gram_times(v)
         return g if self.kind == "symmetric" else [self.field(-x) for x in g]
 
     def perp(self, vectors):
         """A basis of the x with <x, u> = 0 (and so <u, x> = 0) for every u
         in `vectors`, as `kernel` gives it: (integer vectors, L)."""
-        p = self.field.p
-        if p is None:
-            return kernel([self._image(u)[0] for u in vectors], self.n)
-        return kernel([self.gram_times(u) for u in vectors], self.n, p)
+        return kernel([self._image(u)[0] for u in vectors], self.n, self.field.p)
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""

@@ -4,31 +4,28 @@ There is no matrix type: a matrix is a list of rows, each a sequence of
 scalars, and the caller passes the column count where it matters.  Every
 routine takes the modulus `p` (None over Q).
 
-`_eliminate` is the one dense elimination: Gauss-Jordan with one pivot
-rule, the first nonzero entry of the column at or below the current row,
-and one update loop whose row update depends on the field.  Over F_p the
-rows are residues; the pivot row is scaled to pivot 1 and each other row
-becomes row - f * pivot row mod p, from the pivot column on.  Over Q the
-rows are ints and no row operation touches a `Fraction` (fraction-free
-elimination, Bareiss, Math. Comp. 22, 1968): each other row becomes
-piv * row - f * pivot row, divided by its content, the gcd of its entries.
-An integer row is a nonzero multiple of the row an elimination on
-`Fraction`s would hold, so both see the same zeros and choose the same
-pivots.
+`rref` is the one dense elimination, on integer rows for both fields:
+Gauss-Jordan with one pivot rule, the first nonzero entry of the column at
+or below the current row, and one update loop whose row update depends on
+the field.  Over F_p it first reduces its copy of the rows mod p; the pivot
+row is scaled to pivot 1 and each other row becomes row - f * pivot row
+mod p, from the pivot column on.  Over Q no row operation touches a
+`Fraction` (fraction-free elimination, Bareiss, Math. Comp. 22, 1968): each
+other row becomes piv * row - f * pivot row, divided by its content, the
+gcd of its entries.  An integer row is a nonzero multiple of the row an
+elimination on `Fraction`s would hold, so both see the same zeros and
+choose the same pivots; a caller with rationals passes each row times the
+lcm of its denominators (`_numerators`).
 
-`rref` returns the F_p result as it is; over Q it scales each row to
-integers by the lcm of its denominators and makes `Fraction`s only for the
-values returned.  `kernel` takes integer rows for both fields and returns
-integer vectors over one denominator L > 0, 1 over F_p.
-`first_dependency` is a sparse incremental row echelon pass with the same
-two update rules on dict rows, which stops at the first dependent row; it
-never builds dense rows, so sparse Jacobians stay sparse.
+`kernel` reads its basis off `rref`, as integer vectors over one
+denominator L > 0, 1 over F_p.  `first_dependency` is a sparse incremental
+row echelon pass with the same two update rules on dict rows, which stops
+at the first dependent row; it never builds dense rows, so sparse
+Jacobians stay sparse.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
 
 
 def _numerators(u):
@@ -44,14 +41,15 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(rows, ncols, p=None):
-    """Gauss-Jordan elimination of the first `ncols` columns (module
+def rref(rows, ncols, p=None):
+    """Reduced row echelon form of the first `ncols` columns (module
     docstring), as new (rows, pivot columns): pivot row r has a nonzero
     entry at pivots[r], 1 over F_p, and zeros at the other pivots; the rows
     after the last pivot row are zero in the first `ncols` columns.  Columns
-    past `ncols` take part in every row operation.  `rows` are residues mod
-    a prime `p`, or ints when `p` is None."""
-    rows = [list(r) for r in rows] if p is not None else [_primitive(r) for r in rows]
+    past `ncols` take part in every row operation.  `rows` are ints, reduced
+    mod a prime `p` first, or any ints when `p` is None."""
+    rows = ([[x % p for x in r] for r in rows] if p is not None
+            else [_primitive(list(r)) for r in rows])
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -79,32 +77,12 @@ def _eliminate(rows, ncols, p=None):
     return rows, pivots
 
 
-def rref(rows, ncols, p=None):
-    """Reduced row echelon form, as (row list, pivot column list).
-
-    `rows` are sequences of ints in [0, p) for a prime `p`, or of
-    `Fraction`s when `p` is None; the result is new lists of the same kind.
-    Entries must be reduced: an unreduced multiple of p would be taken for
-    a nonzero pivot.  Over F_p a row may be longer than `ncols`, and its
-    columns past `ncols` take part in the row operations; over Q a longer
-    row raises `ValueError`.
-    """
-    if p is not None:
-        return _eliminate(rows, ncols, p)
-    if any(len(row) > ncols for row in rows):
-        raise ValueError(f"rows over Q must have at most {ncols} entries")
-    rows, pivots = _eliminate([_numerators(r)[0] for r in rows], ncols)
-    reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-               for row, c in zip(rows, pivots)]
-    return reduced + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
-
-
 def kernel(rows, ncols, p=None):
     """A basis of the right kernel of `rows`, as (integer vectors, L) with
     L > 0: the basis vectors are the integer ones divided by L, one per
     free column in increasing order, with a 1 in that column.  `rows` are
-    residues mod a prime `p`, with L == 1, or any ints when `p` is None."""
-    rows, pivots = _eliminate(rows, ncols, p)
+    ints, as `rref` takes them; L == 1 over F_p."""
+    rows, pivots = rref(rows, ncols, p)
     if p is None:
         denominator = lcm(*(row[c] for row, c in zip(rows, pivots)))
         scales = [denominator // row[c] for row, c in zip(rows, pivots)]
@@ -131,11 +109,12 @@ def first_dependency(rows, p=None):
     """The dependency of the first row that depends on the rows before it,
     as {row index: coefficient}, or None when all rows are independent.
 
-    `rows` are dicts {column: nonzero scalar}, scalars as in `rref`.  Each
-    row is reduced at its smallest column against earlier pivot rows (zero
-    left of their pivots), keeping beside it the combination of input rows
-    it has become.  The first row f to reach zero returns that combination:
-    coefficient 1 at f, support in 0..f, unique as rows 0..f-1 are independent.
+    `rows` are dicts {column: nonzero scalar}: residues mod a prime `p`, or
+    rationals when `p` is None.  Each row is reduced at its smallest column
+    against earlier pivot rows (zero left of their pivots), keeping beside
+    it the combination of input rows it has become.  The first row f to
+    reach zero returns that combination: coefficient 1 at f, support in
+    0..f, unique as rows 0..f-1 are independent.
     Over Q row f starts as its integer multiple by the lcm d_f of its
     denominators, with combination {f: d_f}; row and combination are updated
     and divided by their joint content together, and the combination

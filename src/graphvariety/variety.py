@@ -10,9 +10,16 @@ A member point is smooth exactly when the Jacobian of the edge equations has
 full row rank |E| there.  A rank defect is witnessed by a nonzero left-kernel
 vector of the Jacobian, one scalar per edge.  The certificate we hand out is
 the unique dependency of the first edge row f (in edge order) that depends
-on the rows before it, with coefficient 1 at f and zeros after f.  It can be
-re-checked without any matrix computation via one vector identity per vertex;
-`singular_certificate` checks membership once and re-checks only those.
+on the rows before it, with coefficient 1 at f and zeros after f.
+
+No Gram product is needed for either.  The row of edge (lo, hi) holds
+gram w(hi) in lo's block and gram^T w(lo) = s * gram w(lo) in hi's, with
+s = 1 for a symmetric form and -1 for a symplectic one.  As a row, gram x
+is x^T gram^T, so J = J_w (I_V (x) gram^T), where J_w's row for (lo, hi)
+holds w(hi) in lo's block and s * w(lo) in hi's.  The Gram matrix is
+invertible, so J and J_w have the same rank, left kernel and first
+dependency.  `singular_certificate` checks membership once, eliminates J_w
+and re-checks its certificate as `verify_certificate` does.
 """
 
 from dataclasses import dataclass
@@ -83,18 +90,16 @@ def is_member(ctx, assignment):
 
 
 def _edge_rows(ctx, assignment):
-    """The Jacobian's rows as sparse {column: nonzero scalar} dicts: edge
-    (lo, hi) has gram w(hi) in lo's block and gram^T w(lo) in hi's, each
-    product taken once per (side of the edge, other end)."""
-    space, n, w, grads = ctx.space, ctx.space.n, assignment.vectors, {}
-
-    def block(v, u):
-        if (v < u, u) not in grads:
-            grad = space.gram_times(w[u]) if v < u else space.gram_transpose_times(w[u])
-            grads[v < u, u] = [(i, x) for i, x in enumerate(grad) if x]
-        return [(v * n + i, x) for i, x in grads[v < u, u]]
-
-    return [dict(block(lo, hi) + block(hi, lo)) for lo, hi in ctx.edge_order]
+    """The rows of J_w (module docstring) as sparse {column: nonzero
+    scalar} dicts: edge (lo, hi) has w(hi) in lo's block and s * w(lo) in
+    hi's, s = -1 for a symplectic form and 1 for a symmetric one."""
+    n, field = ctx.space.n, ctx.field
+    support = [[(i, x) for i, x in enumerate(vec) if x] for vec in assignment.vectors]
+    mirrored = support
+    if ctx.space.kind == "symplectic":
+        mirrored = [[(i, field(-x)) for i, x in vec] for vec in support]
+    return [dict([(lo * n + i, x) for i, x in support[hi]]
+                 + [(hi * n + i, x) for i, x in mirrored[lo]]) for lo, hi in ctx.edge_order]
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,16 @@ def verify_certificate(ctx, assignment, certificate):
 
     The certificate is valid when its edges are the edge order, the
     assignment is a member, the edge values are not all zero, and for every
-    vertex v the weighted sum of the incident edge gradients restricted to
-    v's block vanishes:
+    vertex v the values weight the neighbours' vectors to zero:
 
         sum over edges e = (lo, hi) at v of
-            value(e) * (gram * w(hi))     if v == lo
-            value(e) * (gram^T * w(lo))   if v == hi
+            value(e) * w(hi)        if v == lo
+            s * value(e) * w(lo)    if v == hi
+
+    with s = -1 for a symplectic form and 1 for a symmetric one.  That sum
+    is gram^-1 times the weighted sum of the edge gradients in v's block
+    (module docstring), so it vanishes exactly when the values are a
+    left-kernel vector of the Jacobian.
 
     Edges may be lists and values ints or decimal strings, as in JSON.
     """
@@ -129,22 +138,19 @@ def verify_certificate(ctx, assignment, certificate):
 
 def _certifies(ctx, w, values):
     """The value checks of `verify_certificate` at the member point w, by
-    one pass adding into per-vertex sums with each Gram product taken once."""
+    one pass adding each edge's weighted neighbour vectors into per-vertex
+    sums."""
     values = [ctx.field(x) for x in values]
     if not any(values):
         return False
-    space, z = ctx.space, ctx.field.zero()
-    acc = [[z] * space.n for _ in w]
-    gram_w, gram_t_w = {}, {}
+    z, sign = ctx.field.zero(), -1 if ctx.space.kind == "symplectic" else 1
+    acc = [[z] * ctx.space.n for _ in w]
     for (lo, hi), lam in zip(ctx.edge_order, values):
         if not lam:
             continue
-        if hi not in gram_w:
-            gram_w[hi] = space.gram_times(w[hi])
-        if lo not in gram_t_w:
-            gram_t_w[lo] = space.gram_transpose_times(w[lo])
-        acc[lo] = [a + lam * g for a, g in zip(acc[lo], gram_w[hi])]
-        acc[hi] = [a + lam * g for a, g in zip(acc[hi], gram_t_w[lo])]
+        mirrored = sign * lam
+        acc[lo] = [a + lam * x for a, x in zip(acc[lo], w[hi])]
+        acc[hi] = [a + mirrored * x for a, x in zip(acc[hi], w[lo])]
     return not any(ctx.field(a) for vec in acc for a in vec)
 
 

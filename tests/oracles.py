@@ -10,7 +10,7 @@ from math import lcm
 from operator import add, mul
 
 from graphvariety import Graph, VertexAssignment, degeneracy_order
-from graphvariety.linalg import kernel
+from graphvariety.linalg import kernel, rref
 from graphvariety.serialization import _weight_vector, _weighting
 
 
@@ -116,8 +116,21 @@ def reference_first_dependency(rows, p=None):
     return None
 
 
-# The package's `kernel` and `perp` give integer vectors over one
-# denominator; tests written on field scalars read them through these.
+# The package's `rref` and `kernel` take integer rows, and `kernel` and
+# `perp` give integer vectors over one denominator; tests written on field
+# scalars read them through these.
+
+
+def field_rref(rows, ncols, p=None):
+    """The package's `rref` of rows of field scalars, each row of `ncols`
+    entries, as `reference_rref` gives it: over Q each row goes in as its
+    integer multiple by the lcm of its denominators, and each pivot row
+    comes out divided by its pivot, as `Fraction`s."""
+    if p is not None:
+        return rref(rows, ncols, p)
+    reduced, pivots = rref(list(map(_integer_row, rows)), ncols)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(reduced, pivots)] + [
+        [Fraction(0)] * ncols for _ in reduced[len(pivots):]], pivots
 
 
 def field_vectors(basis, p=None):

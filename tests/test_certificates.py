@@ -30,12 +30,12 @@ from graphvariety import (
     verify_certificate,
 )
 from graphvariety.cli import main
-from graphvariety.linalg import first_dependency, rref
+from graphvariety.linalg import first_dependency
 from graphvariety.sampling import SamplerConfig
 from graphvariety.variety import _edge_rows
-from oracles import (complete_bipartite_graph, field_kernel, independent_set_point, jacobian,
-                     left_kernel, origin, random_connected_graph, rank,
-                     reference_first_dependency)
+from oracles import (complete_bipartite_graph, dot, field_kernel, field_rref,
+                     independent_set_point, jacobian, left_kernel, origin, random_connected_graph,
+                     rank, reference_first_dependency, reference_rref)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -133,6 +133,74 @@ def test_certificate_is_the_dense_left_kernel_vector(field, seed):
     assert True in verdicts and False in verdicts
 
 
+def invertible_matrix(rng, field, n):
+    """A random invertible n x n matrix, with fractional entries over Q."""
+    while True:
+        if field.p is None:
+            a = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+                 for _ in range(n)]
+        else:
+            a = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+        if rank(field, a) == n:
+            return a
+
+
+def dense_case(rng, space, point):
+    """The space with Gram A^T G A for a random invertible A, and the point
+    A^-1 w on it: its form values, so its membership and its Jacobian's
+    left kernel, are those of `point` in `space`."""
+    field, n = space.field, space.n
+    a = invertible_matrix(rng, field, n)
+    gram = [[dot(field, col, [dot(field, row, b) for row in space.gram]) for b in zip(*a)]
+            for col in zip(*a)]
+    identity = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    inverse = [row[n:] for row in reference_rref([a[i] + identity[i] for i in range(n)], n,
+                                                 field.p)[0]]
+    return (BilinearSpace(n, space.kind, gram, field),
+            VertexAssignment(field, [[dot(field, row, w) for row in inverse] for w in point.vectors]))
+
+
+def gram_restored(ctx, point):
+    """The rows of `_edge_rows` times I_V (x) gram^T, dense: each block b
+    becomes b^T gram^T, which is gram b."""
+    n, field = ctx.space.n, ctx.field
+    rows = []
+    for sparse in _edge_rows(ctx, point):
+        row = []
+        for v in range(ctx.graph.num_vertices):
+            block = [sparse.get(v * n + i, field.zero()) for i in range(n)]
+            row += [dot(field, g, block) for g in ctx.space.gram]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7), PrimeField(10007)],
+                         ids=lambda f: f.name)
+def test_dense_grams(field):
+    # the standard Grams are signed permutations; A^T G A is dense
+    rng = random.Random(5)
+    verdicts, kinds = [], set()
+    for g, standard, standard_point in cases(field, 0):
+        space, point = dense_case(rng, standard, standard_point)
+        kinds.add(space.kind)
+        ctx = VarietyContext(g, space)
+        dense = jacobian(ctx, point)
+        assert gram_restored(ctx, point) == dense
+        full_rank = assert_matches_dense(g, space, point)
+        verdicts.append(full_rank)
+        if full_rank:
+            continue
+        cert = singular_certificate(ctx, point)
+        assert verify_certificate(ctx, point, cert)
+        # a nonzero Jacobian row leaves the left kernel when its weight changes
+        for e in (e for e, row in enumerate(dense) if any(row)):
+            values = list(cert.values)
+            values[e] = field(values[e] + 1)
+            assert not verify_certificate(ctx, point, SingularityCertificate(cert.edges, values))
+    assert True in verdicts and False in verdicts
+    assert kinds == {"symmetric", "symplectic"}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_rank_deficient_bipartite_points(field):
     # at vectors of an isotropic plane, edge weights u v^T with u orthogonal
@@ -211,7 +279,7 @@ def test_first_dependency_against_rref(p):
         nrows, ncols = rng.randint(0, 7), rng.randint(1, 6)
         rows = sparse_rows(rng, p, nrows, ncols)
         columns = [[row.get(c, zero) for row in rows] for c in range(ncols)]
-        pivots = rref(columns, nrows, p)[1] if nrows else []
+        pivots = field_rref(columns, nrows, p)[1] if nrows else []
         free = [f for f in range(nrows) if f not in pivots]
         combo = first_dependency(rows, p)
         if not free:

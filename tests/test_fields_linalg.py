@@ -12,8 +12,8 @@ from graphvariety import (
 )
 from graphvariety.fields import _is_prime
 from graphvariety.linalg import first_dependency, kernel, rref
-from oracles import (dot, field_kernel, left_kernel, rank, reference_first_dependency,
-                     reference_kernel, reference_rref, transpose)
+from oracles import (dot, field_kernel, field_rref, left_kernel, rank,
+                     reference_first_dependency, reference_kernel, reference_rref, transpose)
 
 
 class TestRationalField:
@@ -279,6 +279,22 @@ def fp_matrices(draw, p, max_rows=7, max_cols=7):
     return ncols, rows
 
 
+@st.composite
+def wide_int_matrices(draw, max_rows=6, max_cols=5):
+    """(ncols, rows) of small ints, each row 1 to 3 columns longer than
+    `ncols`; a planted row is a multiple of an earlier one in the first
+    `ncols` columns only, so rows past the rank may be nonzero past them."""
+    ncols = draw(st.integers(0, max_cols))
+    width = ncols + draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+                         max_size=max_rows))
+    if len(rows) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, len(rows) - 1))
+        c = draw(st.integers(-2, 2))
+        rows[k] = [c * x for x in rows[k - 1][:ncols]] + rows[k][ncols:]
+    return ncols, rows
+
+
 class TestFractionFreeElimination:
     """The elimination returns exactly what elimination on field scalars
     (the reference in `oracles`) returns: integer rows against `Fraction`s
@@ -290,7 +306,7 @@ class TestFractionFreeElimination:
         ncols, rows = matrix
         sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
         copies = [list(r) for r in rows], [dict(r) for r in sparse]
-        reduced, pivots = rref(rows, ncols)
+        reduced, pivots = field_rref(rows, ncols)
         assert (reduced, pivots) == reference_rref(rows, ncols)
         assert all(all_fractions(row) for row in reduced)
         basis = field_kernel(rows, ncols)
@@ -306,13 +322,32 @@ class TestFractionFreeElimination:
                 {0: Fraction(2, 3), 1: Fraction(4, 27), 2: Fraction(10, 7)}]
         # row 2 = 2 * row 0 - (2/3) * row 1
         assert first_dependency(rows) == {0: Fraction(-2), 1: Fraction(2, 3), 2: Fraction(1)}
-        assert rref([[Fraction(2, 3), Fraction(1, 5)]], 2) == ([[1, Fraction(3, 10)]], [0])
+        assert field_rref([[Fraction(2, 3), Fraction(1, 5)]], 2) == ([[1, Fraction(3, 10)]], [0])
+        assert rref([[10, 3]], 2) == ([[10, 3]], [0])
 
-    def test_rows_longer_than_ncols_are_refused_over_q(self):
-        with pytest.raises(ValueError):
-            rref(q_rows([[1, 0, 1], [1, 0, 2]]), 2)
-        # over F_p the columns past ncols take part in the row operations
+    @given(wide_int_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_past_ncols_take_part_over_q(self, matrix):
+        # each integer row is a nonzero multiple of the reference row on
+        # `Fraction`s, the columns past ncols included
+        ncols, rows = matrix
+        reduced, pivots = rref(rows, ncols)
+        expected, expected_pivots = reference_rref(q_rows(rows), ncols)
+        assert pivots == expected_pivots
+        for row, ref in zip(reduced, expected):
+            k = next((i for i, x in enumerate(ref) if x), None)
+            scale = 1 if k is None else row[k] / ref[k]
+            assert scale and row == [scale * x for x in ref]
+
+    def test_columns_past_ncols_take_part_over_both_fields(self):
+        assert rref([[1, 0, 1], [1, 0, 2]], 2) == ([[1, 0, 1], [0, 0, 1]], [0])
         assert rref([[1, 0, 1], [1, 0, 2]], 2, 7) == ([[1, 0, 1], [0, 0, 1]], [0])
+
+    def test_unreduced_residues_are_reduced_first(self):
+        # 7 is 0 mod 7, so it is no pivot; -1 is 6 and 8 is 1
+        assert rref([[7, 1]], 2, 7) == ([[0, 1]], [1])
+        assert kernel([[7, 1]], 2, 7) == ([[1, 0]], 1)
+        assert rref([[-1, 8]], 2, 7) == ([[1, 6]], [0])
 
     @pytest.mark.parametrize("p", [3, 7, 10007])
     @given(data=st.data())
