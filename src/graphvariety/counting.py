@@ -48,7 +48,7 @@ variety behaves like an irreducible variety of dimension d.  The ratio is
 reported, never judged.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
@@ -61,25 +61,23 @@ from .variety import expected_dimension
 DEFAULT_WORK_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class CountRequest:
-    graph: object
-    space: object
-    cap: int = DEFAULT_WORK_CAP
+class CountRequest(namedtuple("CountRequest", "graph space cap")):
+    """A graph, a space over a prime field and a work cap, checked on
+    construction.  namedtuple's `_make` and `_replace` skip `__new__` and so
+    the checks; nothing calls them."""
 
-    def __post_init__(self):
-        if self.space.field.p is None:
+    __slots__ = ()
+
+    def __new__(cls, graph, space, cap=DEFAULT_WORK_CAP):
+        if space.field.p is None:
             raise ValueError("point counting needs a prime field")
-        if self.cap < 1:
+        if cap < 1:
             raise ValueError("work cap must be at least 1")
+        return super().__new__(cls, graph, space, cap)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    count: int
-    q: int
-    expected_dimension: int
-    ratio: Fraction
+class CountReport(namedtuple("CountReport", "count q expected_dimension ratio")):
+    __slots__ = ()
 
 
 def _span(basis, n, p):

@@ -6,7 +6,7 @@ every function that reports per-edge data does so in one canonical order.
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BoundTooSmallError, DisconnectedGraphError
 
@@ -143,13 +143,10 @@ def degeneracy_order(graph):
     return cached
 
 
-@dataclass(frozen=True)
-class BfsLayering:
+class BfsLayering(namedtuple("BfsLayering", "root layers level")):
     """Vertices grouped by breadth-first distance from a root."""
 
-    root: int
-    layers: tuple
-    level: tuple
+    __slots__ = ()
 
 
 def bfs_layers(graph, root=0):

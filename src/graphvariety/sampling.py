@@ -29,7 +29,7 @@ vertex carrying one fixed self-orthogonal vector, with its certificate from
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -43,17 +43,19 @@ from .graphs import cycle_graph
 from .variety import VarietyContext, VertexAssignment, singular_certificate
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int = 0
-    bound: int = 10
-    max_retries: int = 64
+class SamplerConfig(namedtuple("SamplerConfig", "seed bound max_retries")):
+    """The sampler's seed, rational draw bound and retries per vertex,
+    checked on construction.  namedtuple's `_make` and `_replace` skip
+    `__new__` and so the checks; nothing calls them."""
 
-    def __post_init__(self):
-        if self.bound < 1:
+    __slots__ = ()
+
+    def __new__(cls, seed=0, bound=10, max_retries=64):
+        if bound < 1:
             raise ValueError("bound must be at least 1")
-        if self.max_retries < 1:
+        if max_retries < 1:
             raise ValueError("max_retries must be at least 1")
+        return super().__new__(cls, seed, bound, max_retries)
 
 
 def _draw(columns, rng, bound, p):

@@ -33,7 +33,7 @@ in `palette` and in the weighting `split_into_matchings` returns.
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from .errors import (
@@ -52,30 +52,21 @@ from .graphs import (
 WEIGHTING_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class VertexWeighting:
+class VertexWeighting(namedtuple("VertexWeighting", "colors weights")):
     """An ordered color list and one aligned integer vector per vertex."""
 
-    colors: tuple
-    weights: dict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgeVerdict:
-    edge: tuple
-    argmax: tuple
-    strict: bool
+class EdgeVerdict(namedtuple("EdgeVerdict", "edge argmax strict")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(namedtuple("SplittingReport",
+                                 "per_edge classes matching_flags valid color_count")):
     """What the verifier found: argmaxes, classes, and the overall verdict."""
 
-    per_edge: tuple
-    classes: dict
-    matching_flags: dict
-    valid: bool
-    color_count: int
+    __slots__ = ()
 
 
 def color_classes(graph, weighting):

@@ -22,7 +22,7 @@ dependency.  `singular_certificate` checks membership once, eliminates J_w
 and re-checks its certificate as `verify_certificate` does.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotOnVarietyError
 from .graphs import degeneracy_order, has_even_cycle, is_forest
@@ -102,12 +102,10 @@ def _edge_rows(ctx, assignment):
                  + [(hi * n + i, x) for i, x in mirrored[lo]]) for lo, hi in ctx.edge_order]
 
 
-@dataclass(frozen=True)
-class SingularityCertificate:
+class SingularityCertificate(namedtuple("SingularityCertificate", "edges values")):
     """A nonzero edge weighting in the left kernel of the Jacobian."""
 
-    edges: tuple
-    values: tuple
+    __slots__ = ()
 
 
 def verify_certificate(ctx, assignment, certificate):
@@ -172,15 +170,13 @@ def singular_certificate(ctx, assignment):
     return SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
 
 
-@dataclass(frozen=True)
-class EdgeEquation:
+class EdgeEquation(namedtuple("EdgeEquation", "edge terms")):
     """One edge equation as a sparse list of (i, j, coeff) bilinear terms.
 
     Term (i, j, c) stands for c * x_{lo,i} * x_{hi,j} for the edge (lo, hi).
     """
 
-    edge: tuple
-    terms: tuple
+    __slots__ = ()
 
 
 def equations(ctx):
@@ -199,8 +195,7 @@ def is_anti_ample(degrees):
     return all(d < 0 for d in degrees)
 
 
-@dataclass(frozen=True)
-class ProjectiveVerdict:
+class ProjectiveVerdict(namedtuple("ProjectiveVerdict", "verdict hypothesis_met")):
     """What is known about singular points away from the zero locus.
 
     verdict is "smooth", "singular", or "unknown"; hypothesis_met records
@@ -208,8 +203,7 @@ class ProjectiveVerdict:
     max degree) for the dimension-theoretic parts of the analysis to apply.
     """
 
-    verdict: str
-    hypothesis_met: bool
+    __slots__ = ()
 
 
 def projective_smoothness(graph, n, kind):

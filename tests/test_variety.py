@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphvariety import (
@@ -107,6 +107,74 @@ class TestBilinearSpace:
         v = [Fraction(x) for x in (5, -1, 0, 2)]
         assert dot(RATIONALS, u, sp.gram_times(v)) == sp.pair(u, v)
         assert dot(RATIONALS, v, sp.gram_transpose_times(u)) == sp.pair(u, v)
+
+
+SYMMETRY_ERRORS = {"symmetric": "symmetric gram matrix must equal its transpose",
+                   "symplectic": "symplectic gram matrix must be antisymmetric"}
+
+
+@st.composite
+def form_grams(draw, kinds=("symmetric", "symplectic")):
+    """(field, kind, Gram rows, a nonzero scalar): a non-degenerate Gram,
+    symmetric or antisymmetric, over Q with fractional entries, F_3 or F_10007."""
+    field = draw(st.sampled_from([RATIONALS, PrimeField(3), PrimeField(10007)]))
+    kind = draw(st.sampled_from(kinds))
+    if field.p is None:
+        numerators = st.integers(-6, 6)
+        scalars = st.builds(Fraction, numerators, st.integers(1, 5))
+        nonzero = st.builds(Fraction, numerators.filter(bool), st.integers(1, 5))
+    else:
+        scalars, nonzero = (st.integers(low, field.p - 1).map(field) for low in (0, 1))
+    n = draw(st.sampled_from([2, 4]) if kind == "symplectic" else st.integers(1, 4))
+    sign = 1 if kind == "symmetric" else -1
+    gram = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if kind == "symmetric" else i + 1, n):
+            gram[i][j] = draw(scalars)
+            gram[j][i] = field(sign * gram[i][j])
+    assume(rank(field, gram) == n)
+    return field, kind, gram, draw(nonzero)
+
+
+class TestGramChecks:
+    """`BilinearSpace.__init__` reads only the nonzero entries and their
+    mirrors; every failure it must catch, against a dense rank."""
+
+    @given(form_grams(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_changed_off_diagonal_entry(self, drawn, data):
+        field, kind, gram, delta = drawn
+        assert BilinearSpace(len(gram), kind, gram, field).gram == tuple(map(tuple, gram))
+        n = len(gram)
+        assume(n > 1)
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        gram[i][j] = field(gram[i][j] + delta)
+        assume(rank(field, gram) == n)
+        with pytest.raises(ValueError, match=f"^{SYMMETRY_ERRORS[kind]}$"):
+            BilinearSpace(n, kind, gram, field)
+
+    @given(form_grams(kinds=("symplectic",)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nonzero_diagonal_in_symplectic_gram(self, drawn, data):
+        field, kind, gram, value = drawn
+        n = len(gram)
+        i = data.draw(st.integers(0, n - 1))
+        gram[i][i] = value
+        assume(rank(field, gram) == n)
+        with pytest.raises(ValueError, match=f"^{SYMMETRY_ERRORS[kind]}$"):
+            BilinearSpace(n, kind, gram, field)
+
+    @given(form_grams(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_combination_is_degenerate(self, drawn, data):
+        field, kind, gram, _ = drawn
+        n = len(gram)
+        k = data.draw(st.integers(0, n - 1))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        gram[k] = [field(sum(c * row[j] for c, row in zip(coeffs, gram) if row is not gram[k]))
+                   for j in range(n)]
+        with pytest.raises(ValueError, match="^gram matrix is degenerate$"):
+            BilinearSpace(n, kind, gram, field)
 
 
 def gram_file_space(kind, n, seed):
