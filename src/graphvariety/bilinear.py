@@ -7,30 +7,33 @@ the rest of the package relies on.
 Every product with the Gram matrix runs on one integer kernel, `_image`,
 over the matrix's nonzero entries.  They are kept once, as the public
 `terms` (i, j, gram[i][j]), and as int terms (i, j, c) derived from them.
-Over F_p each c is the entry itself, an int in [0, p).  Over Q each entry
-is c / s for the least common denominator s of the Gram matrix.  For a
-vector v, `_image` makes one pass over the int terms and returns integers
-g and one denominator d > 0 with (gram v)_i = g_i / d.  Over F_p, d is 1
-and g is not yet reduced.  Over Q, v is written as integer numerators b
-over their least common denominator dv, g_i is the sum of c * b_j over the
-terms of row i, and d = dv * s.  From there:
+Over F_p each c is the entry itself, an int in [0, p), and `scale` is 1.
+Over Q each entry is c / scale for the least common denominator `scale`
+of the Gram matrix.  `_image` is the same for both fields: for an integer
+vector b it makes one pass over the int terms and returns the integers
+g = G_int b, so (gram b)_i = g_i / scale; over F_p g is not yet reduced.
+A rational vector v is written as integer numerators b over their least
+common denominator dv (`linalg._numerators`) first, so that
+(gram v)_i = g_i / (dv * scale).  From there:
 
 - `gram_times(v)` reduces g once: mod p per coordinate, or one
-  `Fraction(g_i, d)` per coordinate over Q;
+  `Fraction(g_i, dv * scale)` per coordinate over Q;
 - `pair(u, v)` = <u, v> = u . (gram v) is one dot of u (over Q its
   integer numerators a over du) with g, then one reduction mod p, or one
-  `Fraction(a . g, du * d)`;
+  `Fraction(a . g, du * dv * scale)`;
 - `gram_transpose_times(v)` is gram_times(v) for a symmetric space and
   -gram_times(v) for a symplectic one, since `__init__` checks that the
   Gram matrix equals its transpose or its negated transpose;
-- `perp(vectors)` is the `kernel` of the rows gram u: the x with
-  <x, u> = 0, and by the same symmetry <u, x> = 0, for every u.  Its rows
-  are the integer images g themselves for both fields (g is d * gram u,
-  and `rref` reduces them mod p), and its basis comes as integer vectors
-  over one denominator (1 over F_p).
+- `perp(vectors)` takes integer vectors u and is the `kernel` of the rows
+  G_int u: the x with <x, u> = 0, and by the same symmetry <u, x> = 0, for
+  every u.  A rational vector is passed as any integer multiple of it, such
+  as its numerators: `rref` divides every row by its content first, so the
+  kernel is the same.  Over F_p the rows are reduced mod p by `rref`, and
+  the basis comes as integer vectors over one denominator (1 over F_p).
 
-Every step is exact integer arithmetic, so each value equals the dense
-product on field scalars.
+`variety` reads `_image` and `scale` directly, on each vertex's integer
+form.  Every step is exact integer arithmetic, so each value equals the
+dense product on field scalars.
 """
 
 from fractions import Fraction
@@ -52,8 +55,9 @@ MAX_DIMENSION = 256
 class BilinearSpace:
     """F^n with the bilinear form <u, v> = u^T * gram * v.
 
-    `gram` is a tuple of n row tuples of field scalars, and `terms` its
-    nonzero entries as (i, j, gram[i][j]) in row-major order.
+    `gram` is a tuple of n row tuples of field scalars, `terms` its
+    nonzero entries as (i, j, gram[i][j]) in row-major order, and `scale`
+    the least common denominator of the entries (1 over F_p).
     """
 
     def __init__(self, n, kind, gram, field=RATIONALS):
@@ -95,42 +99,40 @@ class BilinearSpace:
         self.field = field
         self.gram = rows
         self.terms = terms
-        self._scale = scale
+        self.scale = scale
         self._terms = int_terms
 
-    def _image(self, v):
-        """Integers g and d > 0 with (gram v)_i == g_i / d, by one pass over
-        the Gram's nonzero terms; over F_p d is 1 and g is not reduced."""
-        if len(v) != self.n:
+    def _image(self, b):
+        """The integers g = G_int b with (gram b)_i == g_i / scale, for an
+        integer vector b, by one pass over the Gram's nonzero terms; over
+        F_p g is not reduced."""
+        if len(b) != self.n:
             raise ValueError(f"vectors must have length {self.n}")
-        if self.field.p is None:
-            b, d = _numerators(v)
-            d *= self._scale
-        else:
-            b, d = v, 1
         g = [0] * self.n
         for i, j, c in self._terms:
             g[i] += c * b[j]
-        return g, d
+        return g
 
     def pair(self, u, v):
         """The form value <u, v> = u . (gram v): one dot of u with the
         integer image of v, then one reduction mod p, or one `Fraction`."""
         if len(u) != self.n:
             raise ValueError(f"vectors must have length {self.n}")
-        g, d = self._image(v)
         p = self.field.p
         if p is not None:
-            return sum(map(mul, u, g)) % p
-        a, du = _numerators(u)
-        return Fraction(sum(map(mul, a, g)), du * d)
+            return sum(map(mul, u, self._image(v))) % p
+        (a, du), (b, dv) = _numerators(u), _numerators(v)
+        return Fraction(sum(map(mul, a, self._image(b))), du * dv * self.scale)
 
     def gram_times(self, v):
         """gram v: the integer image reduced mod p, or one `Fraction` per
         coordinate over Q."""
-        g, d = self._image(v)
         p = self.field.p
-        return [x % p for x in g] if p is not None else [Fraction(x, d) for x in g]
+        if p is not None:
+            return [x % p for x in self._image(v)]
+        b, d = _numerators(v)
+        d *= self.scale
+        return [Fraction(x, d) for x in self._image(b)]
 
     def gram_transpose_times(self, v):
         """gram^T v, which is gram v or -gram v by the kind (checked in
@@ -140,9 +142,10 @@ class BilinearSpace:
         return g if self.kind == "symmetric" else [self.field(-x) for x in g]
 
     def perp(self, vectors):
-        """A basis of the x with <x, u> = 0 (and so <u, x> = 0) for every u
-        in `vectors`, as `kernel` gives it: (integer vectors, L)."""
-        return kernel([self._image(u)[0] for u in vectors], self.n, self.field.p)
+        """A basis of the x with <x, u> = 0 (and so <u, x> = 0) for every
+        integer vector u in `vectors`, as `kernel` gives it: (integer
+        vectors, L)."""
+        return kernel([self._image(u) for u in vectors], self.n, self.field.p)
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""

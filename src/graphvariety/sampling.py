@@ -14,7 +14,9 @@ the basis as integer vectors over one denominator L > 0, straight from the
 elimination; over F_p, L is 1 and the entries are residues.  A draw sums
 c_k * b_k on ints, so a candidate is an integer vector; over Q it stands
 for that vector over L, and only an accepted one becomes one
-`Fraction(x, L)` per coordinate, over F_p one residue `x % p`.  Each
+`Fraction(x, L)` per coordinate, over F_p one residue `x % p`.  `perp`
+takes the accepted candidates of the older neighbours themselves, as an
+integer multiple of a vector has the same orthogonal complement.  Each
 younger vertex keeps its partial family as echelon rows: integer rows (Q)
 or residue rows (F_p), each with its pivot column, every row zero at the
 pivots of the rows kept before it.  A candidate reduced against them by
@@ -121,14 +123,13 @@ def sample_regular_point(og, space, cfg=None):
                 f"prime field too small: need p > {worst}, got {field.order}"
             )
     rng = random.Random(cfg.seed)
-    vectors = {}
+    candidates, vectors = {}, {}  # the accepted integer draws, and the vectors they stand for
     echelon = {v: [] for v in range(g.num_vertices)}  # partial older-neighbor families
     # oldest vertex first
     for v in reversed(og.order):
         older = og.older_neighbors(v)
         younger = og.younger_neighbors(v)
-        family = [vectors[u] for u in older]
-        basis, denominator = space.perp(family)
+        basis, denominator = space.perp([candidates[u] for u in older])
         columns = list(zip(*basis))
         for _ in range(cfg.max_retries):
             candidate = _draw(columns, rng, cfg.bound, p)
@@ -141,6 +142,7 @@ def sample_regular_point(og, space, cfg=None):
             raise RetriesExhaustedError(v, cfg.max_retries)
         for y, rest in zip(younger, remainders):
             echelon[y].append(_echelon_row(rest, p))
+        candidates[v] = candidate
         vectors[v] = (
             candidate if p is not None else [Fraction(x, denominator) for x in candidate]
         )

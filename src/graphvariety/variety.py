@@ -12,39 +12,97 @@ vector of the Jacobian, one scalar per edge.  The certificate we hand out is
 the unique dependency of the first edge row f (in edge order) that depends
 on the rows before it, with coefficient 1 at f and zeros after f.
 
-No Gram product is needed for either.  The row of edge (lo, hi) holds
+Membership and certificates run on integers.  A `VertexAssignment` holds
+one integer form per vertex, (a(v), d_v) with w(v) = a(v) / d_v: over Q
+a(v) is a tuple of ints and d_v > 0 the least common denominator
+(`linalg._numerators`); over F_p a(v) is the residues and d_v = 1.  With
+the Gram matrix as int terms over one scale s_G (`BilinearSpace._image`),
+<w(lo), w(hi)> = a(lo) . (G_int a(hi)) / (d_lo * d_hi * s_G): one integer
+image per vertex, one integer dot per edge, and a `Fraction` only for a
+nonzero `residual` value.
+
+No Gram product is needed for certificates.  The row of edge (lo, hi) holds
 gram w(hi) in lo's block and gram^T w(lo) = s * gram w(lo) in hi's, with
 s = 1 for a symmetric form and -1 for a symplectic one.  As a row, gram x
 is x^T gram^T, so J = J_w (I_V (x) gram^T), where J_w's row for (lo, hi)
 holds w(hi) in lo's block and s * w(lo) in hi's.  The Gram matrix is
 invertible, so J and J_w have the same rank, left kernel and first
-dependency.  `singular_certificate` checks membership once, eliminates J_w
-and re-checks its certificate as `verify_certificate` does.
+dependency.  `_edge_rows` builds the integer rows J' instead: a(hi) in lo's
+block and s * a(lo) in hi's.  Then J_w = R^-1 J' C with the invertible
+R = diag(d_lo(e) * d_hi(e)) and C = diag(d_v on v's block), so each prefix
+of rows has the same rank in J_w and J' (the same first dependent row f),
+and lambda J_w = 0 exactly when (lambda R^-1) J' = 0.  If mu' is the
+dependency of J' with coefficient 1 at f and zeros after f, lambda =
+mu' R / R_f is such a dependency of J_w, and as that one is unique,
+
+    lambda_e = mu'_e * d_lo(e) * d_hi(e) / (d_lo(f) * d_hi(f)).
+
+`singular_certificate` checks membership once, eliminates J' and re-checks
+its certificate on the field scalars, as `verify_certificate` does.
 """
 
 from collections import namedtuple
+from fractions import Fraction
+from operator import mul
 
 from .errors import NotOnVarietyError
 from .graphs import degeneracy_order, has_even_cycle, is_forest
-from .linalg import first_dependency
+from .linalg import _numerators, first_dependency
 
 
 class VertexAssignment:
-    """One vector per vertex, all over the same field."""
+    """One vector per vertex, all over the same field.
+
+    It is built from field scalars, or by `from_numerators` from its integer
+    form (module docstring); each of `vectors` and `numerators` is derived
+    from the other when first read.
+    """
 
     def __init__(self, field, vectors):
         self.field = field
-        self.vectors = tuple(tuple(field(x) for x in vec) for vec in vectors)
+        self._vectors = tuple(tuple(field(x) for x in vec) for vec in vectors)
+        self._numerators = None
+
+    @classmethod
+    def from_numerators(cls, field, numerators):
+        """The assignment with integer form `numerators`: per vertex (a, d)
+        as `numerators` gives it, a tuple of ints and the least d > 0."""
+        self = cls.__new__(cls)
+        self.field = field
+        self._vectors = None
+        self._numerators = tuple(numerators)
+        return self
+
+    @property
+    def vectors(self):
+        """The vectors as tuples of field scalars."""
+        if self._vectors is None:
+            if self.field.p is None:
+                self._vectors = tuple(tuple(Fraction(x, d) for x in a) for a, d in self._numerators)
+            else:
+                self._vectors = tuple(a for a, _ in self._numerators)
+        return self._vectors
+
+    @property
+    def numerators(self):
+        """Per vertex, (a, d) with w(v) == a / d: over Q a tuple of ints and
+        their least common denominator d > 0, over F_p the residues and 1."""
+        if self._numerators is None:
+            if self.field.p is None:
+                self._numerators = tuple((tuple(a), d) for a, d in map(_numerators, self._vectors))
+            else:
+                self._numerators = tuple((vec, 1) for vec in self._vectors)
+        return self._numerators
 
     @property
     def num_vertices(self):
-        return len(self.vectors)
+        return len(self._vectors if self._vectors is not None else self._numerators)
 
     def __eq__(self, other):
         return (
             isinstance(other, VertexAssignment)
             and self.field == other.field
-            and self.vectors == other.vectors
+            and self.numerators == other.numerators
         )
 
     def __repr__(self):
@@ -73,31 +131,46 @@ def _check_shape(ctx, assignment):
         raise ValueError("assignment field does not match the space's field")
     if assignment.num_vertices != ctx.graph.num_vertices:
         raise ValueError("assignment has the wrong number of vertices")
-    for vec in assignment.vectors:
-        if len(vec) != ctx.space.n:
+    for a, _ in assignment.numerators:
+        if len(a) != ctx.space.n:
             raise ValueError("assignment vector has the wrong length")
+
+
+def _dots(ctx, assignment):
+    """Per edge (lo, hi) in canonical order, the integer a(lo) . (G_int a(hi))
+    (module docstring), reduced mod p over F_p: zero exactly when
+    <w(lo), w(hi)> is."""
+    _check_shape(ctx, assignment)
+    num, p = assignment.numerators, ctx.field.p
+    images = [ctx.space._image(a) for a, _ in num]
+    dots = [sum(map(mul, num[lo][0], images[hi])) for lo, hi in ctx.edge_order]
+    return dots if p is None else [x % p for x in dots]
 
 
 def residual(ctx, assignment):
     """The tuple of edge form values <w(lo), w(hi)>, in canonical edge order."""
-    _check_shape(ctx, assignment)
-    w = assignment.vectors
-    return tuple(ctx.space.pair(w[lo], w[hi]) for lo, hi in ctx.edge_order)
+    dots = _dots(ctx, assignment)
+    if ctx.field.p is not None:
+        return tuple(dots)
+    den, scale, zero = [d for _, d in assignment.numerators], ctx.space.scale, ctx.field.zero()
+    return tuple(Fraction(x, den[lo] * den[hi] * scale) if x else zero
+                 for x, (lo, hi) in zip(dots, ctx.edge_order))
 
 
 def is_member(ctx, assignment):
-    return all(r == 0 for r in residual(ctx, assignment))
+    return not any(_dots(ctx, assignment))
 
 
 def _edge_rows(ctx, assignment):
-    """The rows of J_w (module docstring) as sparse {column: nonzero
-    scalar} dicts: edge (lo, hi) has w(hi) in lo's block and s * w(lo) in
-    hi's, s = -1 for a symplectic form and 1 for a symmetric one."""
-    n, field = ctx.space.n, ctx.field
-    support = [[(i, x) for i, x in enumerate(vec) if x] for vec in assignment.vectors]
+    """The integer rows of J' (module docstring) as sparse {column: nonzero
+    int} dicts: edge (lo, hi) has a(hi) in lo's block and s * a(lo) in hi's,
+    s = -1 for a symplectic form and 1 for a symmetric one; over F_p the
+    entries are residues."""
+    n, p = ctx.space.n, ctx.field.p
+    support = [[(i, x) for i, x in enumerate(a) if x] for a, _ in assignment.numerators]
     mirrored = support
     if ctx.space.kind == "symplectic":
-        mirrored = [[(i, field(-x)) for i, x in vec] for vec in support]
+        mirrored = [[(i, -x if p is None else p - x) for i, x in vec] for vec in support]
     return [dict([(lo * n + i, x) for i, x in support[hi]]
                  + [(hi * n + i, x) for i, x in mirrored[lo]]) for lo, hi in ctx.edge_order]
 
@@ -164,6 +237,12 @@ def singular_certificate(ctx, assignment):
     combo = first_dependency(_edge_rows(ctx, assignment), ctx.field.p)
     if combo is None:
         return None
+    if ctx.field.p is None:  # the dependency of J', mapped back to J_w's (module docstring)
+        den = [d for _, d in assignment.numerators]
+        scale = [den[lo] * den[hi] for lo, hi in ctx.edge_order]
+        f = max(combo)
+        combo = {e: Fraction(x.numerator * scale[e], x.denominator * scale[f])
+                 for e, x in combo.items()}
     values = tuple(combo.get(e, ctx.field.zero()) for e in range(ctx.graph.num_edges))
     if not _certifies(ctx, assignment.vectors, values):
         raise AssertionError("internal error: left-kernel vector failed re-verification")

@@ -187,6 +187,21 @@ def jacobian(ctx, assignment):
     return rows
 
 
+def jw_rows(ctx, assignment):
+    """The rows of J_w (the `variety` module docstring) on field scalars,
+    as sparse {column: nonzero scalar} dicts: edge (lo, hi) holds w(hi) in
+    lo's block and s * w(lo) in hi's, s = -1 for a symplectic form and 1 for
+    a symmetric one."""
+    n, field, w = ctx.space.n, ctx.field, assignment.vectors
+    s = -1 if ctx.space.kind == "symplectic" else 1
+    rows = []
+    for lo, hi in ctx.edge_order:
+        row = {lo * n + i: x for i, x in enumerate(w[hi]) if x}
+        row.update({hi * n + i: field(s * x) for i, x in enumerate(w[lo]) if x})
+        rows.append(row)
+    return rows
+
+
 def rank(field, rows):
     """The rank of the dense matrix with these rows."""
     return len(reference_rref(rows, len(rows[0]) if rows else 0, field.p)[1])

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvariety import (
     BilinearSpace,
@@ -24,18 +26,22 @@ from graphvariety import (
     cycle_graph,
     cycle_singular_point,
     degeneracy_order,
+    is_member,
+    residual,
     sample_regular_point,
     singular_certificate,
     standard_space,
     verify_certificate,
 )
 from graphvariety.cli import main
+from graphvariety.errors import NotOnVarietyError
 from graphvariety.linalg import first_dependency
 from graphvariety.sampling import SamplerConfig
+from graphvariety.serialization import assignment_from_obj, assignment_to_obj
 from graphvariety.variety import _edge_rows
-from oracles import (complete_bipartite_graph, dot, field_kernel, field_rref,
-                     independent_set_point, jacobian, left_kernel, origin, random_connected_graph,
-                     rank, reference_first_dependency, reference_rref)
+from oracles import (complete_bipartite_graph, dot, field_kernel, field_rref, gram_product,
+                     independent_set_point, jacobian, jw_rows, left_kernel, origin,
+                     random_connected_graph, rank, reference_first_dependency, reference_rref)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -161,14 +167,18 @@ def dense_case(rng, space, point):
 
 
 def gram_restored(ctx, point):
-    """The rows of `_edge_rows` times I_V (x) gram^T, dense: each block b
-    becomes b^T gram^T, which is gram b."""
+    """The integer rows J' of `_edge_rows` made the rows of J_w, then times
+    I_V (x) gram^T, dense.  Row e of J_w is row e of J' with v's block
+    times d_v, all over d_lo(e) * d_hi(e) (the `variety` module docstring);
+    each block b then becomes b^T gram^T, which is gram b."""
     n, field = ctx.space.n, ctx.field
+    d = [d for _, d in point.numerators]
     rows = []
-    for sparse in _edge_rows(ctx, point):
+    for (lo, hi), sparse in zip(ctx.edge_order, _edge_rows(ctx, point)):
         row = []
         for v in range(ctx.graph.num_vertices):
-            block = [sparse.get(v * n + i, field.zero()) for i in range(n)]
+            factor = 1 if field.p is not None else Fraction(d[v], d[lo] * d[hi])
+            block = [field(factor * sparse.get(v * n + i, 0)) for i in range(n)]
             row += [dot(field, g, block) for g in ctx.space.gram]
         rows.append(row)
     return rows
@@ -222,6 +232,79 @@ def test_cycle_singular_points(field, k):
     assert not assert_matches_dense(cycle_graph(k), space, point)
 
 
+def scaled(rng, point):
+    """Each vertex times its own nonzero scalar, over Q with mixed
+    denominators: membership and smoothness stay, the integer form changes."""
+    field = point.field
+    if field.p is None:
+        factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                            rng.choice((1, 2, 3, 7, 12, 10**9 + 7))) for _ in point.vectors]
+    else:
+        factors = [rng.randrange(1, field.p) for _ in point.vectors]
+    return VertexAssignment(field, [[field(c * x) for x in vec]
+                                    for c, vec in zip(factors, point.vectors)])
+
+
+def perturbed(rng, point):
+    """The point with one coordinate moved by a nonzero scalar."""
+    field, vectors = point.field, [list(vec) for vec in point.vectors]
+    if vectors:
+        vec = rng.choice(vectors)
+        i = rng.randrange(len(vec))
+        vec[i] = field(vec[i] + (Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                                 if field.p is None else rng.randrange(1, field.p)))
+    return VertexAssignment(field, vectors)
+
+
+def integer_path_verdict(ctx, point):
+    """The integer path at `point` against the references on field scalars,
+    and what the point is: "non-member", "smooth" or "singular"."""
+    w, field = point.vectors, ctx.field
+    values = tuple(ctx.space.pair(w[lo], w[hi]) for lo, hi in ctx.edge_order)
+    assert values == tuple(dot(field, w[lo], gram_product(ctx.space, w[hi]))
+                           for lo, hi in ctx.edge_order)
+    assert residual(ctx, point) == values
+    member = not any(values)
+    assert is_member(ctx, point) == member
+    # the integer form alone decides equality, whichever form built the point
+    twin = VertexAssignment.from_numerators(field, point.numerators)
+    assert twin == point and point == twin and twin.vectors == w
+    assert assignment_from_obj(assignment_to_obj(point)) == point
+    if not member:
+        with pytest.raises(NotOnVarietyError):
+            singular_certificate(ctx, point)
+        return "non-member"
+    expected = reference_first_dependency(jw_rows(ctx, point), field.p)
+    cert = singular_certificate(ctx, point)
+    if expected is None:
+        assert cert is None
+        return "smooth"
+    assert cert.values == tuple(expected.get(e, field.zero()) for e in range(len(values)))
+    return "singular"
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(3), PrimeField(10007)],
+                         ids=lambda f: f.name)
+@given(seed=st.integers(0, 2**32 - 1), dense=st.booleans())
+@settings(max_examples=5, deadline=None)
+def test_integer_path_matches_the_references(field, seed, dense):
+    # the cases' points under the standard forms, or under dense Grams
+    # A^T G A (fractional over Q), each vertex rescaled, then each point
+    # once as it is and once with one coordinate moved
+    rng = random.Random(seed)
+    verdicts = []
+    for g, space, point in cases(field, seed):
+        if dense:
+            space, point = dense_case(rng, space, point)
+        point = scaled(rng, point)
+        moved = perturbed(rng, point)
+        assert (moved != point) == bool(point.vectors)
+        ctx = VarietyContext(g, space)
+        for pt in (point, moved):
+            verdicts.append(integer_path_verdict(ctx, pt))
+    assert {"non-member", "smooth", "singular"} <= set(verdicts)
+
+
 def rational_lagrangian_point(rng, a, n):
     """Vectors of span(e_0..e_{n/2-1}), isotropic for the standard
     symplectic form, with entries of mixed denominators, on K_{a,a}."""
@@ -241,7 +324,7 @@ def test_rational_singular_points_verify(seed):
         ctx = VarietyContext(complete_bipartite_graph(a, a), standard_space("symplectic", n))
         for _ in range(3):
             point = rational_lagrangian_point(rng, a, n)
-            rows = _edge_rows(ctx, point)
+            rows = jw_rows(ctx, point)
             combo = first_dependency(rows)
             assert combo is not None and combo == reference_first_dependency(rows)
             cert = singular_certificate(ctx, point)
@@ -407,14 +490,15 @@ class TestWireShape:
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=lambda f: f.name)
 def test_certificate_checks_membership_once(monkeypatch, field):
+    # membership takes one integer Gram image per vertex
     calls = []
-    pair = BilinearSpace.pair
+    image = BilinearSpace._image
 
-    def counted(self, u, v):
+    def counted(self, b):
         calls.append(1)
-        return pair(self, u, v)
+        return image(self, b)
 
-    monkeypatch.setattr(BilinearSpace, "pair", counted)
+    monkeypatch.setattr(BilinearSpace, "_image", counted)
     # K3,3 on six pairwise independent vectors of the Lagrangian plane
     # span(e0, e1): a member point whose edge rows have one dependency
     g = complete_bipartite_graph(3, 3)
@@ -423,7 +507,7 @@ def test_certificate_checks_membership_once(monkeypatch, field):
     ctx = VarietyContext(g, standard_space("symplectic", 4, field))
     cert = singular_certificate(ctx, point)
     assert cert is not None
-    assert len(calls) == g.num_edges == 9
+    assert len(calls) == g.num_vertices == 6
     calls.clear()
     assert verify_certificate(ctx, point, cert)
-    assert len(calls) == 9
+    assert len(calls) == 6

@@ -140,6 +140,62 @@ class TestAssignmentRoundTrip:
         assert all(isinstance(x, str) for x in payload["vectors"]["0"])
 
 
+# A plain string is [-]digits[/digits] in ASCII; the reader takes those and
+# JSON ints to integers itself and hands every other string to the field.
+NAMED_SCALARS = ["2/4", "-0", "007", "1/0", "5/-3", "+3", " 3", "1_0", "1.5", "1e4301",
+                 "-", "\u0661\u0662", "0/0", "-0/7", "1/02", "3 ", "", "1//2", "1/2/3", "--3"]
+LONG = "9" * 4301
+scalar_inputs = st.one_of(
+    st.integers(-10**40, 10**40),
+    st.sampled_from(NAMED_SCALARS + [LONG, "-" + LONG, "1/" + LONG, LONG + "/7", LONG[1:]]),
+    st.builds(lambda sign, zeros, num, den: f"{sign}{'0' * zeros}{num}" + (f"/{den}" if den else ""),
+              st.sampled_from(["", "-"]), st.integers(0, 2), st.integers(0, 10**30),
+              st.one_of(st.none(), st.integers(0, 10**30))),
+    st.text("0123456789-/+_ .e\u0661", max_size=8),
+)
+
+
+def outcome(convert, value):
+    """What `convert(value)` gives, or the type and message it raises."""
+    try:
+        return convert(value)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestPointReader:
+    """`assignment_from_obj` against the field on every scalar: the same
+    values, or the same error for the first bad scalar of the point."""
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(101)], ids=lambda f: f.name)
+    @given(vectors=st.lists(st.lists(scalar_inputs, min_size=1, max_size=4), min_size=1,
+                            max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_reader_agrees_with_the_field(self, field, vectors):
+        obj = {"field": field.name, "vectors": {str(v): vec for v, vec in enumerate(vectors)}}
+        read = outcome(assignment_from_obj, obj)
+        expected = outcome(lambda vs: [[field(x) for x in vec] for vec in vs], vectors)
+        if isinstance(read, VertexAssignment):
+            assert [list(vec) for vec in read.vectors] == expected
+            assert read == VertexAssignment(field, expected)
+            assert read.numerators == VertexAssignment(field, expected).numerators
+        else:
+            assert read == expected
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(101)], ids=lambda f: f.name)
+    @pytest.mark.parametrize("x", NAMED_SCALARS + [12, -5] + [
+        pytest.param(LONG, id="4301-digits"), pytest.param("-" + LONG, id="-4301-digits"),
+        pytest.param("1/" + LONG, id="1/4301-digits")])
+    def test_named_scalars(self, field, x):
+        obj = {"field": field.name, "vectors": {"0": ["1", x]}}
+        read = outcome(lambda o: list(assignment_from_obj(o).vectors[0]), obj)
+        assert read == outcome(lambda y: [field(1), field(y)], x)
+
+    def test_integer_form_is_reduced(self):
+        obj = {"field": "Q", "vectors": {"0": ["2/4", "-6/8", "0"], "1": ["0/5", "0"], "2": ["4", "6"]}}
+        assert assignment_from_obj(obj).numerators == (((2, -3, 0), 4), ((0, 0), 1), ((4, 6), 1))
+
+
 class TestCertificateRoundTrip:
     def test_cycle_certificate(self):
         sp = standard_space("symplectic", 4, RATIONALS)
