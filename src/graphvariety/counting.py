@@ -7,8 +7,8 @@ next, so partial assignments are grouped by a key of the frontier tuple and
 carried as (representative tuple, multiplicity).  At each vertex the edge
 equations to assigned neighbours are linear in the new vector, and the
 admissible vectors form their `perp`.  A vertex that enters the frontier has
-its kernel enumerated exactly; a vertex with no later neighbours is not
-enumerated and multiplies the state's multiplicity by q^dim(kernel).
+its kernel split exactly into key classes; a vertex with no later neighbours
+multiplies the state's multiplicity by q^dim(kernel).
 
 The key is the isometry orbit of the frontier tuple where Witt's extension
 theorem applies, that is for alternating forms and for symmetric forms in
@@ -21,26 +21,41 @@ non-alternating form over F_2, such as the identity) the key is the raw
 vectors.  All arithmetic runs on ints in [0, p).
 
 Under orbit keys a vertex entering the frontier costs, per state, one
-`rref` and one Gram image per kernel basis vector, then a few tuple sums and
-slices per kernel vector: it builds no key per kernel vector.
-`_extensions` reduces the n x (k + d) matrix [kept | kernel basis] once,
-with pivots among the k kept columns, which gives each basis vector b
-integer linear images: its pairings <kept_i, b>, its coordinates over the
-kept pivot rows and the remainder below them, and gram b.  Each of the
-p^d vectors x of the kernel then gets a signature from sums of these
-images: its pairings y with the kept tuple, its norm <x, x> (0 for an
-alternating form), and its coordinates alpha over the kept pivots when the
-remainder is zero, or "independent" when it is not.  The key of
-kept + (x,) is assembled once per signature: the Gram part is kept's block
-bordered by the column y and the row +y or -y (by the form's symmetry),
-with the norm in the corner; the echelon part is kept's rows with alpha
-appended, or, for an independent x, with 0 appended and a new last row
-(0, ..., 0, 1).  That is exactly the orbit key of kept + (x,), since the
-reduced echelon form is unique, so the signature fixes the key by linear
-algebra alone; Witt's theorem is needed only for the orbit key itself.
-Class sizes become multiplicities, so the counts and the states carried
-are those of keying every tuple.  A step that only shrinks the frontier
-reads the kept tuple's key off the state's (`_kept_echelon`).
+`rref` and one Gram image per kernel basis vector; it builds no key per
+kernel vector.  `_extensions` reduces the n x (k + d) matrix
+[kept | kernel basis] once, with pivots among the k kept columns, which
+gives each basis vector b integer linear images: its pairings <kept_i, b>,
+its coordinates over the kept pivot rows and the remainder below them, and
+gram b.  A kernel vector x = sum c_j b_j then has a signature from the
+same sums of these images: its pairings y with the kept tuple, its norm
+<x, x> (0 for an alternating form), and its coordinates alpha over the kept
+pivots when the remainder is zero, or "independent" when it is not.  The
+key of kept + (x,) is assembled once per signature: the Gram part is kept's
+block bordered by the column y and the row +y or -y (by the form's
+symmetry), with the norm in the corner; the echelon part is kept's rows
+with alpha appended, or, for an independent x, with 0 appended and a new
+last row (0, ..., 0, 1).  That is exactly the orbit key of kept + (x,),
+since the reduced echelon form is unique, so the signature fixes the key by
+linear algebra alone; Witt's theorem is needed only for the orbit key
+itself.  Class sizes become multiplicities, so the counts and the states
+carried are those of keying every tuple.
+
+Where the norm can be nonzero (symmetric forms in odd characteristic) all
+p^d kernel vectors are enumerated and sorted into classes.  An alternating
+form has no norm, and `_alternating_classes` counts its classes instead.
+The map c -> (y, alpha, remainder) is linear and injective, as
+(alpha, remainder) is E x for the invertible E of the reduction.  So each
+dependent x is a class of size 1; they span the kernel of the remainder
+map, which an `rref` of the images pivoting on the remainder columns gives
+(at most p^r vectors, r = rank(kept)).  An `rref` pivoting on the pairing
+columns gives each y of im Y once (at most p^k vectors); the x with
+pairings y are a coset of ker Y, of size p^(d - rank Y), and the
+independent class of y is that coset less its dependent x.  Its
+representative is the span element of y, plus a row of ker Y with a nonzero
+remainder when that element is dependent.
+
+A step that only shrinks the frontier reads the kept tuple's key off the
+state's (`_kept_echelon`).
 
 The result is an exact integer, usable as an oracle for the expected
 dimension: the ratio count / q^d should drift toward 1 as q grows when the
@@ -109,17 +124,19 @@ def _extensions(space, gram, kept, basis):
         gb = space.gram_times(b)
         image = [sum(map(mul, u, gb)) % p for u in kept] + [row[k + j] for row in rows] + b
         images.append(image + gb if norms else image)
-    # an image of x is <kept, x> | alpha | remainder | x [| gram x]; without
-    # the gram x part the norm below is an empty sum, 0 as for alternating forms
+    # an image of x is <kept, x> | alpha | remainder | x [| gram x]
     a, rest, tail = k + r, k + n, k + 2 * n
-    classes = {}
-    for t in _span(images, tail + n * norms, p):
-        dependent = not any(t[a:rest])
-        sig = (t[:a] if dependent else t[:k], dependent, sum(map(mul, t[rest:tail], t[tail:])) % p)
-        if sig in classes:
-            classes[sig][1] += 1
-        else:
-            classes[sig] = [t[rest:tail], 1]
+    if norms:
+        classes = {}
+        for t in _span(images, tail + n, p):
+            dependent = not any(t[a:rest])
+            sig = (t[:a] if dependent else t[:k], dependent, sum(map(mul, t[rest:tail], t[tail:])) % p)
+            if sig in classes:
+                classes[sig][1] += 1
+            else:
+                classes[sig] = [t[rest:tail], 1]
+    else:
+        classes = _alternating_classes(images, k, r, n, p)
     border = [gram[i * k : i * k + k] for i in range(k)]
     old = [tuple(row[:k]) for row in rows[:r]]
     fresh = tuple(row + (0,) for row in old) + ((0,) * k + (1,),)
@@ -131,6 +148,33 @@ def _extensions(space, gram, kept, basis):
         echelon = tuple(map(tuple.__add__, old, zip(head[k:]))) if dependent else fresh
         out[pairs, echelon] = (kept + (x,), size)
     return out
+
+
+def _alternating_classes(images, k, r, n, p):
+    """`_extensions`' {signature: [x, class size]} for an alternating form,
+    counted from two `rref`s of the images rather than enumerated (module
+    docstring)."""
+    a, rest, tail = k + r, k + n, k + 2 * n
+    # pivots on the remainder columns: the rows past them span the images
+    # of the dependent x, one class of size 1 each
+    rows, pivots = rref([t[a:rest] + t[:a] + t[rest:] for t in images], n - r, p)
+    classes, dependents = {}, {}
+    for t in _span([row[n - r:] for row in rows[len(pivots):]], a + n, p):
+        classes[t[:a], True, 0] = [t[a:], 1]
+        dependents[t[:k]] = dependents.get(t[:k], 0) + 1
+    # pivots on the pairing columns: the pivot rows' span meets each y in
+    # im Y once, and the rows past them span ker Y, so each y's x are a
+    # coset of size p^(d - rank Y) less its dependent ones
+    rows, pivots = rref(images, k, p)
+    coset = p ** (len(images) - len(pivots))
+    lift = next((row for row in rows[len(pivots):] if any(row[a:rest])), None)
+    for t in _span(rows[: len(pivots)], tail, p):
+        size = coset - dependents.get(t[:k], 0)
+        if size:
+            # size > 0: t's coset holds an independent x, so `lift` exists
+            x = t[rest:] if any(t[a:rest]) else tuple(map(p.__rmod__, map(add, t[rest:], lift[rest:])))
+            classes[t[:k], False, 0] = [x, size]
+    return classes
 
 
 def _kept_echelon(echelon, keep, p):

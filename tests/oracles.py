@@ -525,6 +525,44 @@ def symplectic_plane_count(graph, q):
     return total
 
 
+def forest_point_count(forest, n, q):
+    """Members over F_q^n with any non-degenerate form, for a forest.
+
+    Root each tree and count its subtrees bottom up in two states: Z_v
+    assignments with w(v) = 0 and N_v with w(v) a given nonzero vector.
+    Under w(v) = 0 a child takes any of the q^n vectors; under w(v) = u != 0
+    it takes one of the q^(n-1) vectors of the hyperplane u^perp, which has
+    q^(n-1) - 1 nonzero vectors whatever u is, so N_v does not depend on u:
+    Z_v = prod_c (Z_c + (q^n - 1) N_c), N_v = prod_c (Z_c + (q^(n-1) - 1) N_c).
+    A tree with root r contributes Z_r + (q^n - 1) N_r, and the trees
+    multiply.
+    """
+    seen = [False] * forest.num_vertices
+    total = 1
+    for root in range(forest.num_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order, parent, stack = [], {root: None}, [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in forest.adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    stack.append(u)
+        zero, nonzero = {}, {}
+        for v in reversed(order):  # children before parents
+            children = [u for u in forest.adjacency[v] if parent.get(u) == v]
+            zero[v] = nonzero[v] = 1
+            for c in children:
+                zero[v] *= zero[c] + (q**n - 1) * nonzero[c]
+                nonzero[v] *= zero[c] + (q ** (n - 1) - 1) * nonzero[c]
+        total *= zero[root] + (q**n - 1) * nonzero[root]
+    return total
+
+
 def weighting_from_obj(obj):
     """The weighting of a parsed JSON document, whole: the reference for
     the streaming `weighting_from_json`."""

@@ -20,12 +20,14 @@ from graphvariety import (
     expected_dimension,
     standard_space,
 )
+from graphvariety import counting
 from graphvariety.counting import _extensions, _kept_echelon
 from graphvariety.linalg import kernel
 from oracles import (
     c4_point_count,
     complete_bipartite_graph,
     enumerate_point_count,
+    forest_point_count,
     frontier_key,
     naive_point_count,
     orbit_keys,
@@ -33,6 +35,7 @@ from oracles import (
     star_graph,
     symplectic_plane_count,
 )
+from strategies import forests
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
 K4_MINUS_EDGE = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -243,18 +246,43 @@ class TestFrontierCount:
         # perfbench's FULL_COUNTS entry for path5, symplectic n=2 over F_5
         assert symplectic_plane_count(path_graph(5), 5) == 69625
 
-    def test_single_edge_pairs_once_per_state(self, monkeypatch):
-        calls = []
-        pair = BilinearSpace.pair
+    # alternating forms, whose classes are counted in closed form, then
+    # enumerated symmetric classes and raw keys over F_2
+    @pytest.mark.parametrize("form,n,q,max_vertices", [
+        *[("symplectic", n, q, 10) for n in (4, 6, 8) for q in (3, 5, 7)],
+        ("hyperbolic", 4, 2, 10),
+        ("symmetric", 2, 3, 6),
+        ("symmetric", 3, 5, 6),
+        ("symmetric", 3, 2, 6),
+        ("symmetric", 4, 2, 6),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_random_forests_match_tree_recursion(self, form, n, q, max_vertices, data):
+        g = data.draw(forests(max_vertices))
+        space = standard_space(form, n, PrimeField(q))
+        report = count_points(CountRequest(g, space, cap=q ** (n * g.num_vertices)))
+        assert report.count == forest_point_count(g, n, q)
 
-        def counted(self, u, v):
-            calls.append(1)
-            return pair(self, u, v)
+    def test_tree_recursion_gives_path3(self):
+        # by hand: the middle vertex zero, (1 + 80)^2 = 6561, plus 80 nonzero
+        # choices times (1 + 26)^2 = 729
+        assert forest_point_count(path_graph(3), 4, 3) == 64881
 
-        monkeypatch.setattr(BilinearSpace, "pair", counted)
+    def test_single_edge_counts_classes_without_enumeration(self, monkeypatch):
+        # alternating classes are counted, not enumerated: the first
+        # endpoint's 7^4 kernel vectors fall into 2 classes
+        spanned, span = [], counting._span
+
+        def counted(basis, n, p):
+            vecs = span(basis, n, p)
+            spanned.append(len(vecs))
+            return vecs
+
+        monkeypatch.setattr(counting, "_span", counted)
         space = standard_space("symplectic", 4, PrimeField(7))
         assert count_points(CountRequest(SINGLE_EDGE, space)).count == edge_count_closed_form(4, 7)
-        assert len(calls) < 50  # one key per vector made 2401
+        assert 0 < sum(spanned) < 50  # enumerating the kernel made 2401
 
 
 class TestFrontierKey:
@@ -295,6 +323,7 @@ class TestFrontierKey:
 EXTENSION_SPACES = {
     "symplectic4-F3": standard_space("symplectic", 4, PrimeField(3)),
     "symplectic4-F5": standard_space("symplectic", 4, PrimeField(5)),
+    "symplectic6-F3": standard_space("symplectic", 6, PrimeField(3)),
     "symmetric2-F3": symmetric(2, 3),
     "symmetric2-F7": symmetric(2, 7),
     "symmetric3-F3": symmetric(3, 3),
