@@ -36,7 +36,6 @@ from .graphs import (
     Graph,
     OrderedGraph,
     bfs_layers,
-    biconnected_edge_components,
     connected_components,
     cycle_graph,
     degeneracy_order,

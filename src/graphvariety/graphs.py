@@ -238,75 +238,44 @@ def proper_vertex_numbering(graph, bound):
     return tuple(numbers)
 
 
-def biconnected_edge_components(graph):
-    """Edge sets of the biconnected blocks, via an iterative DFS.
-
-    Bridges come back as single-edge blocks.  Each block is a sorted tuple of
-    (lo, hi) edges.
-    """
-    n = graph.num_vertices
-    disc = [-1] * n
-    low = [0] * n
-    blocks = []
-    edge_stack = []
-    counter = [0]
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # frame: (vertex, parent, iterator over neighbors)
-        stack = [(root, -1, iter(graph.adjacency[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    edge_stack.append((min(v, u), max(v, u)))
-                    disc[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append((u, v, iter(graph.adjacency[u])))
-                    advanced = True
-                    break
-                if u != parent and disc[u] < disc[v]:
-                    edge_stack.append((min(v, u), max(v, u)))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    block = []
-                    mark = (min(pv, v), max(pv, v))
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == mark:
-                            break
-                    if block:
-                        blocks.append(tuple(sorted(set(block))))
-    return blocks
-
-
 def has_even_cycle(graph):
-    """True when the graph contains a cycle of even length.
+    """True when the graph contains a cycle of even length, by one iterative
+    depth-first pass.
 
-    Works block by block: a block with more edges than vertices contains two
-    cycles sharing a path, and among the three cycle lengths so obtained not
-    all can be odd.  A block that is exactly one cycle is even iff its length
-    is.
+    Every non-tree edge of a DFS forest joins a vertex v to an ancestor u
+    and closes a fundamental cycle of length depth(v) - depth(u) + 1.  The
+    graph has an even cycle exactly when some fundamental cycle is even or
+    two of them share a tree edge: two such cycles form a theta graph, whose
+    three cycle lengths sum to an even number, so not all are odd.  If the
+    fundamental cycles are odd and pairwise edge-disjoint, every cycle, a
+    sum of fundamental cycles, is their disjoint union and so one of them.
+    Each odd cycle's tree edges are marked by their child vertex; meeting a
+    marked one ends the pass, so each is walked once, O(V + E) in all.
     """
-    for block in biconnected_edge_components(graph):
-        if len(block) < 2:
+    n, adjacency = graph.num_vertices, graph.adjacency
+    depth, parent, marked = [-1] * n, [-1] * n, [False] * n
+    for root in range(n):
+        if depth[root] != -1:
             continue
-        verts = {v for e in block for v in e}
-        if len(block) > len(verts):
-            return True
-        if len(block) == len(verts) and len(block) % 2 == 0:
-            return True
+        depth[root] = 0
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            v, neighbours = stack[-1]
+            for u in neighbours:
+                if depth[u] == -1:
+                    depth[u], parent[u] = depth[v] + 1, v
+                    stack.append((u, iter(adjacency[u])))
+                    break
+                if depth[u] < depth[v] - 1:  # a back edge to u, not the tree edge
+                    if (depth[v] - depth[u]) % 2:
+                        return True
+                    w = v
+                    while w != u:
+                        if marked[w]:
+                            return True
+                        marked[w], w = True, parent[w]
+            else:
+                stack.pop()
     return False
 
 

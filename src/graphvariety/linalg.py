@@ -109,24 +109,19 @@ def first_dependency(rows, p=None):
     """The dependency of the first row that depends on the rows before it,
     as {row index: coefficient}, or None when all rows are independent.
 
-    `rows` are dicts {column: nonzero scalar}: residues mod a prime `p`, or
-    rationals when `p` is None.  Each row is reduced at its smallest column
-    against earlier pivot rows (zero left of their pivots), keeping beside
-    it the combination of input rows it has become.  The first row f to
-    reach zero returns that combination: coefficient 1 at f, support in
-    0..f, unique as rows 0..f-1 are independent.
-    Over Q row f starts as its integer multiple by the lcm d_f of its
-    denominators, with combination {f: d_f}; row and combination are updated
-    and divided by their joint content together, and the combination
-    returned is divided by its coefficient at f.
+    `rows` are dicts {column: nonzero int}, as `rref` takes them: residues
+    mod a prime `p`, or any ints when `p` is None.  Each row is reduced at
+    its smallest column against earlier pivot rows (zero left of their
+    pivots), keeping beside it the combination of input rows it has become.
+    The first row f to reach zero returns that combination: coefficient 1 at
+    f, support in 0..f, unique as rows 0..f-1 are independent.  Over Q row
+    and combination are updated and divided by their joint content together,
+    and the combination returned is divided by its coefficient at f, as
+    `Fraction`s.
     """
     pivots = {}  # pivot column -> (pivot or its inverse mod p, rest of the row, combination)
     for f, row in enumerate(rows):
-        if p is None:
-            numerators, d = _numerators(row.values())
-            row, combo = dict(zip(row, numerators)), {f: d}
-        else:
-            row, combo = dict(row), {f: 1}
+        row, combo = dict(row), {f: 1}
         while row:
             c = min(row)
             if c not in pivots:

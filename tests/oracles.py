@@ -85,11 +85,11 @@ def reference_first_dependency(rows, p=None):
     as {row index: coefficient}, or None when all rows are independent.
 
     `rows` are dicts {column: nonzero scalar}, scalars as in
-    `reference_rref`.  Each row is reduced at its smallest column against
-    earlier pivot rows (zero left of their pivots), keeping beside it the
-    combination of input rows it has become.  The first row f to reach zero
-    returns that combination: coefficient 1 at f, support in 0..f, unique as
-    rows 0..f-1 are independent.
+    `reference_rref` or ints over Q.  Each row is reduced at its smallest
+    column against earlier pivot rows (zero left of their pivots), keeping
+    beside it the combination of input rows it has become.  The first row f
+    to reach zero returns that combination: coefficient 1 at f, support in
+    0..f, unique as rows 0..f-1 are independent.
     """
     pivots = {}  # pivot column -> (inverse pivot, rest of the row, combination)
     for f, row in enumerate(rows):
@@ -112,7 +112,7 @@ def reference_first_dependency(rows, p=None):
         else:
             return combo
         x = row.pop(c)
-        pivots[c] = (1 / x if p is None else pow(x, -1, p), row, combo)
+        pivots[c] = (Fraction(1) / x if p is None else pow(x, -1, p), row, combo)
     return None
 
 
@@ -155,6 +155,12 @@ def field_kernel(rows, ncols, p=None):
 def _integer_row(row):
     d = lcm(*(Fraction(x).denominator for x in row))
     return [int(x * d) for x in row]
+
+
+def integer_sparse_row(row):
+    """A sparse {column: rational} row times the lcm of its denominators,
+    as `first_dependency` takes it over Q."""
+    return dict(zip(row, _integer_row(list(row.values()))))
 
 
 def dot(field, u, v):

@@ -39,3 +39,25 @@ def forests(draw, max_vertices=12):
         if j >= 0:
             edges.append((label[j], label[i]))
     return Graph(n, edges)
+
+
+@st.composite
+def odd_cacti(draw, max_blocks=8):
+    """A graph with no even cycle, and the vertex lists of its cycles: odd
+    cycles glued at vertices and joined by bridges, plus isolated vertices,
+    under a random labelling.  Each block hangs from an earlier vertex."""
+    n, edges, cycles = 1, [], []
+    for _ in range(draw(st.integers(0, max_blocks))):
+        size = draw(st.sampled_from((0, 2, 3, 5, 7)))  # 0 an isolated vertex, 2 a bridge
+        if not size:
+            n += 1
+            continue
+        ring = [draw(st.integers(0, n - 1)), *range(n, n + size - 1)]
+        n += size - 1
+        edges += zip(ring, ring[1:])
+        if size > 2:
+            edges.append((ring[-1], ring[0]))
+            cycles.append(ring)
+    label = draw(st.permutations(range(n)))
+    return (Graph(n, [(label[a], label[b]) for a, b in edges]),
+            [[label[v] for v in ring] for ring in cycles])

@@ -40,8 +40,9 @@ from graphvariety.sampling import SamplerConfig
 from graphvariety.serialization import assignment_from_obj, assignment_to_obj
 from graphvariety.variety import _edge_rows
 from oracles import (complete_bipartite_graph, dot, field_kernel, field_rref, gram_product,
-                     independent_set_point, jacobian, jw_rows, left_kernel, origin,
-                     random_connected_graph, rank, reference_first_dependency, reference_rref)
+                     independent_set_point, integer_sparse_row, jacobian, jw_rows, left_kernel,
+                     origin, random_connected_graph, rank, reference_first_dependency,
+                     reference_rref)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -325,15 +326,19 @@ def test_rational_singular_points_verify(seed):
         for _ in range(3):
             point = rational_lagrangian_point(rng, a, n)
             rows = jw_rows(ctx, point)
-            combo = first_dependency(rows)
-            assert combo is not None and combo == reference_first_dependency(rows)
+            integer_rows = list(map(integer_sparse_row, rows))
+            combo = first_dependency(integer_rows)
+            assert combo is not None and combo == reference_first_dependency(integer_rows)
+            expected = reference_first_dependency(rows)
             cert = singular_certificate(ctx, point)
-            assert cert.values == tuple(combo.get(e, 0) for e in range(len(rows)))
+            assert cert.values == tuple(expected.get(e, 0) for e in range(len(rows)))
             assert verify_certificate(ctx, point, cert)
 
 
 def sparse_rows(rng, p, nrows, ncols):
-    """Random sparse rows, with repeated rows, multiples and zero rows."""
+    """Random sparse rows, with repeated rows, multiples and zero rows; over
+    Q each row times the lcm of its denominators, as `first_dependency`
+    takes them."""
     rows = []
     for _ in range(nrows):
         kind = rng.random()
@@ -350,7 +355,7 @@ def sparse_rows(rng, p, nrows, ncols):
                 if x:
                     row[k] = x
         rows.append(row)
-    return rows
+    return rows if p else list(map(integer_sparse_row, rows))
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 7, 10007])
@@ -381,7 +386,7 @@ def test_first_dependency_against_rref(p):
 
 
 def test_first_dependency_small_cases():
-    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}]
     copy = [dict(r) for r in rows]
     assert first_dependency(rows) == {0: Fraction(-2), 1: Fraction(1)}
     assert rows == copy

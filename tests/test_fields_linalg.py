@@ -12,7 +12,7 @@ from graphvariety import (
 )
 from graphvariety.fields import _is_prime
 from graphvariety.linalg import first_dependency, kernel, rref
-from oracles import (dot, field_kernel, field_rref, left_kernel, rank,
+from oracles import (dot, field_kernel, field_rref, integer_sparse_row, left_kernel, rank,
                      reference_first_dependency, reference_kernel, reference_rref, transpose)
 
 
@@ -304,7 +304,7 @@ class TestFractionFreeElimination:
     @settings(max_examples=250, deadline=None)
     def test_rref_kernel_and_first_dependency_match_the_reference(self, matrix):
         ncols, rows = matrix
-        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        sparse = [integer_sparse_row({c: x for c, x in enumerate(row) if x}) for row in rows]
         copies = [list(r) for r in rows], [dict(r) for r in sparse]
         reduced, pivots = field_rref(rows, ncols)
         assert (reduced, pivots) == reference_rref(rows, ncols)
@@ -318,10 +318,10 @@ class TestFractionFreeElimination:
         assert (rows, sparse) == copies
 
     def test_planted_dependency_with_denominators(self):
-        rows = [{0: Fraction(1, 3), 2: Fraction(5, 7)}, {1: Fraction(-2, 9)},
-                {0: Fraction(2, 3), 1: Fraction(4, 27), 2: Fraction(10, 7)}]
-        # row 2 = 2 * row 0 - (2/3) * row 1
-        assert first_dependency(rows) == {0: Fraction(-2), 1: Fraction(2, 3), 2: Fraction(1)}
+        # 21, 9 and 189 times (1/3, 0, 5/7), (0, -2/9, 0) and (2/3, 4/27, 10/7),
+        # the last being 2 * the first - (2/3) * the second: row 2 = 18 * row 0 - 14 * row 1
+        rows = [{0: 7, 2: 15}, {1: -2}, {0: 126, 1: 28, 2: 270}]
+        assert first_dependency(rows) == {0: Fraction(-18), 1: Fraction(14), 2: Fraction(1)}
         assert field_rref([[Fraction(2, 3), Fraction(1, 5)]], 2) == ([[1, Fraction(3, 10)]], [0])
         assert rref([[10, 3]], 2) == ([[10, 3]], [0])
 

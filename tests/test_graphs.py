@@ -9,7 +9,6 @@ from graphvariety import (
     DisconnectedGraphError,
     Graph,
     bfs_layers,
-    biconnected_edge_components,
     connected_components,
     cycle_graph,
     degeneracy_order,
@@ -31,7 +30,7 @@ from oracles import (
     scan_degeneracy_order,
     star_graph,
 )
-from strategies import connected_graphs, forests, graphs
+from strategies import connected_graphs, forests, graphs, odd_cacti
 
 
 class TestGraphConstruction:
@@ -279,18 +278,12 @@ class TestProperNumbering:
 
 
 class TestBiconnectedAndEvenCycles:
-    def test_path_blocks_are_single_edges(self):
-        blocks = biconnected_edge_components(path_graph(4))
-        assert sorted(sorted(b) for b in blocks) == [
-            [(0, 1)],
-            [(1, 2)],
-            [(2, 3)],
-        ]
+    """`has_even_cycle` against cycle enumeration, and on graphs with no
+    even cycle, each of whose blocks is an edge or an odd cycle."""
 
     def test_cycle_with_pendant(self):
-        g = Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)])
-        blocks = biconnected_edge_components(g)
-        assert sorted(len(b) for b in blocks) == [1, 4]
+        assert has_even_cycle(Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)]))
+        assert not has_even_cycle(Graph(6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (4, 5)]))
 
     def test_even_cycle_examples(self):
         assert not has_even_cycle(path_graph(6))
@@ -299,11 +292,38 @@ class TestBiconnectedAndEvenCycles:
         # two triangles sharing an edge contain a four-cycle
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         assert has_even_cycle(g)
+        # two triangles, and a triangle and a five-cycle, sharing a vertex
+        assert not has_even_cycle(Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]))
+        assert not has_even_cycle(
+            Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (0, 6)]))
 
     @given(graphs(max_vertices=7))
     @settings(max_examples=80, deadline=None)
     def test_matches_cycle_enumeration(self, g):
         assert has_even_cycle(g) == brute_has_even_cycle(g)
+
+    @given(odd_cacti(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_odd_cacti_until_a_chord_or_an_even_cycle(self, cactus, data):
+        g, cycles = cactus
+        assert not has_even_cycle(g)
+        # a chord splits an odd cycle into two cycles, one of them even
+        long_cycles = [ring for ring in cycles if len(ring) >= 5]
+        if long_cycles:
+            ring = data.draw(st.sampled_from(long_cycles))
+            i, j = data.draw(st.integers(0, len(ring) - 1)), data.draw(st.integers(2, len(ring) - 2))
+            chord = (ring[i], ring[(i + j) % len(ring)])
+            assert has_even_cycle(Graph(g.num_vertices, [*g.edges, chord]))
+        # an even cycle spliced in at a vertex
+        n, size = g.num_vertices, data.draw(st.sampled_from((4, 6, 8)))
+        ring = [data.draw(st.integers(0, n - 1)), *range(n, n + size - 1)]
+        spliced = [*g.edges, *zip(ring, ring[1:]), (ring[-1], ring[0])]
+        assert has_even_cycle(Graph(n + size - 1, spliced))
+
+    def test_longest_cycles_need_no_recursion(self):
+        # MAX_VERTICES-long cycles: a recursive search would pass the recursion limit
+        assert not has_even_cycle(cycle_graph(MAX_VERTICES - 1))
+        assert has_even_cycle(cycle_graph(MAX_VERTICES))
 
 
 class TestEdgeListFormat:
