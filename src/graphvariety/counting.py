@@ -1,14 +1,25 @@
 """Exact point counts of the variety over prime fields.
 
-The counter is a forward dynamic programme over the reversed degeneracy
-order.  After each step the *frontier* is the set of assigned vertices that
-still have unassigned neighbours; only their vectors constrain what comes
-next, so partial assignments are grouped by a key of the frontier tuple and
+The counter is a forward dynamic programme over an order of the vertices.
+After each step the *frontier* is the set of assigned vertices that still
+have unassigned neighbours; only their vectors constrain what comes next,
+so partial assignments are grouped by a key of the frontier tuple and
 carried as (representative tuple, multiplicity).  At each vertex the edge
 equations to assigned neighbours are linear in the new vector, and the
 admissible vectors form their `perp`.  A vertex that enters the frontier has
-its kernel split exactly into key classes; a vertex with no later neighbours
-multiplies the state's multiplicity by q^dim(kernel).
+its kernel split exactly into key classes.  A vertex with no later
+neighbours multiplies the state's multiplicity by q^(n - rank), the rank of
+its assigned neighbours' vectors (the form is non-degenerate): one `rref`
+of at most w rows per state, w the frontier width, with no `perp` basis
+or Gram image.
+
+The states after a step number at most q^(n w), w the frontier's width
+then, so the DP walks a greedy minimum-frontier order (`_min_frontier_order`;
+vertex separation, Bodlaender, TCS 1998).  On K2,3 it has width 2 where the
+reversed degeneracy order has 3.  It is not always the narrower one: on
+about 5% of random graphs of up to 8 vertices the reversed degeneracy
+order has the smaller raw state bound sum_i q^(n w_i).  The count does not
+depend on the order.
 
 The key is the isometry orbit of the frontier tuple where Witt's extension
 theorem applies, that is for alternating forms and for symmetric forms in
@@ -41,7 +52,8 @@ itself.  Class sizes become multiplicities, so the counts and the states
 carried are those of keying every tuple.
 
 Where the norm can be nonzero (symmetric forms in odd characteristic) all
-p^d kernel vectors are enumerated and sorted into classes.  An alternating
+p^d kernel vectors are enumerated (`_span`, which starts from the first
+basis vector's multiples) and sorted into classes.  An alternating
 form has no norm, and `_alternating_classes` counts its classes instead.
 The map c -> (y, alpha, remainder) is linear and injective, as
 (alpha, remainder) is E x for the invertible E of the reduction.  So each
@@ -69,7 +81,6 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import WorkCapExceededError
-from .graphs import degeneracy_order
 from .linalg import rref
 from .variety import expected_dimension
 
@@ -96,14 +107,15 @@ class CountReport(namedtuple("CountReport", "count q expected_dimension ratio"))
 
 
 def _span(basis, n, p):
-    """Every vector of the span of `basis`, as tuples."""
+    """Every vector of the span of `basis`, as tuples: the first basis
+    vector's multiples, then each sum with a multiple of the next."""
     reduce = p.__rmod__
     vecs = [(0,) * n]
-    for b in basis:
+    for i, b in enumerate(basis):
         multiples = [(0,) * n]
         for _ in range(p - 1):
             multiples.append(tuple(map(reduce, map(add, multiples[-1], b))))
-        vecs = [tuple(map(reduce, map(add, v, m))) for v in vecs for m in multiples]
+        vecs = [tuple(map(reduce, map(add, v, m))) for v in vecs for m in multiples] if i else multiples
     return vecs
 
 
@@ -202,19 +214,24 @@ def _frontier_count(g, order, space):
         width = len(frontier)
         nxt = {}
         for key, (rep, mult) in states.items():
-            basis = space.perp([rep[k] for k in slots])[0]
             kept = tuple(rep[k] for k in keep)
             if orbit_keys and not unchanged:
                 # kept's Gram block, read off the state key's Gram matrix
                 gram = tuple(key[0][a * width + b] for a in keep for b in keep)
-            if enters and orbit_keys:
-                new = _extensions(space, gram, kept, basis)
-            elif enters:
-                new = {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
-            elif unchanged or not orbit_keys:
-                new = {key if unchanged else kept: (kept, p ** len(basis))}
+            if enters:
+                basis = space.perp([rep[k] for k in slots])[0]
+                if orbit_keys:
+                    new = _extensions(space, gram, kept, basis)
+                else:
+                    new = {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
             else:
-                new = {(gram, _kept_echelon(key[1], keep, p)): (kept, p ** len(basis))}
+                # v's perp has dimension n - rank(slot vectors): the form is
+                # non-degenerate
+                size = p ** (n - len(rref([rep[k] for k in slots], n, p)[1]))
+                if unchanged or not orbit_keys:
+                    new = {key if unchanged else kept: (kept, size)}
+                else:
+                    new = {(gram, _kept_echelon(key[1], keep, p)): (kept, size)}
             for new_key, (t, size) in new.items():
                 seen = nxt.get(new_key)
                 if seen is None:
@@ -226,6 +243,39 @@ def _frontier_count(g, order, space):
     return sum(mult for _, mult in states.values())
 
 
+def _min_frontier_order(g):
+    """A greedy minimum-frontier order: next comes the unplaced vertex that
+    leaves the smallest frontier, ties going to the most placed neighbours,
+    then to the smallest index.  That puts the isolated vertices first, in
+    index order.  After them a vertex with no placed neighbour enters the
+    frontier and closes none, so while the frontier is not empty the next
+    vertex is one of its neighbours, and when it is empty it is the
+    smallest unplaced one."""
+    adjacency = g.adjacency
+    unplaced = [len(ns) for ns in adjacency]  # each vertex's unplaced neighbours
+    order = [v for v, ns in enumerate(adjacency) if not ns]
+    placed, frontier, fresh = set(order), set(), iter(range(g.num_vertices))
+
+    def cost(v):
+        closes = sum(unplaced[u] == 1 for u in adjacency[v] if u in placed)
+        return (unplaced[v] > 0) - closes, unplaced[v] - len(adjacency[v]), v
+
+    while len(order) < g.num_vertices:
+        if frontier:
+            v = min({u for f in frontier for u in adjacency[f] if u not in placed}, key=cost)
+        else:
+            v = next(u for u in fresh if u not in placed)
+        order.append(v)
+        placed.add(v)
+        for u in adjacency[v]:
+            unplaced[u] -= 1
+            if not unplaced[u]:
+                frontier.discard(u)
+        if unplaced[v]:
+            frontier.add(v)
+    return order
+
+
 def _cap_exponent(q, cap):
     """The largest e with q^e <= cap, for cap >= 1."""
     e, power = 0, q
@@ -235,7 +285,8 @@ def _cap_exponent(q, cap):
 
 
 def count_points(req):
-    """The exact number of member points, by a frontier DP (module docstring).
+    """The exact number of member points, by a frontier DP over
+    `_min_frontier_order` (module docstring).
 
     The work estimate is the worst case q^(n |V|) of a full enumeration, kept
     as the admission rule: a request over the cap is rejected up front even
@@ -247,8 +298,7 @@ def count_points(req):
     work = space.n * g.num_vertices
     if work > _cap_exponent(q, req.cap):
         raise WorkCapExceededError((q, work), req.cap)
-    og, _ = degeneracy_order(g)
-    count = _frontier_count(g, list(reversed(og.order)), space)
+    count = _frontier_count(g, _min_frontier_order(g), space)
     d = expected_dimension(g, space)
     return CountReport(
         count=count,

@@ -504,6 +504,30 @@ def c4_point_count(n, q):
     return q ** (2 * n) + rank1 * q ** (2 * n - 2) + rank2 * q ** max(2 * n - 4, 0)
 
 
+def _plane_count(graph, q, lines):
+    """The sum over vertex sets Z of the product over the components C of
+    G - Z of lines(C is bipartite) * (q - 1)^|C|."""
+    total = 0
+    for mask in range(2 ** graph.num_vertices):
+        rest = {v for v in range(graph.num_vertices) if not mask >> v & 1}
+        term = 1
+        while rest:
+            start = rest.pop()
+            side, stack, bipartite = {start: 0}, [start], True
+            while stack:
+                v = stack.pop()
+                for u in graph.adjacency[v]:
+                    if u in rest:
+                        rest.remove(u)
+                        side[u] = 1 - side[v]
+                        stack.append(u)
+                    elif side.get(u) == side[v]:
+                        bipartite = False
+            term *= lines(bipartite) * (q - 1) ** len(side)
+        total += term
+    return total
+
+
 def symplectic_plane_count(graph, q):
     """Members over F_q^2 with the symplectic form, for any graph.
 
@@ -513,22 +537,40 @@ def symplectic_plane_count(graph, q):
     vectors share one of the q + 1 lines, so the count is the sum over Z of
     the product over C of (q + 1)(q - 1)^|C|.
     """
-    total = 0
-    for mask in range(2 ** graph.num_vertices):
-        rest = {v for v in range(graph.num_vertices) if not mask >> v & 1}
-        term = 1
-        while rest:
-            component, stack = set(), [rest.pop()]
-            while stack:
-                v = stack.pop()
-                component.add(v)
-                for u in graph.adjacency[v]:
-                    if u in rest:
-                        rest.remove(u)
-                        stack.append(u)
-            term *= (q + 1) * (q - 1) ** len(component)
-        total += term
-    return total
+    return _plane_count(graph, q, lambda bipartite: q + 1)
+
+
+def hyperbolic_plane_count(graph, q):
+    """Members over F_q^2 with the hyperbolic form, for any graph, q odd.
+
+    <u, v> = u_0 v_1 + u_1 v_0 vanishes for nonzero u and v exactly when v
+    lies on the line of s(u) = (u_0, -u_1) (the variety of the permanental
+    edge ideal, Herzog-Macchia-Saeedi Madani-Welker, Adv. Appl. Math. 71,
+    2015).  As in `symplectic_plane_count`, split on the zero set Z: on a
+    component C of G - Z the two sides of a bipartite C take a line L and
+    s(L), for any of the q + 1 lines L, while an odd cycle needs
+    s(L) = L, which holds for the two lines of e_0 and e_1 alone.  So the
+    factor q + 1 becomes 2 for each component that is not bipartite.
+    """
+    if q % 2 == 0:
+        raise ValueError("the hyperbolic plane count needs odd q")
+    return _plane_count(graph, q, lambda bipartite: q + 1 if bipartite else 2)
+
+
+def greedy_frontier_order(graph):
+    """The counter's greedy minimum-frontier order by its definition: at
+    each step try every unplaced vertex, build the frontier it would leave,
+    and keep the smallest, ties going to the most placed neighbours, then to
+    the smallest index."""
+    order = []
+    while len(order) < graph.num_vertices:
+        def cost(v):
+            placed = order + [v]
+            rest = set(range(graph.num_vertices)) - set(placed)
+            width = sum(1 for u in placed if rest & set(graph.adjacency[u]))
+            return width, -len(set(graph.adjacency[v]) & set(order)), v
+        order.append(min((v for v in range(graph.num_vertices) if v not in order), key=cost))
+    return order
 
 
 def forest_point_count(forest, n, q):

@@ -16,6 +16,7 @@ from graphvariety import (
     WorkCapExceededError,
     count_points,
     cycle_graph,
+    degeneracy_order,
     edge_count_closed_form,
     expected_dimension,
     standard_space,
@@ -29,13 +30,15 @@ from oracles import (
     enumerate_point_count,
     forest_point_count,
     frontier_key,
+    greedy_frontier_order,
+    hyperbolic_plane_count,
     naive_point_count,
     orbit_keys,
     path_graph,
     star_graph,
     symplectic_plane_count,
 )
-from strategies import forests
+from strategies import forests, graphs
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
 K4_MINUS_EDGE = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -227,24 +230,58 @@ class TestFrontierCount:
         report = count_points(CountRequest(cycle_graph(4), space, cap=q ** (4 * space.n)))
         assert report.count == c4_point_count(space.n, q)
 
-    # the DP's cost grows steeply with edges and q (K7 at q=13 takes seconds),
-    # so the random graphs keep to at most 10 edges
-    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
-    def test_symplectic_plane_matches_closed_form(self, q):
-        space = standard_space("symplectic", 2, PrimeField(q))
+    @staticmethod
+    def plane_graphs(q):
+        """A triangle, K4 minus an edge, a paw and 8 random graphs.  The DP's
+        cost grows steeply with edges and q (K7 at q=13 takes seconds), so
+        the random graphs keep to at most 10 edges."""
         rng = random.Random(q)
         graphs = [cycle_graph(3), K4_MINUS_EDGE, Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])]
         for _ in range(8):
             v = rng.randint(1, 7)
             pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
             graphs.append(Graph(v, sorted(rng.sample(pairs, min(len(pairs), rng.randint(0, 10))))))
-        for g in graphs:
+        return graphs
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_symplectic_plane_matches_closed_form(self, q):
+        space = standard_space("symplectic", 2, PrimeField(q))
+        for g in self.plane_graphs(q):
             report = count_points(CountRequest(g, space, cap=q ** (2 * g.num_vertices)))
             assert report.count == symplectic_plane_count(g, q), g
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11])
+    def test_hyperbolic_plane_matches_closed_form(self, q):
+        space = standard_space("hyperbolic", 2, PrimeField(q))
+        for g in self.plane_graphs(q) + [complete_bipartite_graph(2, 3), cycle_graph(5)]:
+            report = count_points(CountRequest(g, space, cap=q ** (2 * g.num_vertices)))
+            assert report.count == hyperbolic_plane_count(g, q), g
 
     def test_symplectic_plane_closed_form_gives_path5(self):
         # perfbench's FULL_COUNTS entry for path5, symplectic n=2 over F_5
         assert symplectic_plane_count(path_graph(5), 5) == 69625
+
+    def test_hyperbolic_plane_closed_form_gives_k23(self):
+        # perfbench's FULL_COUNTS entry for K2,3, hyperbolic n=2 over F_5
+        assert hyperbolic_plane_count(complete_bipartite_graph(2, 3), 5) == 34105
+
+    @given(g=graphs(8, min_vertices=0))
+    @settings(max_examples=50, deadline=None)
+    def test_min_frontier_order_matches_its_definition(self, g):
+        assert counting._min_frontier_order(g) == greedy_frontier_order(g)
+
+    # graphs of up to 8 vertices that the default cap admits, raw keys over
+    # F_2 included; the greedy order is not always the narrower one, but the
+    # count cannot depend on the order
+    @pytest.mark.parametrize("form,n,q", [case[:3] for case in FORMS])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_min_frontier_order_counts_as_the_degeneracy_order(self, form, n, q, data):
+        admitted = counting._cap_exponent(q, counting.DEFAULT_WORK_CAP) // n
+        g = data.draw(graphs(min(8, admitted), min_vertices=0))
+        space = standard_space(form, n, PrimeField(q))
+        degeneracy = list(reversed(degeneracy_order(g)[0].order))
+        assert count_points(CountRequest(g, space)).count == counting._frontier_count(g, degeneracy, space)
 
     # alternating forms, whose classes are counted in closed form, then
     # enumerated symmetric classes and raw keys over F_2
@@ -283,6 +320,36 @@ class TestFrontierCount:
         space = standard_space("symplectic", 4, PrimeField(7))
         assert count_points(CountRequest(SINGLE_EDGE, space)).count == edge_count_closed_form(4, 7)
         assert 0 < sum(spanned) < 50  # enumerating the kernel made 2401
+
+    def test_k23_walks_a_narrower_order(self, monkeypatch):
+        # the reversed degeneracy order has frontier widths 1, 2, 3, 2, 0
+        # and made 198 `_extensions` calls; a width-2 order makes 30
+        calls = counted_calls(monkeypatch, counting, "_extensions")
+        space = standard_space("hyperbolic", 2, PrimeField(5))
+        assert count_points(CountRequest(complete_bipartite_graph(2, 3), space)).count == 34105
+        assert 0 < calls["_extensions"] <= 40
+
+    def test_closing_steps_build_no_kernel(self, monkeypatch):
+        # a vertex that does not enter the frontier needs only the rank of its
+        # slot vectors: `perp` runs once per entering state, as `_extensions`
+        # does (389 `perp` calls when every state built a kernel)
+        perp = counted_calls(monkeypatch, BilinearSpace, "perp")
+        extensions = counted_calls(monkeypatch, counting, "_extensions")
+        report = count_points(CountRequest(cycle_graph(5), symmetric(2, 7), cap=7**10))
+        assert report.count == 142801
+        assert perp["perp"] == extensions["_extensions"] == 214
+
+
+def counted_calls(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the live Counter."""
+    calls, original = Counter(), getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestFrontierKey:
