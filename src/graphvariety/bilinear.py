@@ -32,7 +32,8 @@ common denominator dv (`linalg._numerators`) first, so that
   the basis comes as integer vectors over one denominator (1 over F_p).
 
 `variety` reads `_image` and `scale` directly, on each vertex's integer
-form.  Every step is exact integer arithmetic, so each value equals the
+form, and the sampler solves the `rref` of the same rows G_int u that
+`perp` takes the kernel of.  Every step is exact integer arithmetic, so each value equals the
 dense product on field scalars.
 """
 

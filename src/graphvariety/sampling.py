@@ -2,28 +2,34 @@
 
 `sample_regular_point` walks the vertices from the oldest down.  Each new
 vector is drawn from the vectors orthogonal to every already assigned older
-neighbor (`BilinearSpace.perp`), then rejected if it is zero or if it lands
-in the span of some partially assembled older-neighbor family of a younger
-vertex.
+neighbor, then rejected if it is zero or if it lands in the span of some
+partially assembled older-neighbor family of a younger vertex.
 Every accepted run therefore satisfies membership and the regular-part test
 by construction, and both are still re-checked by the tests, with dense
 ranks rather than the echelon rows below.
 
-The sampler works on integers.  Per vertex, `BilinearSpace.perp` gives
-the basis as integer vectors over one denominator L > 0, straight from the
-elimination; over F_p, L is 1 and the entries are residues.  A draw sums
-c_k * b_k on ints, so a candidate is an integer vector; over Q it stands
-for that vector over L, and only an accepted one becomes one
-`Fraction(x, L)` per coordinate, over F_p one residue `x % p`.  `perp`
-takes the accepted candidates of the older neighbours themselves, as an
+The sampler works on integers.  Per vertex, the constraints <x, u> = 0 of
+the older neighbours u are the integer rows G_int u
+(`BilinearSpace._image`), eliminated once by `rref`, the elimination that
+`BilinearSpace.perp` runs through `kernel`.  A draw takes one coefficient
+c_f per free column in increasing order and solves the pivots:
+x_f = c_f * L and x_c = -(L / row[c]) * sum_f c_f * row[f], with L the lcm
+of the pivots over Q, and over F_p (pivots 1) L = 1 and x_c reduced mod p.
+That is sum_f c_f * b_f over `kernel`'s basis b_f, so the RNG calls and
+every output byte are those of drawing on the basis, at O(n * r) per draw
+for r constraints; a vertex with no older neighbour draws from F^n.  Over
+Q a candidate stands for x / L, and an accepted one is kept as its integer
+form (`VertexAssignment.from_numerators`): no `Fraction` is built.  The
+younger neighbours' constraints take the candidates themselves, as an
 integer multiple of a vector has the same orthogonal complement.  Each
 younger vertex keeps its partial family as echelon rows: integer rows (Q)
 or residue rows (F_p), each with its pivot column, every row zero at the
 pivots of the rows kept before it.  A candidate reduced against them by
 cross-multiplication leaves a nonzero remainder exactly when it is
 independent of them; scaling never changes that.  An accepted vector's
-remainders become the new rows, over Q divided by their content.  The RNG calls and every accept/reject decision are the
-same as drawing and re-ranking on field scalars.
+remainders become the new rows, over Q divided by their content.  The RNG
+calls and every accept/reject decision are the same as drawing and
+re-ranking on field scalars.
 
 `cycle_singular_point` produces a known singular point: a cycle with every
 vertex carrying one fixed self-orthogonal vector, with its certificate from
@@ -32,16 +38,18 @@ vertex carrying one fixed self-orthogonal vector, with its certificate from
 
 import random
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
     PreconditionViolatedError,
     RetriesExhaustedError,
     UnsupportedCombinationError,
+    WorkCapExceededError,
 )
 from .graphs import cycle_graph
+from .linalg import rref
+from .splitting import WEIGHTING_CAP
 from .variety import VarietyContext, VertexAssignment, singular_certificate
 
 
@@ -60,16 +68,37 @@ class SamplerConfig(namedtuple("SamplerConfig", "seed bound max_retries")):
         return super().__new__(cls, seed, bound, max_retries)
 
 
-def _draw(columns, rng, bound, p):
-    """A random kernel element as integers, one coefficient per basis vector
-    in order: in [-bound, bound] over the rationals (the sum is a numerator
-    vector), uniform residues over a prime field (the sum is reduced mod p).
-    `columns` are the basis's integer coordinates, one tuple per coordinate."""
+def _constraints(space, vectors):
+    """The x with <x, u> = 0 for the integer vectors u, as the `rref` of the
+    rows G_int u: (n, free columns, L, [(pivot column, row, L / row[pivot])])."""
+    p = space.field.p
+    rows, pivots = rref([space._image(u) for u in vectors], space.n, p)
+    denominator = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    pivot_set = set(pivots)
+    free = [f for f in range(space.n) if f not in pivot_set]
+    solved = [(c, row, denominator // row[c]) for row, c in zip(rows, pivots)]
+    return space.n, free, denominator, solved
+
+
+def _draw(system, rng, bound, p):
+    """A random solution of a `_constraints` system (module docstring):
+    coefficients in [-bound, bound] over Q, the vector's numerators over L;
+    uniform residues over F_p."""
+    n, free, denominator, solved = system
+    x = [0] * n
     if p is None:
-        coeffs = [rng.randint(-bound, bound) for _ in columns[0]]
-        return [sum(map(mul, coeffs, col)) for col in columns]
-    coeffs = [rng.randrange(p) for _ in columns[0]]
-    return [sum(map(mul, coeffs, col)) % p for col in columns]
+        for f in free:
+            x[f] = rng.randint(-bound, bound)
+    else:
+        for f in free:
+            x[f] = rng.randrange(p)
+    # each row is zero at the other pivots, and x is zero at every pivot
+    sums = [m * sum(map(mul, row, x)) for _, row, m in solved]
+    if denominator != 1:
+        x = [a * denominator for a in x]
+    for (c, _, _), s in zip(solved, sums):
+        x[c] = -s if p is None else -s % p
+    return x
 
 
 def _reduce(x, rows, p):
@@ -101,11 +130,17 @@ def sample_regular_point(og, space, cfg=None):
     Needs n >= 2 * width(og) so the admissible kernels always have room
     outside the finitely many bad subspaces.  Over a prime field, p must
     exceed the number of rejection conditions at every vertex; otherwise the
-    draw could fail forever and we error out up front instead.
+    draw could fail forever and we error out up front instead.  A point of
+    more than WEIGHTING_CAP coordinates, |V| * n, is refused before any draw,
+    as `split` refuses a weighting that large.
     """
     if cfg is None:
         cfg = SamplerConfig()
     g = og.graph
+    entries = g.num_vertices * space.n
+    if entries > WEIGHTING_CAP:
+        raise WorkCapExceededError(
+            entries, WEIGHTING_CAP, "; the point would hold |V| * n coordinates")
     field = space.field
     p = field.p
     d = og.width()
@@ -123,16 +158,14 @@ def sample_regular_point(og, space, cfg=None):
                 f"prime field too small: need p > {worst}, got {field.order}"
             )
     rng = random.Random(cfg.seed)
-    candidates, vectors = {}, {}  # the accepted integer draws, and the vectors they stand for
+    candidates, numerators = {}, {}  # the accepted integer draws, and their integer forms
     echelon = {v: [] for v in range(g.num_vertices)}  # partial older-neighbor families
     # oldest vertex first
     for v in reversed(og.order):
-        older = og.older_neighbors(v)
         younger = og.younger_neighbors(v)
-        basis, denominator = space.perp([candidates[u] for u in older])
-        columns = list(zip(*basis))
+        system = _constraints(space, [candidates[u] for u in og.older_neighbors(v)])
         for _ in range(cfg.max_retries):
-            candidate = _draw(columns, rng, cfg.bound, p)
+            candidate = _draw(system, rng, cfg.bound, p)
             if not any(candidate):
                 continue
             remainders = [_reduce(candidate, echelon[y], p) for y in younger]
@@ -143,10 +176,9 @@ def sample_regular_point(og, space, cfg=None):
         for y, rest in zip(younger, remainders):
             echelon[y].append(_echelon_row(rest, p))
         candidates[v] = candidate
-        vectors[v] = (
-            candidate if p is not None else [Fraction(x, denominator) for x in candidate]
-        )
-    return VertexAssignment(field, [vectors[v] for v in range(g.num_vertices)])
+        content = gcd(system[2], *candidate)  # 1 over F_p
+        numerators[v] = tuple(x // content for x in candidate), system[2] // content
+    return VertexAssignment.from_numerators(field, [numerators[v] for v in range(g.num_vertices)])
 
 
 def cycle_singular_point(k, space):

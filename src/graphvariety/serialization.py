@@ -122,13 +122,24 @@ def scalar_to_str(x):
 
 
 def assignment_to_obj(assignment):
+    """The point as JSON, printed from its integer form: x / d as
+    `str(Fraction(x, d))` would print it, with g = gcd(x, d) dividing both;
+    residues over F_p (d = 1) as they are."""
     return {
         "field": assignment.field.name,
-        "vectors": {
-            str(v): [scalar_to_str(x) for x in vec]
-            for v, vec in enumerate(assignment.vectors)
-        },
+        "vectors": {str(v): _ratios(a, d) for v, (a, d) in enumerate(assignment.numerators)},
     }
+
+
+def _ratios(a, d):
+    """The strings of the x / d for x in a, d > 0."""
+    if d == 1:
+        return list(map(str, a))
+    out = []
+    for x in a:
+        g = gcd(x, d)
+        out.append(str(x // d) if g == d else f"{x // g}/{d // g}")
+    return out
 
 
 def _scalars(items, what):

@@ -38,11 +38,13 @@ mu' R / R_f is such a dependency of J_w, and as that one is unique,
     lambda_e = mu'_e * d_lo(e) * d_hi(e) / (d_lo(f) * d_hi(f)).
 
 `singular_certificate` checks membership once, eliminates J' and re-checks
-its certificate on the field scalars, as `verify_certificate` does.
+its certificate as `verify_certificate` does, on the integer form without
+`_edge_rows`, the elimination or the map back.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import NotOnVarietyError
@@ -204,25 +206,35 @@ def verify_certificate(ctx, assignment, certificate):
         return False
     if len(certificate.values) != len(ctx.edge_order):
         return False
-    return is_member(ctx, assignment) and _certifies(ctx, assignment.vectors, certificate.values)
+    return is_member(ctx, assignment) and _certifies(ctx, assignment.numerators, certificate.values)
 
 
-def _certifies(ctx, w, values):
-    """The value checks of `verify_certificate` at the member point w, by
-    one pass adding each edge's weighted neighbour vectors into per-vertex
-    sums."""
+def _certifies(ctx, num, values):
+    """The value checks of `verify_certificate` at the member point with
+    integer form `num`, by one pass adding each edge's weighted neighbour
+    numerators a(u) into per-vertex integer sums.  Over Q, w(u) = a(u) / d_u,
+    and v's sum is taken times K_v, the lcm of the denominators of v's
+    coefficients value / d_u, so that each becomes an integer; over F_p the
+    sums are reduced mod p."""
     values = [ctx.field(x) for x in values]
     if not any(values):
         return False
-    z, sign = ctx.field.zero(), -1 if ctx.space.kind == "symplectic" else 1
-    acc = [[z] * ctx.space.n for _ in w]
-    for (lo, hi), lam in zip(ctx.edge_order, values):
-        if not lam:
-            continue
-        mirrored = sign * lam
-        acc[lo] = [a + lam * x for a, x in zip(acc[lo], w[hi])]
-        acc[hi] = [a + mirrored * x for a, x in zip(acc[hi], w[lo])]
-    return not any(ctx.field(a) for vec in acc for a in vec)
+    p, sign = ctx.field.p, -1 if ctx.space.kind == "symplectic" else 1
+    # each end of each weighted edge: (vertex, neighbour, value, sign)
+    ends = [end for (lo, hi), lam in zip(ctx.edge_order, values) if lam
+            for end in ((lo, hi, lam, 1), (hi, lo, lam, sign))]
+    if p is None:
+        scale = [1] * len(num)
+        for v, u, lam, _ in ends:
+            scale[v] = lcm(scale[v], lam.denominator * num[u][1])
+        coeffs = [(v, u, s * lam.numerator * (scale[v] // (lam.denominator * num[u][1])))
+                  for v, u, lam, s in ends]
+    else:
+        coeffs = [(v, u, s * lam) for v, u, lam, s in ends]
+    acc = [[0] * ctx.space.n for _ in num]
+    for v, u, c in coeffs:
+        acc[v] = [s + c * x for s, x in zip(acc[v], num[u][0])]
+    return not any(x if p is None else x % p for vec in acc for x in vec)
 
 
 def singular_certificate(ctx, assignment):
@@ -244,7 +256,7 @@ def singular_certificate(ctx, assignment):
         combo = {e: Fraction(x.numerator * scale[e], x.denominator * scale[f])
                  for e, x in combo.items()}
     values = tuple(combo.get(e, ctx.field.zero()) for e in range(ctx.graph.num_edges))
-    if not _certifies(ctx, assignment.vectors, values):
+    if not _certifies(ctx, assignment.numerators, values):
         raise AssertionError("internal error: left-kernel vector failed re-verification")
     return SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
 

@@ -208,6 +208,39 @@ def jw_rows(ctx, assignment):
     return rows
 
 
+def reference_certifies(ctx, w, values):
+    """`variety._certifies` on field scalars: per vertex, the values weight
+    the neighbours' vectors w (s * w(lo) at hi) into one sum of `Fraction`s
+    or residues, which must vanish, and the values must not all be zero."""
+    values = [ctx.field(x) for x in values]
+    if not any(values):
+        return False
+    z, sign = ctx.field.zero(), -1 if ctx.space.kind == "symplectic" else 1
+    acc = [[z] * ctx.space.n for _ in w]
+    for (lo, hi), lam in zip(ctx.edge_order, values):
+        if not lam:
+            continue
+        mirrored = sign * lam
+        acc[lo] = [a + lam * x for a, x in zip(acc[lo], w[hi])]
+        acc[hi] = [a + mirrored * x for a, x in zip(acc[hi], w[lo])]
+    return not any(ctx.field(a) for vec in acc for a in vec)
+
+
+def reference_draw(space, vectors, rng, bound):
+    """The sampler's draw on `BilinearSpace.perp`'s basis (integer vectors
+    over L): one coefficient c_k per basis vector in order, in
+    [-bound, bound] over Q, a residue over F_p, and the integer vector
+    sum_k c_k * b_k, reduced mod p over F_p.  Returns (vector, L)."""
+    basis, denominator = space.perp(vectors)
+    columns = list(zip(*basis))
+    p = space.field.p
+    if p is None:
+        coeffs = [rng.randint(-bound, bound) for _ in columns[0]]
+        return [sum(map(mul, coeffs, col)) for col in columns], denominator
+    coeffs = [rng.randrange(p) for _ in columns[0]]
+    return [sum(map(mul, coeffs, col)) % p for col in columns], denominator
+
+
 def rank(field, rows):
     """The rank of the dense matrix with these rows."""
     return len(reference_rref(rows, len(rows[0]) if rows else 0, field.p)[1])

@@ -38,11 +38,11 @@ from graphvariety.errors import NotOnVarietyError
 from graphvariety.linalg import first_dependency
 from graphvariety.sampling import SamplerConfig
 from graphvariety.serialization import assignment_from_obj, assignment_to_obj
-from graphvariety.variety import _edge_rows
+from graphvariety.variety import _certifies, _edge_rows
 from oracles import (complete_bipartite_graph, dot, field_kernel, field_rref, gram_product,
                      independent_set_point, integer_sparse_row, jacobian, jw_rows, left_kernel,
-                     origin, random_connected_graph, rank, reference_first_dependency,
-                     reference_rref)
+                     origin, random_connected_graph, rank, reference_certifies,
+                     reference_first_dependency, reference_rref)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -304,6 +304,37 @@ def test_integer_path_matches_the_references(field, seed, dense):
         for pt in (point, moved):
             verdicts.append(integer_path_verdict(ctx, pt))
     assert {"non-member", "smooth", "singular"} <= set(verdicts)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(3), PrimeField(10007)],
+                         ids=lambda f: f.name)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_integer_verifier_matches_the_fraction_one(field, seed):
+    # at the cases' points, each vertex rescaled: the certificate (random
+    # values at a smooth point), it with one value moved, and all zeros,
+    # each at the point and at the point with one coordinate moved; the
+    # value checks on the integer form agree with `oracles.reference_certifies`
+    rng = random.Random(seed)
+    verdicts = []
+    for g, space, point in cases(field, seed):
+        if not g.num_edges:
+            continue
+        point = scaled(rng, point)
+        ctx = VarietyContext(g, space)
+        cert = singular_certificate(ctx, point)
+        values = list(cert.values) if cert else [scalar(rng, field) for _ in g.edges]
+        moved = list(values)
+        e = rng.randrange(len(moved))
+        moved[e] = field(moved[e] + (Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                                     if field.p is None else rng.randrange(1, field.p)))
+        zeros = [field.zero()] * len(values)
+        for pt in (point, perturbed(rng, point)):
+            for vals in (values, moved, zeros, [str(x) for x in values]):
+                expected = reference_certifies(ctx, pt.vectors, vals)
+                assert _certifies(ctx, pt.numerators, vals) == expected
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def rational_lagrangian_point(rng, a, n):

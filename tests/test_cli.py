@@ -142,6 +142,29 @@ class TestSampleCheckCertify:
         assert payload["is_member"] is False
         assert payload["residual"] == ["1"]
 
+    @pytest.mark.parametrize("field", ["Q", "Fp:10007"])
+    def test_sample_refuses_point_past_entry_cap(self, capsys, graph_file, field):
+        # two edges naming vertex 99999 declare 10^5 vertices: 2.56e7 coordinates at n = 256
+        g = graph_file("far.txt", "0 1\n99999 99998\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["sample", "--graph", g, "--dim", "256", "--field", field])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": {
+            "type": "WorkCapExceededError",
+            "message": "estimated work 25600000 exceeds cap 10000000;"
+                       " the point would hold |V| * n coordinates"}}
+
+    def test_sample_at_entry_cap_is_admitted(self, capsys, graph_file, monkeypatch):
+        # the cap bounds |V| * n itself: at a cap of 12, path3 at n = 4 holds
+        # exactly 12 coordinates and is sampled, and a fourth vertex is refused
+        monkeypatch.setattr("graphvariety.sampling.WEIGHTING_CAP", 12)
+        payload = run_json(capsys, ["sample", "--graph", graph_file("p.txt", PATH3), "--dim", "4"])
+        assert len(payload["vectors"]) == 3
+        code, _, err = run(capsys, ["sample", "--graph", graph_file("p4.txt", "0 1\n1 2\n2 3\n"),
+                                    "--dim", "4"])
+        assert code == 1 and json.loads(err)["error"]["type"] == "WorkCapExceededError"
+
 
 class TestSplitCommands:
     def test_split_and_verify(self, capsys, graph_file, tmp_path):

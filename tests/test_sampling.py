@@ -26,10 +26,10 @@ from graphvariety import (
     standard_space,
     verify_certificate,
 )
-from graphvariety.sampling import _echelon_row, _reduce
+from graphvariety.sampling import _constraints, _draw, _echelon_row, _reduce
 from graphvariety.serialization import assignment_to_obj, canonical_dumps
 from oracles import (complete_bipartite_graph, path_graph, random_connected_graph, rank,
-                     regular_part_test, star_graph)
+                     reference_draw, regular_part_test, star_graph)
 
 
 class TestSamplerConfig:
@@ -67,6 +67,8 @@ class TestSampler:
                 pt = sample_regular_point(og, space, SamplerConfig(seed=3))
                 assert is_member(ctx, pt)
                 assert regular_part_test(og, pt)
+                # the stored integer form is the least one of its vectors
+                assert VertexAssignment(space.field, pt.vectors) == pt
                 zero = space.field.zero()
                 for v in range(g.num_vertices):
                     assert any(x != zero for x in pt.vectors[v])
@@ -174,6 +176,50 @@ class TestPinnedOutput:
         pt = sample_regular_point(og, space, SamplerConfig(seed=seed, bound=bound))
         text = canonical_dumps(assignment_to_obj(pt))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestPivotDraw:
+    """The draw solved on the constraint echelon against the draw on
+    `perp`'s basis, `oracles.reference_draw`."""
+
+    @staticmethod
+    def space(rng):
+        kind = rng.randrange(6)
+        if kind == 0:  # a symplectic Gram with mixed denominators: L > 1
+            return BilinearSpace(4, "symplectic", [[RATIONALS(x) for x in row]
+                                                   for row in FRACTIONAL_GRAM])
+        if kind == 1:
+            return standard_space(rng.choice(["symplectic", "symmetric"]),
+                                  2 * rng.randint(1, 4), RATIONALS)
+        if kind == 2:
+            return standard_space(rng.choice(["symmetric", "hyperbolic"]), 2 * rng.randint(1, 3),
+                                  PrimeField(2))
+        field = PrimeField(5 if kind < 5 else 10007)
+        return standard_space(rng.choice(["symplectic", "symmetric", "hyperbolic"]),
+                              2 * rng.randint(1, 4), field)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_candidate_and_rng_state(self, seed):
+        rng = random.Random(seed)
+        space = self.space(rng)
+        n, p = space.n, space.field.p
+        vectors = []
+        for _ in range(rng.randint(0, n - 1)):  # ranks 0 to n - 1
+            if vectors and rng.random() < 0.3:  # a combination of earlier constraints
+                x = [sum(rng.randint(-3, 3) * v[i] for v in vectors) for i in range(n)]
+            else:
+                x = [rng.randint(-9, 9) for _ in range(n)]
+            vectors.append(x if p is None else [a % p for a in x])
+        bound = rng.choice([1, 3, 10])
+        ours, theirs = random.Random(seed), random.Random(seed)
+        system = _constraints(space, vectors)
+        expected, denominator = reference_draw(space, vectors, theirs, bound)
+        for _ in range(3):  # as the retries draw again on one system
+            assert _draw(system, ours, bound, p) == expected
+            assert ours.getstate() == theirs.getstate()
+            expected = reference_draw(space, vectors, theirs, bound)[0]
+        assert system[2] == denominator
 
 
 class TestEchelonRows:

@@ -1,9 +1,10 @@
 import io
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from graphvariety import (
@@ -138,6 +139,35 @@ class TestAssignmentRoundTrip:
         text = canonical_dumps(assignment_to_obj(pt))
         payload = json.loads(text)
         assert all(isinstance(x, str) for x in payload["vectors"]["0"])
+
+
+class TestAssignmentIntegerForm:
+    """`assignment_to_obj` prints the integer form (a, d) itself: each
+    string must be the one `str(Fraction(x, d))` gives."""
+
+    BIG = 10**300
+
+    @given(st.lists(st.integers(-5, 5) | st.integers(-BIG, BIG), min_size=1, max_size=6),
+           st.sampled_from([1, 2, 12]) | st.integers(1, BIG))
+    @example([0, -3, 4, -1], 1)
+    @example([0, 0], 1)
+    @example([-6, 0, 9, 4], 12)
+    @example([-BIG - 1, BIG + 1, 0], 7 * BIG)
+    @settings(max_examples=200, deadline=None)
+    def test_rational_strings_match_fractions(self, a, d):
+        g = gcd(d, *a)  # the least denominator, as the integer form holds it
+        a, d = tuple(x // g for x in a), d // g
+        pt = VertexAssignment.from_numerators(RATIONALS, [(a, d), ((0,) * len(a), 1)])
+        vectors = assignment_to_obj(pt)["vectors"]
+        assert vectors["0"] == [str(Fraction(x, d)) for x in a]
+        assert vectors["1"] == ["0"] * len(a)
+
+    @given(st.sampled_from([2, 3, 10007]), st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_residues_print_as_themselves(self, p, a):
+        a = tuple(x % p for x in a)
+        pt = VertexAssignment.from_numerators(PrimeField(p), [(a, 1)])
+        assert assignment_to_obj(pt)["vectors"]["0"] == [str(x) for x in a]
 
 
 # A plain string is [-]digits[/digits] in ASCII; the reader takes those and
