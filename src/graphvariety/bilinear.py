@@ -1,12 +1,15 @@
-"""Non-degenerate bilinear forms on F^n, given by their Gram matrix.
+"""Non-degenerate bilinear forms on F^n, given by the nonzero terms of
+their Gram matrix.
 
-A `BilinearSpace` bundles the ambient dimension, the field, the Gram matrix,
-and a kind tag ("symplectic" or "symmetric") that records the symmetry type
-the rest of the package relies on.
+A `BilinearSpace` bundles the ambient dimension, the field, the Gram
+matrix's nonzero entries as sparse terms (i, j, gram[i][j]), and a kind tag
+("symplectic" or "symmetric") that records the symmetry type the rest of
+the package relies on.  No dense copy of the matrix is kept: `__init__`
+builds one of ints only for its degeneracy and symmetry checks.
 
 Every product with the Gram matrix runs on one integer kernel, `_image`,
 over the matrix's nonzero entries.  They are kept once, as the public
-`terms` (i, j, gram[i][j]), and as int terms (i, j, c) derived from them.
+`terms`, and as int terms (i, j, c) derived from them.
 Over F_p each c is the entry itself, an int in [0, p), and `scale` is 1.
 Over Q each entry is c / scale for the least common denominator `scale`
 of the Gram matrix.  `_image` is the same for both fields: for an integer
@@ -45,32 +48,37 @@ from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
 from .linalg import _numerators, kernel
 
-# The largest ambient dimension accepted.  The dense Gram and its degeneracy
-# check grow as n^2 and worse: `analyze` on one edge, with the ceiling
-# lifted, took 0.037 s at n = 256, 0.082 s at n = 400 and 0.28 s at n = 800
-# (best of 3, Python 3.11 on one Xeon core), mostly in coercing the n^2
-# entries and finding the nonzero ones, then in `kernel`.
+# The largest ambient dimension accepted.  The degeneracy check's dense int
+# matrix and its `kernel` grow as n^2 and worse: `analyze` on one edge, with
+# the ceiling lifted, took 0.012-0.014 s at n = 256, 0.025-0.030 s at
+# n = 400 and 0.10 s at n = 800 (best of 3, Python 3.11 on a 2-core host).
 MAX_DIMENSION = 256
 
 
 class BilinearSpace:
     """F^n with the bilinear form <u, v> = u^T * gram * v.
 
-    `gram` is a tuple of n row tuples of field scalars, `terms` its
-    nonzero entries as (i, j, gram[i][j]) in row-major order, and `scale`
-    the least common denominator of the entries (1 over F_p).
+    `terms` are the Gram matrix's nonzero entries (i, j, gram[i][j]) in
+    row-major order, and `scale` their least common denominator (1 over
+    F_p).  `__init__` takes terms in any order, converts each value by
+    `field` and drops zeros; an (i, j) outside the matrix or repeated is
+    refused.
     """
 
-    def __init__(self, n, kind, gram, field=RATIONALS):
+    def __init__(self, n, kind, terms, field=RATIONALS):
         if kind not in ("symplectic", "symmetric"):
             raise ValueError(f"unknown form kind {kind!r}")
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
         check_dimension_ceiling(n)
-        rows = tuple(tuple(field(x) for x in row) for row in gram)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"gram matrix must be {n}x{n}")
-        terms = tuple((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        entries = {}
+        for i, j, x in terms:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"gram term ({i}, {j}) is outside the {n}x{n} matrix")
+            if (i, j) in entries:
+                raise ValueError(f"gram term ({i}, {j}) is repeated")
+            entries[i, j] = field(x)
+        terms = tuple((i, j, x) for (i, j), x in sorted(entries.items()) if x)
         # the same terms on ints c with gram[i][j] == c / scale
         scale = 1 if field.p is not None else lcm(*(x.denominator for *_, x in terms))
         int_terms = tuple((i, j, int(x * scale)) for i, j, x in terms)
@@ -98,7 +106,6 @@ class BilinearSpace:
         self.n = n
         self.kind = kind
         self.field = field
-        self.gram = rows
         self.terms = terms
         self.scale = scale
         self._terms = int_terms
@@ -150,10 +157,8 @@ class BilinearSpace:
 
     def isotropic_basis_vector(self):
         """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""
-        for i in range(self.n):
-            if self.gram[i][i] == 0:
-                return i
-        return None
+        diagonal = {i for i, j, _ in self.terms if i == j}
+        return next((i for i in range(self.n) if i not in diagonal), None)
 
     def __eq__(self, other):
         return (
@@ -161,7 +166,7 @@ class BilinearSpace:
             and self.n == other.n
             and self.kind == other.kind
             and self.field == other.field
-            and self.gram == other.gram
+            and self.terms == other.terms
         )
 
     def __repr__(self):
@@ -183,25 +188,17 @@ def standard_space(form, n, field=RATIONALS):
     <e_{2i}, e_{2i+1}> = 1 and all basis vectors isotropic.
     """
     check_dimension_ceiling(n)
-    z, o = field.zero(), field.one()
     if form == "symplectic":
         if n % 2 != 0:
             raise OddDimensionError("symplectic spaces need even dimension")
         half = n // 2
-        gram = [[z] * n for _ in range(n)]
-        for i in range(half):
-            gram[i][i + half] = o
-            gram[i + half][i] = field(-1)
-        return BilinearSpace(n, "symplectic", gram, field)
+        terms = [(i, i + half, 1) for i in range(half)] + [(i + half, i, -1) for i in range(half)]
+        return BilinearSpace(n, "symplectic", terms, field)
     if form == "symmetric":
-        gram = [[o if i == j else z for j in range(n)] for i in range(n)]
-        return BilinearSpace(n, "symmetric", gram, field)
+        return BilinearSpace(n, "symmetric", [(i, i, 1) for i in range(n)], field)
     if form == "hyperbolic":
         if n % 2 != 0:
             raise OddDimensionError("hyperbolic spaces need even dimension")
-        gram = [[z] * n for _ in range(n)]
-        for i in range(0, n, 2):
-            gram[i][i + 1] = o
-            gram[i + 1][i] = o
-        return BilinearSpace(n, "symmetric", gram, field)
+        terms = [t for i in range(0, n, 2) for t in ((i, i + 1, 1), (i + 1, i, 1))]
+        return BilinearSpace(n, "symmetric", terms, field)
     raise ValueError(f"unknown standard form {form!r}")

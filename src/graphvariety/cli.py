@@ -17,7 +17,7 @@ from .counting import DEFAULT_WORK_CAP, CountRequest, count_points
 from .errors import GraphVarietyError
 from .fields import RATIONALS, field_from_spec
 from .graphs import degeneracy_order, is_forest, parse_edge_list
-from .sampling import SamplerConfig, sample_regular_point
+from .sampling import SamplerConfig, check_point_size, sample_regular_point
 from .serialization import (
     assignment_from_obj,
     assignment_to_obj,
@@ -25,7 +25,7 @@ from .serialization import (
     certificate_to_obj,
     count_report_to_obj,
     equations_to_obj,
-    gram_rows_from_obj,
+    gram_terms_from_obj,
     scalar_to_str,
     splitting_report_to_obj,
     weighting_from_json,
@@ -66,10 +66,10 @@ def _resolve_space(args, field):
     if args.gram is not None:
         if args.form not in ("symplectic", "symmetric"):
             raise ValueError("--form must be symplectic or symmetric with --gram")
-        rows = gram_rows_from_obj(_load_json(args.gram), field)
-        if args.dim is not None and args.dim != len(rows):
-            raise ValueError(f"--dim {args.dim} does not match the {len(rows)}x{len(rows)} --gram")
-        return BilinearSpace(len(rows), args.form, rows, field)
+        n, terms = gram_terms_from_obj(_load_json(args.gram), field)
+        if args.dim is not None and args.dim != n:
+            raise ValueError(f"--dim {args.dim} does not match the {n}x{n} --gram")
+        return BilinearSpace(n, args.form, terms, field)
     if args.dim is None:
         raise ValueError("--dim is required unless --gram is given")
     return standard_space(args.form, args.dim, field)
@@ -116,6 +116,7 @@ def cmd_sample(args):
     g = _load_graph(args)
     field = field_from_spec(args.field)
     space = _resolve_space(args, field)
+    check_point_size(g.num_vertices, space.n)  # before the degeneracy order's pass
     og, _ = degeneracy_order(g)
     cfg = SamplerConfig(seed=args.seed, bound=args.bound, max_retries=args.retries)
     assignment = sample_regular_point(og, space, cfg)

@@ -201,7 +201,7 @@ def _frontier_count(g, order, space):
     """The number of member points, by the frontier DP over `order`."""
     n, p = space.n, space.field.p
     # Witt's extension theorem: alternating forms, or odd characteristic
-    orbit_keys = p != 2 or all(space.gram[i][i] == 0 for i in range(n))
+    orbit_keys = p != 2 or not any(i == j for i, j, _ in space.terms)
     position = {v: i for i, v in enumerate(order)}
     last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
     frontier = []

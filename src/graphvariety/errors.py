@@ -48,20 +48,13 @@ class WorkCapExceededError(GraphVarietyError):
     """An enumeration would exceed its configured work cap.
 
     The estimate is an int, or a power too large to print given as the pair
-    (base, exponent): the message shows it as base^exponent, and the int is
-    computed only when `estimate` is read.
+    (base, exponent), which the message shows as base^exponent.
     """
 
     def __init__(self, estimate, cap, advice=""):
-        self._estimate = estimate
         self.cap = cap
         shown = "{}^{}".format(*estimate) if isinstance(estimate, tuple) else estimate
         super().__init__(f"estimated work {shown} exceeds cap {cap}{advice}")
-
-    @property
-    def estimate(self):
-        e = self._estimate
-        return e[0] ** e[1] if isinstance(e, tuple) else e
 
 
 class NotAForestError(GraphVarietyError):

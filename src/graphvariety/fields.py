@@ -76,9 +76,6 @@ class RationalField:
     def zero(self):
         return Fraction(0)
 
-    def one(self):
-        return Fraction(1)
-
     @property
     def order(self):
         raise TypeError("the rational field is not finite")
@@ -112,9 +109,6 @@ class PrimeField:
 
     def zero(self):
         return 0
-
-    def one(self):
-        return 1
 
     @property
     def order(self):

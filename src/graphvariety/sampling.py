@@ -32,8 +32,8 @@ calls and every accept/reject decision are the same as drawing and
 re-ranking on field scalars.
 
 `cycle_singular_point` produces a known singular point: a cycle with every
-vertex carrying one fixed self-orthogonal vector, with its certificate from
-`singular_certificate`.
+vertex carrying one fixed self-orthogonal basis vector, written as its
+integer form, with its certificate from `singular_certificate`.
 """
 
 import random
@@ -124,23 +124,28 @@ def _echelon_row(rest, p):
     return next(c for c, x in enumerate(rest) if x), rest
 
 
+def check_point_size(num_vertices, n):
+    """Refuse a point of more than WEIGHTING_CAP coordinates, |V| * n, as
+    `split` refuses a weighting that large."""
+    entries = num_vertices * n
+    if entries > WEIGHTING_CAP:
+        raise WorkCapExceededError(
+            entries, WEIGHTING_CAP, "; the point would hold |V| * n coordinates")
+
+
 def sample_regular_point(og, space, cfg=None):
     """A member point of the variety lying in the regular part of the order.
 
     Needs n >= 2 * width(og) so the admissible kernels always have room
     outside the finitely many bad subspaces.  Over a prime field, p must
     exceed the number of rejection conditions at every vertex; otherwise the
-    draw could fail forever and we error out up front instead.  A point of
-    more than WEIGHTING_CAP coordinates, |V| * n, is refused before any draw,
-    as `split` refuses a weighting that large.
+    draw could fail forever and we error out up front instead.  A point too
+    large for `check_point_size` is refused before any draw.
     """
     if cfg is None:
         cfg = SamplerConfig()
     g = og.graph
-    entries = g.num_vertices * space.n
-    if entries > WEIGHTING_CAP:
-        raise WorkCapExceededError(
-            entries, WEIGHTING_CAP, "; the point would hold |V| * n coordinates")
+    check_point_size(g.num_vertices, space.n)
     field = space.field
     p = field.p
     d = og.width()
@@ -191,7 +196,6 @@ def cycle_singular_point(k, space):
     """
     if k < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    field = space.field
     if space.kind == "symplectic":
         if space.n < 4:
             raise PreconditionViolatedError(
@@ -208,7 +212,6 @@ def cycle_singular_point(k, space):
             raise UnsupportedCombinationError(
                 "no isotropic basis vector in this symmetric space"
             )
-    vec = [field.zero()] * space.n
-    vec[idx] = field.one()
-    assignment = VertexAssignment(field, [vec] * k)
+    vec = tuple(int(i == idx) for i in range(space.n))
+    assignment = VertexAssignment.from_numerators(space.field, [(vec, 1)] * k)
     return assignment, singular_certificate(VarietyContext(cycle_graph(k), space), assignment)

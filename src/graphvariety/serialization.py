@@ -11,27 +11,20 @@ Gram terms all edge equations share, is encoded once per call.
 `weighting_from_json` converts each weight vector as soon as it is parsed,
 so a weighting file's palette strings are never all held at once.
 
-`assignment_from_obj` reads a point over Q straight into the integer form
-of `variety.VertexAssignment`.  A JSON int, or a plain ASCII string
-`[-]digits[/digits]` with a nonzero denominator, becomes its numerator and
-denominator by `int`.  Any other string, and one with more digits than
-`int` accepts, goes through `RATIONALS`, which gives its value or the
-error a bad scalar has always raised.  Each vertex x is put over the lcm D
-of its denominators and divided by the gcd of D and the numerators D x.
-That leaves L, the lcm of the reduced denominators: D = k L, so k divides
-D and every D x, and no prime divides L and every L x, as it divides some
-reduced denominator q to its full power in L and so not the numerator of
-x_i = p / q times L / q.  The `Fraction` vectors are built only if
-something reads them.
+`assignment_from_obj` hands a point's JSON scalars to
+`variety.VertexAssignment`, which keeps only their integer form, and
+`assignment_to_obj` prints from it: neither builds a `Fraction` per
+coordinate.  `gram_terms_from_obj` reads a dense `--gram` matrix into the
+sparse terms `bilinear.BilinearSpace` takes.
 """
 
 import contextlib
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .bilinear import check_dimension_ceiling
-from .fields import RATIONALS, field_from_spec
+from .fields import field_from_spec
 from .splitting import VertexWeighting
 from .variety import VertexAssignment
 
@@ -159,39 +152,7 @@ def _vectors_by_vertex(raw, vector):
 
 def assignment_from_obj(obj):
     field = field_from_spec(obj["field"])
-    vectors = _vectors_by_vertex(obj["vectors"], _scalars)
-    if field.p is not None:
-        return VertexAssignment(field, vectors)
-    return VertexAssignment.from_numerators(field, map(_integer_form, vectors))
-
-
-def _rational(x):
-    """A numerator and a denominator > 0 of the JSON scalar x over Q."""
-    if type(x) is int:
-        return x, 1
-    num, slash, den = x.partition("/")
-    # ASCII, so isdigit() means [0-9]+: the plain [-]digits[/digits]
-    if x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-        try:
-            num, den = int(num), int(den) if den else 1
-        except ValueError:  # past the digit limit: RATIONALS raises its error
-            den = 0
-        if den:
-            return num, den
-    x = RATIONALS(x)
-    return x.numerator, x.denominator
-
-
-def _integer_form(vec):
-    """The vector's (a, d) as `linalg._numerators` gives it for the reduced
-    values (module docstring)."""
-    pairs = [_rational(x) for x in vec]
-    d = lcm(*(e for _, e in pairs))
-    a = [x * (d // e) for x, e in pairs]
-    g = gcd(d, *a)
-    if g > 1:
-        return tuple(x // g for x in a), d // g
-    return tuple(a), d
+    return VertexAssignment(field, _vectors_by_vertex(obj["vectors"], _scalars))
 
 
 def certificate_to_obj(certificate, field):
@@ -317,6 +278,12 @@ def equations_to_obj(eqs):
     return {"equations": out}
 
 
-def gram_rows_from_obj(obj, field):
-    check_dimension_ceiling(len(obj))
-    return [[field(x) for x in _scalars(row, f"Gram row {i}")] for i, row in enumerate(obj)]
+def gram_terms_from_obj(obj, field):
+    """The dimension n and the nonzero terms (i, j, value) of a JSON Gram
+    matrix, n rows of n scalars each, for `BilinearSpace`."""
+    n = len(obj)
+    check_dimension_ceiling(n)
+    rows = [[field(x) for x in _scalars(row, f"Gram row {i}")] for i, row in enumerate(obj)]
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"gram matrix must be {n}x{n}")
+    return n, [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]

@@ -12,11 +12,25 @@ vector of the Jacobian, one scalar per edge.  The certificate we hand out is
 the unique dependency of the first edge row f (in edge order) that depends
 on the rows before it, with coefficient 1 at f and zeros after f.
 
-Membership and certificates run on integers.  A `VertexAssignment` holds
-one integer form per vertex, (a(v), d_v) with w(v) = a(v) / d_v: over Q
-a(v) is a tuple of ints and d_v > 0 the least common denominator
-(`linalg._numerators`); over F_p a(v) is the residues and d_v = 1.  With
-the Gram matrix as int terms over one scale s_G (`BilinearSpace._image`),
+Membership and certificates run on integers.  A `VertexAssignment` stores
+only its integer form, one (a(v), d_v) per vertex with w(v) = a(v) / d_v:
+over Q a(v) is a tuple of ints and d_v > 0 the least common denominator
+of the values; over F_p a(v) is the residues and d_v = 1.
+
+Scalars become the integer form once, in `_integer_form`.  Over F_p the
+field reduces each.  Over Q an int, or a plain ASCII string
+`[-]digits[/digits]` with a nonzero denominator, becomes its numerator and
+denominator by `int`.  Any other scalar (a
+`Fraction`, another string, or one with more digits than `int` accepts)
+goes through `RATIONALS`, which gives its value or the error a bad scalar
+has always raised; a float raises `TypeError`.  Each vector x is put over
+the lcm D of its denominators and divided by the gcd of D and the
+numerators D x.  That leaves L, the lcm of the reduced denominators: D = k L,
+so k divides D and every D x, and no prime divides L and every L x, as it
+divides some reduced denominator q to its full power in L and so not the
+numerator of x_i = p / q times L / q.
+
+With the Gram matrix as int terms over one scale s_G (`BilinearSpace._image`),
 <w(lo), w(hi)> = a(lo) . (G_int a(hi)) / (d_lo * d_hi * s_G): one integer
 image per vertex, one integer dot per edge, and a `Fraction` only for a
 nonzero `residual` value.
@@ -44,61 +58,36 @@ its certificate as `verify_certificate` does, on the integer form without
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import NotOnVarietyError
+from .fields import RATIONALS
 from .graphs import degeneracy_order, has_even_cycle, is_forest
-from .linalg import _numerators, first_dependency
+from .linalg import first_dependency
 
 
 class VertexAssignment:
-    """One vector per vertex, all over the same field.
-
-    It is built from field scalars, or by `from_numerators` from its integer
-    form (module docstring); each of `vectors` and `numerators` is derived
-    from the other when first read.
-    """
+    """One vector per vertex, all over the same field, stored only as its
+    integer form `numerators` (module docstring): built from field scalars,
+    or by `from_numerators` from the integer form itself."""
 
     def __init__(self, field, vectors):
         self.field = field
-        self._vectors = tuple(tuple(field(x) for x in vec) for vec in vectors)
-        self._numerators = None
+        self.numerators = tuple(_integer_form(field, vec) for vec in vectors)
 
     @classmethod
     def from_numerators(cls, field, numerators):
         """The assignment with integer form `numerators`: per vertex (a, d)
-        as `numerators` gives it, a tuple of ints and the least d > 0."""
+        as `_integer_form` gives it, a tuple of ints and the least d > 0."""
         self = cls.__new__(cls)
         self.field = field
-        self._vectors = None
-        self._numerators = tuple(numerators)
+        self.numerators = tuple(numerators)
         return self
 
     @property
-    def vectors(self):
-        """The vectors as tuples of field scalars."""
-        if self._vectors is None:
-            if self.field.p is None:
-                self._vectors = tuple(tuple(Fraction(x, d) for x in a) for a, d in self._numerators)
-            else:
-                self._vectors = tuple(a for a, _ in self._numerators)
-        return self._vectors
-
-    @property
-    def numerators(self):
-        """Per vertex, (a, d) with w(v) == a / d: over Q a tuple of ints and
-        their least common denominator d > 0, over F_p the residues and 1."""
-        if self._numerators is None:
-            if self.field.p is None:
-                self._numerators = tuple((tuple(a), d) for a, d in map(_numerators, self._vectors))
-            else:
-                self._numerators = tuple((vec, 1) for vec in self._vectors)
-        return self._numerators
-
-    @property
     def num_vertices(self):
-        return len(self._vectors if self._vectors is not None else self._numerators)
+        return len(self.numerators)
 
     def __eq__(self, other):
         return (
@@ -109,6 +98,39 @@ class VertexAssignment:
 
     def __repr__(self):
         return f"VertexAssignment({self.field!r}, {self.num_vertices} vectors)"
+
+
+def _rational(x):
+    """A numerator and a denominator > 0 of the scalar x over Q: an int, a
+    decimal string or a `Fraction`."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        # ASCII, so isdigit() means [0-9]+: the plain [-]digits[/digits]
+        if x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                num, den = int(num), int(den) if den else 1
+            except ValueError:  # past the digit limit: RATIONALS raises its error
+                den = 0
+            if den:
+                return num, den
+    x = RATIONALS(x)
+    return x.numerator, x.denominator
+
+
+def _integer_form(field, vec):
+    """The integer form (a, d) of the vector of scalars `vec` (module
+    docstring)."""
+    if field.p is not None:
+        return tuple(map(field, vec)), 1
+    pairs = [_rational(x) for x in vec]
+    d = lcm(*(e for _, e in pairs))
+    a = [x * (d // e) for x, e in pairs]
+    g = gcd(d, *a)
+    if g > 1:
+        return tuple(x // g for x in a), d // g
+    return tuple(a), d
 
 
 class VarietyContext:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
-from graphvariety import Graph, VertexAssignment, degeneracy_order
+from graphvariety import RATIONALS, BilinearSpace, Graph, VertexAssignment, degeneracy_order
 from graphvariety.linalg import kernel, rref
 from graphvariety.serialization import _weight_vector, _weighting
 
@@ -170,9 +170,32 @@ def dot(field, u, v):
     return field(sum(map(mul, u, v), field.zero()))
 
 
+def vectors(assignment):
+    """The point's vectors as tuples of field scalars, from its integer form:
+    `Fraction`s a_i / d over Q, the residues over F_p."""
+    if assignment.field.p is not None:
+        return tuple(a for a, _ in assignment.numerators)
+    return tuple(tuple(Fraction(x, d) for x in a) for a, d in assignment.numerators)
+
+
+def dense_gram(space):
+    """The Gram matrix as n row tuples of field scalars, from its terms."""
+    rows = [[space.field.zero()] * space.n for _ in range(space.n)]
+    for i, j, x in space.terms:
+        rows[i][j] = x
+    return tuple(map(tuple, rows))
+
+
+def space_from_rows(kind, rows, field=RATIONALS):
+    """The space with the dense Gram matrix `rows`, given as its entries."""
+    terms = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)]
+    return BilinearSpace(len(rows), kind, terms, field)
+
+
 def gram_product(space, v, transpose=False):
     """gram * v, or gram^T * v, by dense products with the Gram's rows."""
-    rows = zip(*space.gram) if transpose else space.gram
+    gram = dense_gram(space)
+    rows = zip(*gram) if transpose else gram
     return [dot(space.field, row, v) for row in rows]
 
 
@@ -183,7 +206,7 @@ def jacobian(ctx, assignment):
     The row of edge (lo, hi) carries gram * w(hi) in the block of lo and
     gram^T * w(lo) in the block of hi: the gradients of <w(lo), w(hi)>.
     """
-    n, w = ctx.space.n, assignment.vectors
+    n, w = ctx.space.n, vectors(assignment)
     rows = []
     for lo, hi in ctx.edge_order:
         row = [ctx.field.zero()] * (ctx.graph.num_vertices * n)
@@ -198,7 +221,7 @@ def jw_rows(ctx, assignment):
     as sparse {column: nonzero scalar} dicts: edge (lo, hi) holds w(hi) in
     lo's block and s * w(lo) in hi's, s = -1 for a symplectic form and 1 for
     a symmetric one."""
-    n, field, w = ctx.space.n, ctx.field, assignment.vectors
+    n, field, w = ctx.space.n, ctx.field, vectors(assignment)
     s = -1 if ctx.space.kind == "symplectic" else 1
     rows = []
     for lo, hi in ctx.edge_order:
@@ -251,7 +274,7 @@ def regular_part_test(og, assignment):
     regular part of the order); membership in the variety is not required."""
     if assignment.num_vertices != og.graph.num_vertices:
         raise ValueError("assignment has the wrong number of vertices")
-    w = assignment.vectors
+    w = vectors(assignment)
     older = map(og.older_neighbors, range(og.graph.num_vertices))
     return all(rank(assignment.field, [w[u] for u in us]) == len(us) for us in older)
 
@@ -274,7 +297,8 @@ def left_kernel(field, rows):
 def orbit_keys(space):
     """Whether Witt's extension theorem applies to the prime-field space:
     an alternating form, or odd characteristic."""
-    return space.field.p != 2 or all(space.gram[i][i] == 0 for i in range(space.n))
+    gram = dense_gram(space)
+    return space.field.p != 2 or all(gram[i][i] == 0 for i in range(space.n))
 
 
 def frontier_key(space, vectors):

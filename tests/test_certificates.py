@@ -39,10 +39,10 @@ from graphvariety.linalg import first_dependency
 from graphvariety.sampling import SamplerConfig
 from graphvariety.serialization import assignment_from_obj, assignment_to_obj
 from graphvariety.variety import _certifies, _edge_rows
-from oracles import (complete_bipartite_graph, dot, field_kernel, field_rref, gram_product,
+from oracles import (complete_bipartite_graph, dense_gram, dot, field_kernel, field_rref, gram_product,
                      independent_set_point, integer_sparse_row, jacobian, jw_rows, left_kernel,
                      origin, random_connected_graph, rank, reference_certifies,
-                     reference_first_dependency, reference_rref)
+                     reference_first_dependency, reference_rref, space_from_rows, vectors)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -158,13 +158,13 @@ def dense_case(rng, space, point):
     left kernel, are those of `point` in `space`."""
     field, n = space.field, space.n
     a = invertible_matrix(rng, field, n)
-    gram = [[dot(field, col, [dot(field, row, b) for row in space.gram]) for b in zip(*a)]
+    gram = [[dot(field, col, [dot(field, row, b) for row in dense_gram(space)]) for b in zip(*a)]
             for col in zip(*a)]
-    identity = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    identity = [[field(1) if i == j else field.zero() for j in range(n)] for i in range(n)]
     inverse = [row[n:] for row in reference_rref([a[i] + identity[i] for i in range(n)], n,
                                                  field.p)[0]]
-    return (BilinearSpace(n, space.kind, gram, field),
-            VertexAssignment(field, [[dot(field, row, w) for row in inverse] for w in point.vectors]))
+    return (space_from_rows(space.kind, gram, field),
+            VertexAssignment(field, [[dot(field, row, w) for row in inverse] for w in vectors(point)]))
 
 
 def gram_restored(ctx, point):
@@ -174,13 +174,14 @@ def gram_restored(ctx, point):
     each block b then becomes b^T gram^T, which is gram b."""
     n, field = ctx.space.n, ctx.field
     d = [d for _, d in point.numerators]
+    gram = dense_gram(ctx.space)
     rows = []
     for (lo, hi), sparse in zip(ctx.edge_order, _edge_rows(ctx, point)):
         row = []
         for v in range(ctx.graph.num_vertices):
             factor = 1 if field.p is not None else Fraction(d[v], d[lo] * d[hi])
             block = [field(factor * sparse.get(v * n + i, 0)) for i in range(n)]
-            row += [dot(field, g, block) for g in ctx.space.gram]
+            row += [dot(field, g, block) for g in gram]
         rows.append(row)
     return rows
 
@@ -239,28 +240,28 @@ def scaled(rng, point):
     field = point.field
     if field.p is None:
         factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
-                            rng.choice((1, 2, 3, 7, 12, 10**9 + 7))) for _ in point.vectors]
+                            rng.choice((1, 2, 3, 7, 12, 10**9 + 7))) for _ in vectors(point)]
     else:
-        factors = [rng.randrange(1, field.p) for _ in point.vectors]
+        factors = [rng.randrange(1, field.p) for _ in vectors(point)]
     return VertexAssignment(field, [[field(c * x) for x in vec]
-                                    for c, vec in zip(factors, point.vectors)])
+                                    for c, vec in zip(factors, vectors(point))])
 
 
 def perturbed(rng, point):
     """The point with one coordinate moved by a nonzero scalar."""
-    field, vectors = point.field, [list(vec) for vec in point.vectors]
-    if vectors:
-        vec = rng.choice(vectors)
+    field, moved = point.field, [list(vec) for vec in vectors(point)]
+    if moved:
+        vec = rng.choice(moved)
         i = rng.randrange(len(vec))
         vec[i] = field(vec[i] + (Fraction(rng.randint(1, 5), rng.randint(1, 5))
                                  if field.p is None else rng.randrange(1, field.p)))
-    return VertexAssignment(field, vectors)
+    return VertexAssignment(field, moved)
 
 
 def integer_path_verdict(ctx, point):
     """The integer path at `point` against the references on field scalars,
     and what the point is: "non-member", "smooth" or "singular"."""
-    w, field = point.vectors, ctx.field
+    w, field = vectors(point), ctx.field
     values = tuple(ctx.space.pair(w[lo], w[hi]) for lo, hi in ctx.edge_order)
     assert values == tuple(dot(field, w[lo], gram_product(ctx.space, w[hi]))
                            for lo, hi in ctx.edge_order)
@@ -269,7 +270,7 @@ def integer_path_verdict(ctx, point):
     assert is_member(ctx, point) == member
     # the integer form alone decides equality, whichever form built the point
     twin = VertexAssignment.from_numerators(field, point.numerators)
-    assert twin == point and point == twin and twin.vectors == w
+    assert twin == point and point == twin and vectors(twin) == w
     assert assignment_from_obj(assignment_to_obj(point)) == point
     if not member:
         with pytest.raises(NotOnVarietyError):
@@ -299,7 +300,7 @@ def test_integer_path_matches_the_references(field, seed, dense):
             space, point = dense_case(rng, space, point)
         point = scaled(rng, point)
         moved = perturbed(rng, point)
-        assert (moved != point) == bool(point.vectors)
+        assert (moved != point) == bool(vectors(point))
         ctx = VarietyContext(g, space)
         for pt in (point, moved):
             verdicts.append(integer_path_verdict(ctx, pt))
@@ -331,7 +332,7 @@ def test_integer_verifier_matches_the_fraction_one(field, seed):
         zeros = [field.zero()] * len(values)
         for pt in (point, perturbed(rng, point)):
             for vals in (values, moved, zeros, [str(x) for x in values]):
-                expected = reference_certifies(ctx, pt.vectors, vals)
+                expected = reference_certifies(ctx, vectors(pt), vals)
                 assert _certifies(ctx, pt.numerators, vals) == expected
                 verdicts.append(expected)
     assert True in verdicts and False in verdicts
@@ -480,7 +481,7 @@ class TestOnePassVerifier:
         ctx, point, cert = self.cycle_case()
         g = Graph(5, list(ctx.graph.edges) + [(0, 4)])
         big = VarietyContext(g, ctx.space)
-        big_point = VertexAssignment(RATIONALS, list(point.vectors) + [[0] * 4])
+        big_point = VertexAssignment(RATIONALS, list(vectors(point)) + [[0] * 4])
         lam = dict(zip(cert.edges, cert.values))
         values = tuple(lam.get(e, Fraction(1)) for e in g.edges)
         assert not verify_certificate(big, big_point, SingularityCertificate(g.edges, values))
@@ -518,7 +519,7 @@ class TestWireShape:
         assert verify_certificate(ctx, point, SingularityCertificate(edges, values))
         changed = [wire(cert.values[0] + 1)] + values[1:]
         assert not verify_certificate(ctx, point, SingularityCertificate(edges, changed))
-        off = [list(v) for v in point.vectors]
+        off = [list(v) for v in vectors(point)]
         off[0][2] = field(1)
         off_point = VertexAssignment(field, off)
         assert not verify_certificate(ctx, off_point, SingularityCertificate(edges, values))

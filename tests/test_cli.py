@@ -155,6 +155,20 @@ class TestSampleCheckCertify:
             "message": "estimated work 25600000 exceeds cap 10000000;"
                        " the point would hold |V| * n coordinates"}}
 
+    def test_sample_refuses_before_the_degeneracy_order(self, capsys, graph_file, monkeypatch):
+        # the entry cap needs only |V| and n: a refused point pays for no peel
+        def peel(graph):
+            raise AssertionError("degeneracy_order ran before the entry cap")
+
+        monkeypatch.setattr("graphvariety.cli.degeneracy_order", peel)
+        g = graph_file("far.txt", "0 1\n99999 99998\n")
+        code, out, err = run(capsys, ["sample", "--graph", g, "--dim", "256"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": {
+            "type": "WorkCapExceededError",
+            "message": "estimated work 25600000 exceeds cap 10000000;"
+                       " the point would hold |V| * n coordinates"}}
+
     def test_sample_at_entry_cap_is_admitted(self, capsys, graph_file, monkeypatch):
         # the cap bounds |V| * n itself: at a cap of 12, path3 at n = 4 holds
         # exactly 12 coordinates and is sampled, and a fourth vertex is refused

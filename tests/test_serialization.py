@@ -31,14 +31,14 @@ from graphvariety.serialization import (
     certificate_to_obj,
     count_report_to_obj,
     equations_to_obj,
-    gram_rows_from_obj,
+    gram_terms_from_obj,
     scalar_to_str,
     splitting_report_to_obj,
     weighting_from_json,
     weighting_to_obj,
     write_canonical,
 )
-from oracles import path_graph, weighting_from_obj
+from oracles import path_graph, vectors, weighting_from_obj
 
 
 class TestScalars:
@@ -198,19 +198,43 @@ class TestPointReader:
     values, or the same error for the first bad scalar of the point."""
 
     @pytest.mark.parametrize("field", [RATIONALS, PrimeField(101)], ids=lambda f: f.name)
-    @given(vectors=st.lists(st.lists(scalar_inputs, min_size=1, max_size=4), min_size=1,
-                            max_size=3))
+    @given(raw=st.lists(st.lists(scalar_inputs, min_size=1, max_size=4), min_size=1,
+                        max_size=3))
     @settings(max_examples=300, deadline=None)
-    def test_reader_agrees_with_the_field(self, field, vectors):
-        obj = {"field": field.name, "vectors": {str(v): vec for v, vec in enumerate(vectors)}}
+    def test_reader_agrees_with_the_field(self, field, raw):
+        obj = {"field": field.name, "vectors": {str(v): vec for v, vec in enumerate(raw)}}
         read = outcome(assignment_from_obj, obj)
-        expected = outcome(lambda vs: [[field(x) for x in vec] for vec in vs], vectors)
+        expected = outcome(lambda vs: [[field(x) for x in vec] for vec in vs], raw)
         if isinstance(read, VertexAssignment):
-            assert [list(vec) for vec in read.vectors] == expected
+            assert [list(vec) for vec in vectors(read)] == expected
             assert read == VertexAssignment(field, expected)
             assert read.numerators == VertexAssignment(field, expected).numerators
         else:
             assert read == expected
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(101)], ids=lambda f: f.name)
+    @given(raw=st.lists(st.lists(st.one_of(scalar_inputs, st.fractions()), min_size=1, max_size=4),
+                        min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_agrees_with_the_reader(self, field, raw):
+        """`VertexAssignment` on ints, strings and `Fraction`s: the field's
+        values or its first error, and the point the reader builds from the
+        same values in JSON, a `Fraction` as its string."""
+        built = outcome(lambda vs: VertexAssignment(field, vs), raw)
+        expected = outcome(lambda vs: [[field(x) for x in vec] for vec in vs], raw)
+        if isinstance(built, VertexAssignment):
+            assert [list(vec) for vec in vectors(built)] == expected
+            obj = {"field": field.name, "vectors": {
+                str(v): [str(x) if isinstance(x, Fraction) else x for x in vec]
+                for v, vec in enumerate(raw)}}
+            assert built == assignment_from_obj(obj)
+        else:
+            assert built == expected
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(101)], ids=lambda f: f.name)
+    def test_constructor_refuses_a_float(self, field):
+        with pytest.raises(TypeError, match="^cannot coerce 0.5 into "):
+            VertexAssignment(field, [[1, "2", Fraction(3, 4) if field.p is None else 3, 0.5]])
 
     @pytest.mark.parametrize("field", [RATIONALS, PrimeField(101)], ids=lambda f: f.name)
     @pytest.mark.parametrize("x", NAMED_SCALARS + [12, -5] + [
@@ -218,7 +242,7 @@ class TestPointReader:
         pytest.param("1/" + LONG, id="1/4301-digits")])
     def test_named_scalars(self, field, x):
         obj = {"field": field.name, "vectors": {"0": ["1", x]}}
-        read = outcome(lambda o: list(assignment_from_obj(o).vectors[0]), obj)
+        read = outcome(lambda o: list(vectors(assignment_from_obj(o))[0]), obj)
         assert read == outcome(lambda y: [field(1), field(y)], x)
 
     def test_integer_form_is_reduced(self):
@@ -407,5 +431,5 @@ class TestReportObjects:
 
 class TestGram:
     def test_round_trip(self):
-        rows = gram_rows_from_obj([["0", "1"], ["-1", "0"]], RATIONALS)
-        assert rows == [[0, 1], [-1, 0]]
+        assert gram_terms_from_obj([["0", "1"], ["-1", "0"]], RATIONALS) == (
+            2, [(0, 1, 1), (1, 0, -1)])

@@ -42,15 +42,36 @@ def names_read(path):
             | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
 
 
+def attributes_read(path):
+    """The attribute names a module reads, as in `x.name`."""
+    return {n.attr for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def traced_methods():
+    """The method names in perfbench's `tracing.METHODS`, which wraps them by name."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    table = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["METHODS"])
+    return {name for names in table.values() for name in names}
+
+
 def test_every_public_name_has_a_use_outside_the_tests():
     """Each public top-level function, class or constant is read by its own
-    module, another package module besides `__init__`, or perfbench."""
+    module, another package module besides `__init__`, or perfbench.  Each
+    public method or property of a package class is read as an attribute by
+    those modules, or is wrapped by name by perfbench's tracer."""
     sources = sorted(PACKAGE.glob("*.py"))
     users = [p for p in sources if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
     read = set().union(*map(names_read, users)) | UNUSED_BY_DESIGN
-    unused = [f"{path.name}: {name}" for path in sources
-              for node in ast.parse(path.read_text()).body
+    attributes = set().union(*map(attributes_read, users)) | traced_methods()
+    trees = [(path, ast.parse(path.read_text())) for path in sources]
+    unused = [f"{path.name}: {name}" for path, tree in trees for node in tree.body
               for name in ([t.id for t in node.targets if isinstance(t, ast.Name)]
                            if isinstance(node, ast.Assign) else [getattr(node, "name", "_")])
               if not name.startswith("_") and name not in read]
+    unused += [f"{path.name}: {cls.name}.{node.name}" for path, tree in trees
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_") and node.name not in attributes]
     assert not unused, f"only tests use {unused}: move them to tests/oracles.py"

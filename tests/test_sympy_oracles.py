@@ -12,8 +12,8 @@ import pytest
 from graphvariety.bilinear import BilinearSpace, standard_space
 from graphvariety.fields import RATIONALS, PrimeField
 from graphvariety.linalg import rref
-from graphvariety.serialization import gram_rows_from_obj
-from oracles import dot, field_kernel, field_rref, gram_product
+from graphvariety.serialization import gram_terms_from_obj
+from oracles import dense_gram, dot, field_kernel, field_rref, gram_product
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -111,9 +111,9 @@ def pairing_spaces(rng, field):
     for kind, sign, dims in kinds:
         for n in dims:
             while True:
-                rows = gram_rows_from_obj(gram_obj(rng, field, n, sign), field)
+                n, terms = gram_terms_from_obj(gram_obj(rng, field, n, sign), field)
                 try:
-                    spaces.append(BilinearSpace(n, kind, rows, field))
+                    spaces.append(BilinearSpace(n, kind, terms, field))
                     break
                 except ValueError:  # degenerate; draw again
                     pass
@@ -140,13 +140,13 @@ def from_sympy(field, value):
 
 def sympy_pairing(space, u, v):
     """u^T * gram * v computed by sympy over Q, then reduced mod p over F_p."""
-    value = (sympy_matrix([u]) * sympy_matrix(space.gram) * sympy_matrix([v]).T)[0, 0]
+    value = (sympy_matrix([u]) * sympy_matrix(dense_gram(space)) * sympy_matrix([v]).T)[0, 0]
     return from_sympy(space.field, value)
 
 
 def sympy_product(space, v, transpose):
     """gram * v, or gram^T * v, computed by sympy, coordinates as in `from_sympy`."""
-    gram = sympy_matrix(space.gram)
+    gram = sympy_matrix(dense_gram(space))
     column = (gram.T if transpose else gram) * sympy_matrix([v]).T
     return [from_sympy(space.field, x) for x in column]
 

@@ -30,10 +30,10 @@ from graphvariety import (
     verify_certificate,
 )
 from graphvariety.linalg import _numerators
-from graphvariety.serialization import gram_rows_from_obj
-from oracles import (complete_bipartite_graph, dot, field_kernel, field_vectors, gram_product,
-                     jacobian, origin, path_graph, random_tangent, rank, regular_part_test,
-                     star_graph)
+from graphvariety.serialization import gram_terms_from_obj
+from oracles import (complete_bipartite_graph, dense_gram, dot, field_kernel, field_vectors,
+                     gram_product, jacobian, origin, path_graph, random_tangent, rank,
+                     regular_part_test, space_from_rows, star_graph, vectors)
 
 
 def symplectic2():
@@ -43,19 +43,19 @@ def symplectic2():
 class TestBilinearSpace:
     def test_standard_symplectic_gram(self):
         sp = symplectic2()
-        assert sp.gram == ((0, 1), (-1, 0))
-        sp4 = standard_space("symplectic", 4, RATIONALS)
-        assert sp4.gram[0][2] == 1 and sp4.gram[2][0] == -1
-        assert sp4.gram[1][3] == 1 and sp4.gram[3][1] == -1
+        assert dense_gram(sp) == ((0, 1), (-1, 0))
+        gram = dense_gram(standard_space("symplectic", 4, RATIONALS))
+        assert gram[0][2] == 1 and gram[2][0] == -1
+        assert gram[1][3] == 1 and gram[3][1] == -1
 
     def test_standard_symmetric_gram(self):
         sp = standard_space("symmetric", 3, RATIONALS)
-        assert sp.gram == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert dense_gram(sp) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_hyperbolic_gram(self):
         sp = standard_space("hyperbolic", 2, RATIONALS)
         assert sp.kind == "symmetric"
-        assert sp.gram == ((0, 1), (1, 0))
+        assert dense_gram(sp) == ((0, 1), (1, 0))
         assert sp.isotropic_basis_vector() == 0
 
     def test_identity_has_no_isotropic_basis_vector(self):
@@ -74,17 +74,42 @@ class TestBilinearSpace:
 
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(ValueError):
-            BilinearSpace(2, "symmetric", [[0, 1], [-1, 0]], RATIONALS)
+            space_from_rows("symmetric", [[0, 1], [-1, 0]])
         with pytest.raises(ValueError):
-            BilinearSpace(2, "symplectic", [[0, 1], [1, 0]], RATIONALS)
+            space_from_rows("symplectic", [[0, 1], [1, 0]])
 
     def test_degenerate_gram_rejected(self):
         with pytest.raises(ValueError):
-            BilinearSpace(2, "symmetric", [[1, 1], [1, 1]], RATIONALS)
+            space_from_rows("symmetric", [[1, 1], [1, 1]])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            BilinearSpace(2, "weird", [[1, 0], [0, 1]], RATIONALS)
+            space_from_rows("weird", [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("form,n", [("symplectic", 2), ("symplectic", 6), ("symmetric", 1),
+                                        ("symmetric", 5), ("hyperbolic", 4)])
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(3), PrimeField(10007)],
+                             ids=lambda f: f.name)
+    def test_standard_space_from_its_terms(self, form, n, field):
+        space = standard_space(form, n, field)
+        assert BilinearSpace(n, space.kind, space.terms, field) == space
+        assert BilinearSpace(n, space.kind, reversed(space.terms), field) == space
+
+    @pytest.mark.parametrize("terms", [[(0, 2, 1), (1, 1, 1), (0, 0, 1)],
+                                       [(0, 0, 1), (1, 1, 1), (-1, 1, 1)],
+                                       [(0, 0, 1), (1, 1, 1), (1, 5, 0)]])
+    def test_term_outside_the_matrix_refused(self, terms):
+        bad = next(t for t in terms if not all(0 <= x < 2 for x in t[:2]))
+        with pytest.raises(ValueError, match=rf"^gram term \({bad[0]}, {bad[1]}\) is outside the 2x2 matrix$"):
+            BilinearSpace(2, "symmetric", terms, RATIONALS)
+
+    @pytest.mark.parametrize("terms", [[(0, 0, 1), (1, 1, 1), (0, 0, 1)],
+                                       [(0, 0, 1), (1, 1, 1), (1, 1, 0)],
+                                       [(0, 1, 1), (1, 0, -1), (0, 1, "1")]])
+    def test_repeated_term_refused(self, terms):
+        i, j, _ = terms[-1]
+        with pytest.raises(ValueError, match=rf"^gram term \({i}, {j}\) is repeated$"):
+            BilinearSpace(2, "symplectic" if i != j else "symmetric", terms, RATIONALS)
 
     def test_pair_examples(self):
         sp = symplectic2()
@@ -141,18 +166,27 @@ class TestGramChecks:
     """`BilinearSpace.__init__` reads only the nonzero entries and their
     mirrors; every failure it must catch, against a dense rank."""
 
+    @given(form_grams())
+    @settings(max_examples=100, deadline=None)
+    def test_space_from_its_terms(self, drawn):
+        field, kind, gram, _ = drawn
+        space = space_from_rows(kind, gram, field)
+        assert BilinearSpace(len(gram), kind, space.terms, field) == space
+        assert list(space.terms) == [(i, j, x) for i, row in enumerate(gram)
+                                     for j, x in enumerate(row) if x]
+
     @given(form_grams(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_changed_off_diagonal_entry(self, drawn, data):
         field, kind, gram, delta = drawn
-        assert BilinearSpace(len(gram), kind, gram, field).gram == tuple(map(tuple, gram))
+        assert dense_gram(space_from_rows(kind, gram, field)) == tuple(map(tuple, gram))
         n = len(gram)
         assume(n > 1)
         i, j = data.draw(st.permutations(range(n)))[:2]
         gram[i][j] = field(gram[i][j] + delta)
         assume(rank(field, gram) == n)
         with pytest.raises(ValueError, match=f"^{SYMMETRY_ERRORS[kind]}$"):
-            BilinearSpace(n, kind, gram, field)
+            space_from_rows(kind, gram, field)
 
     @given(form_grams(kinds=("symplectic",)), st.data())
     @settings(max_examples=100, deadline=None)
@@ -163,7 +197,7 @@ class TestGramChecks:
         gram[i][i] = value
         assume(rank(field, gram) == n)
         with pytest.raises(ValueError, match=f"^{SYMMETRY_ERRORS[kind]}$"):
-            BilinearSpace(n, kind, gram, field)
+            space_from_rows(kind, gram, field)
 
     @given(form_grams(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -175,7 +209,7 @@ class TestGramChecks:
         gram[k] = [field(sum(c * row[j] for c, row in zip(coeffs, gram) if row is not gram[k]))
                    for j in range(n)]
         with pytest.raises(ValueError, match="^gram matrix is degenerate$"):
-            BilinearSpace(n, kind, gram, field)
+            space_from_rows(kind, gram, field)
 
 
 def gram_file_space(kind, n, seed):
@@ -189,9 +223,9 @@ def gram_file_space(kind, n, seed):
             for j in range(i if kind == "symmetric" else i + 1, n):
                 gram[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 gram[j][i] = sign * gram[i][j]
-        rows = gram_rows_from_obj([[str(x) for x in row] for row in gram], RATIONALS)
+        _, terms = gram_terms_from_obj([[str(x) for x in row] for row in gram], RATIONALS)
         try:
-            return BilinearSpace(n, kind, rows, RATIONALS)
+            return BilinearSpace(n, kind, terms, RATIONALS)
         except ValueError:  # degenerate: draw again
             continue
 
@@ -333,15 +367,15 @@ class TestJacobian:
                 VertexAssignment(
                     field,
                     [
-                        [a + b for a, b in zip(w.vectors[v], e.vectors[v])]
+                        [a + b for a, b in zip(vectors(w)[v], vectors(e)[v])]
                         for v in range(4)
                     ],
                 ),
             )
-            flat = [x for v in range(4) for x in e.vectors[v]]
+            flat = [x for v in range(4) for x in vectors(e)[v]]
             linear = [dot(field, row, flat) for row in jacobian(ctx, w)]
             for idx, (lo, hi) in enumerate(ctx.edge_order):
-                second = space.pair(e.vectors[lo], e.vectors[hi])
+                second = space.pair(vectors(e)[lo], vectors(e)[hi])
                 assert field(moved[idx] - base[idx] - linear[idx]) == second
 
 
@@ -423,7 +457,7 @@ class TestCertificates:
         ctx = self.cycle_context()
         pt = self.all_equal_point(ctx)
         cert = singular_certificate(ctx, pt)
-        off_vectors = [list(v) for v in pt.vectors]
+        off_vectors = [list(v) for v in vectors(pt)]
         off_vectors[0][2] = Fraction(1)
         off = VertexAssignment(RATIONALS, off_vectors)
         assert not is_member(ctx, off)
@@ -446,7 +480,7 @@ class TestCertificates:
         big = Graph(6, list(ctx.graph.edges) + [(0, 4), (4, 5)])
         big_ctx = VarietyContext(big, ctx.space)
         zero_vec = [Fraction(0)] * ctx.space.n
-        big_pt = VertexAssignment(RATIONALS, list(pt.vectors) + [zero_vec, zero_vec])
+        big_pt = VertexAssignment(RATIONALS, list(vectors(pt)) + [zero_vec, zero_vec])
         lam = dict(zip(cert.edges, cert.values))
         values = tuple(lam.get(e, Fraction(0)) for e in big_ctx.edge_order)
         big_cert = SingularityCertificate(big_ctx.edge_order, values)
@@ -494,15 +528,15 @@ class TestEquations:
         spaces = [
             standard_space("hyperbolic", 2, RATIONALS),
             # fractional Grams: emitted terms are the Gram's entries, not scaled ints
-            BilinearSpace(2, "symplectic", [["0", "1/2"], ["-1/2", "0"]]),
-            BilinearSpace(2, "symmetric", [["1/2", "1/3"], ["1/3", "2"]]),
+            space_from_rows("symplectic", [["0", "1/2"], ["-1/2", "0"]]),
+            space_from_rows("symmetric", [["1/2", "1/3"], ["1/3", "2"]]),
         ]
         for space in spaces:
             ctx = VarietyContext(g, space)
             res = residual(ctx, pt)
             for eq, value in zip(equations(ctx), res):
                 lo, hi = eq.edge
-                total = sum(c * pt.vectors[lo][i] * pt.vectors[hi][j] for i, j, c in eq.terms)
+                total = sum(c * vectors(pt)[lo][i] * vectors(pt)[hi][j] for i, j, c in eq.terms)
                 assert total == value
 
 
