@@ -37,7 +37,6 @@ from .graphs import (
     OrderedGraph,
     bfs_layers,
     connected_components,
-    cycle_graph,
     degeneracy_order,
     has_even_cycle,
     induced_subgraph_with_map,
@@ -45,7 +44,7 @@ from .graphs import (
     parse_edge_list,
     proper_vertex_numbering,
 )
-from .sampling import SamplerConfig, cycle_singular_point, sample_regular_point
+from .sampling import SamplerConfig, sample_regular_point
 from .splitting import (
     EdgeVerdict,
     SplittingReport,
@@ -57,13 +56,11 @@ from .splitting import (
     split_into_matchings,
 )
 from .variety import (
-    EdgeEquation,
     ProjectiveVerdict,
     SingularityCertificate,
     VarietyContext,
     VertexAssignment,
     canonical_degrees,
-    equations,
     expected_dimension,
     is_anti_ample,
     is_member,

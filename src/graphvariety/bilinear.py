@@ -35,9 +35,9 @@ common denominator dv (`linalg._numerators`) first, so that
   the basis comes as integer vectors over one denominator (1 over F_p).
 
 `variety` reads `_image` and `scale` directly, on each vertex's integer
-form, and the sampler solves the `rref` of the same rows G_int u that
-`perp` takes the kernel of.  Every step is exact integer arithmetic, so each value equals the
-dense product on field scalars.
+form, and the sampler draws from `linalg.solve` of the same rows G_int u
+that `perp` expands into its kernel.  Every step is exact integer
+arithmetic, so each value equals the dense product on field scalars.
 """
 
 from fractions import Fraction
@@ -154,11 +154,6 @@ class BilinearSpace:
         integer vector u in `vectors`, as `kernel` gives it: (integer
         vectors, L)."""
         return kernel([self._image(u) for u in vectors], self.n, self.field.p)
-
-    def isotropic_basis_vector(self):
-        """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""
-        diagonal = {i for i, j, _ in self.terms if i == j}
-        return next((i for i in range(self.n) if i not in diagonal), None)
 
     def __eq__(self, other):
         return (

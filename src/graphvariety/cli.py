@@ -36,7 +36,6 @@ from .splitting import color_classes, split_forest_into_matchings, split_into_ma
 from .variety import (
     VarietyContext,
     canonical_degrees,
-    equations,
     expected_dimension,
     is_anti_ample,
     projective_smoothness,
@@ -194,11 +193,8 @@ def cmd_count(args):
 
 def cmd_equations(args):
     g = _load_graph(args)
-    field = field_from_spec(args.field)
-    space = _resolve_space(args, field)
-    ctx = VarietyContext(g, space)
-    payload = equations_to_obj(equations(ctx))
-    return payload, f"{g.num_edges} edge equations emitted"
+    space = _resolve_space(args, field_from_spec(args.field))
+    return equations_to_obj(g.edges, space.terms), f"{g.num_edges} edge equations emitted"
 
 
 def build_parser():

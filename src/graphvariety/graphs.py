@@ -220,7 +220,8 @@ def induced_subgraph_with_map(graph, vertices):
 def proper_vertex_numbering(graph, bound):
     """A map v -> {1..bound} where adjacent vertices get distinct numbers.
 
-    Greedy first-fit over vertices in index order; needs max_degree < bound.
+    Greedy first-fit over vertices in index order; needs max_degree < bound,
+    and then uses at most max_degree + 1 <= bound numbers.
     """
     if graph.max_degree() >= bound:
         raise BoundTooSmallError(
@@ -232,8 +233,6 @@ def proper_vertex_numbering(graph, bound):
         c = 1
         while c in taken:
             c += 1
-        if c > bound:
-            raise BoundTooSmallError(f"greedy numbering exceeded bound {bound}")
         numbers[v] = c
     return tuple(numbers)
 
@@ -277,12 +276,6 @@ def has_even_cycle(graph):
             else:
                 stack.pop()
     return False
-
-
-def cycle_graph(n):
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def parse_edge_list(text):

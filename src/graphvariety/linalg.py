@@ -17,8 +17,11 @@ elimination on `Fraction`s would hold, so both see the same zeros and
 choose the same pivots; a caller with rationals passes each row times the
 lcm of its denominators (`_numerators`).
 
-`kernel` reads its basis off `rref`, as integer vectors over one
-denominator L > 0, 1 over F_p.  `first_dependency` is a sparse incremental
+`solve` reads the solutions of rows . x = 0 off `rref`: the free columns,
+and per pivot column its row and the factor that puts it over one
+denominator L > 0, the lcm of the pivots (1 over F_p).  `kernel` expands
+that into a basis of integer vectors over L, and the sampler draws its
+points from it directly.  `first_dependency` is a sparse incremental
 row echelon pass with the same two update rules on dict rows, which stops
 at the first dependent row; it never builds dense rows, so sparse
 Jacobians stay sparse.
@@ -77,30 +80,36 @@ def rref(rows, ncols, p=None):
     return rows, pivots
 
 
+def solve(rows, ncols, p=None):
+    """The solutions x of rows . x = 0 by their free coordinates, read off
+    `rref`: (free columns in increasing order, L, [(pivot column c, row,
+    L // row[c])]), with L > 0 the lcm of the pivots (1 over F_p).  Each
+    row is zero at the other pivots, so a solution with free coordinates
+    x_f has x_c = -(sum_f row[f] * x_f) / row[c].  `rows` are ints, as
+    `rref` takes them."""
+    rows, pivots = rref(rows, ncols, p)
+    denominator = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    return free, denominator, [(c, row, denominator // row[c]) for row, c in zip(rows, pivots)]
+
+
 def kernel(rows, ncols, p=None):
     """A basis of the right kernel of `rows`, as (integer vectors, L) with
     L > 0: the basis vectors are the integer ones divided by L, one per
-    free column in increasing order, with a 1 in that column.  `rows` are
-    ints, as `rref` takes them; L == 1 over F_p."""
-    rows, pivots = rref(rows, ncols, p)
-    if p is None:
-        denominator = lcm(*(row[c] for row, c in zip(rows, pivots)))
-        scales = [denominator // row[c] for row, c in zip(rows, pivots)]
-    else:
-        denominator = 1
-    pivot_set = set(pivots)
+    free column of `solve` in increasing order, with a 1 in that column.
+    `rows` are ints, as `rref` takes them; L == 1 over F_p."""
+    free, denominator, solved = solve(rows, ncols, p)
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f in free:
         vec = [0] * ncols
         vec[f] = denominator
         if p is not None:
-            for r, c in enumerate(pivots):
-                vec[c] = -rows[r][f] % p
+            for c, row, _ in solved:
+                vec[c] = -row[f] % p
         else:
-            for r, c in enumerate(pivots):
-                vec[c] = -rows[r][f] * scales[r]
+            for c, row, m in solved:
+                vec[c] = -row[f] * m
         basis.append(vec)
     return basis, denominator
 

@@ -10,9 +10,9 @@ ranks rather than the echelon rows below.
 
 The sampler works on integers.  Per vertex, the constraints <x, u> = 0 of
 the older neighbours u are the integer rows G_int u
-(`BilinearSpace._image`), eliminated once by `rref`, the elimination that
-`BilinearSpace.perp` runs through `kernel`.  A draw takes one coefficient
-c_f per free column in increasing order and solves the pivots:
+(`BilinearSpace._image`), put once through `linalg.solve`, the solve that
+`BilinearSpace.perp` expands through `kernel`.  A draw takes one
+coefficient c_f per free column in increasing order and solves the pivots:
 x_f = c_f * L and x_c = -(L / row[c]) * sum_f c_f * row[f], with L the lcm
 of the pivots over Q, and over F_p (pivots 1) L = 1 and x_c reduced mod p.
 That is sum_f c_f * b_f over `kernel`'s basis b_f, so the RNG calls and
@@ -30,27 +30,17 @@ independent of them; scaling never changes that.  An accepted vector's
 remainders become the new rows, over Q divided by their content.  The RNG
 calls and every accept/reject decision are the same as drawing and
 re-ranking on field scalars.
-
-`cycle_singular_point` produces a known singular point: a cycle with every
-vertex carrying one fixed self-orthogonal basis vector, written as its
-integer form, with its certificate from `singular_certificate`.
 """
 
 import random
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .errors import (
-    PreconditionViolatedError,
-    RetriesExhaustedError,
-    UnsupportedCombinationError,
-    WorkCapExceededError,
-)
-from .graphs import cycle_graph
-from .linalg import rref
+from .errors import PreconditionViolatedError, RetriesExhaustedError, WorkCapExceededError
+from .linalg import solve
 from .splitting import WEIGHTING_CAP
-from .variety import VarietyContext, VertexAssignment, singular_certificate
+from .variety import VertexAssignment
 
 
 class SamplerConfig(namedtuple("SamplerConfig", "seed bound max_retries")):
@@ -68,23 +58,11 @@ class SamplerConfig(namedtuple("SamplerConfig", "seed bound max_retries")):
         return super().__new__(cls, seed, bound, max_retries)
 
 
-def _constraints(space, vectors):
-    """The x with <x, u> = 0 for the integer vectors u, as the `rref` of the
-    rows G_int u: (n, free columns, L, [(pivot column, row, L / row[pivot])])."""
-    p = space.field.p
-    rows, pivots = rref([space._image(u) for u in vectors], space.n, p)
-    denominator = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    pivot_set = set(pivots)
-    free = [f for f in range(space.n) if f not in pivot_set]
-    solved = [(c, row, denominator // row[c]) for row, c in zip(rows, pivots)]
-    return space.n, free, denominator, solved
-
-
-def _draw(system, rng, bound, p):
-    """A random solution of a `_constraints` system (module docstring):
-    coefficients in [-bound, bound] over Q, the vector's numerators over L;
-    uniform residues over F_p."""
-    n, free, denominator, solved = system
+def _draw(system, n, rng, bound, p):
+    """A random solution in F^n of a `linalg.solve` system (module
+    docstring): coefficients in [-bound, bound] over Q, the vector's
+    numerators over L; uniform residues over F_p."""
+    free, denominator, solved = system
     x = [0] * n
     if p is None:
         for f in free:
@@ -168,9 +146,9 @@ def sample_regular_point(og, space, cfg=None):
     # oldest vertex first
     for v in reversed(og.order):
         younger = og.younger_neighbors(v)
-        system = _constraints(space, [candidates[u] for u in og.older_neighbors(v)])
+        system = solve([space._image(candidates[u]) for u in og.older_neighbors(v)], space.n, p)
         for _ in range(cfg.max_retries):
-            candidate = _draw(system, rng, cfg.bound, p)
+            candidate = _draw(system, space.n, rng, cfg.bound, p)
             if not any(candidate):
                 continue
             remainders = [_reduce(candidate, echelon[y], p) for y in younger]
@@ -181,37 +159,6 @@ def sample_regular_point(og, space, cfg=None):
         for y, rest in zip(younger, remainders):
             echelon[y].append(_echelon_row(rest, p))
         candidates[v] = candidate
-        content = gcd(system[2], *candidate)  # 1 over F_p
-        numerators[v] = tuple(x // content for x in candidate), system[2] // content
+        content = gcd(system[1], *candidate)  # 1 over F_p
+        numerators[v] = tuple(x // content for x in candidate), system[1] // content
     return VertexAssignment.from_numerators(field, [numerators[v] for v in range(g.num_vertices)])
-
-
-def cycle_singular_point(k, space):
-    """The all-equal singular point on the k-cycle, with its certificate.
-
-    Symplectic: any k >= 3, n >= 4; every vertex carries the first basis
-    vector.  Symmetric: k must be even and the Gram matrix must expose an
-    isotropic basis vector (the hyperbolic standard space does); every
-    vertex carries that vector.  The certificate is `singular_certificate`'s.
-    """
-    if k < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    if space.kind == "symplectic":
-        if space.n < 4:
-            raise PreconditionViolatedError(
-                "symplectic cycle points need dimension >= 4"
-            )
-        idx = 0
-    else:
-        if k % 2 != 0:
-            raise UnsupportedCombinationError(
-                "symmetric cycle points need an even cycle"
-            )
-        idx = space.isotropic_basis_vector()
-        if idx is None:
-            raise UnsupportedCombinationError(
-                "no isotropic basis vector in this symmetric space"
-            )
-    vec = tuple(int(i == idx) for i in range(space.n))
-    assignment = VertexAssignment.from_numerators(space.field, [(vec, 1)] * k)
-    return assignment, singular_certificate(VarietyContext(cycle_graph(k), space), assignment)

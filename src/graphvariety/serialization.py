@@ -6,7 +6,8 @@ exact rationals survive any JSON parser untouched; booleans stay booleans.
 newline, making repeated runs byte-identical, without `json`'s pure-Python
 indent encoder: a list of strings is joined in C, in one join when no string
 needs an escape, and a container seen again at the same depth, such as the
-Gram terms all edge equations share, is encoded once per call.
+one term list `equations_to_obj` gives every edge equation, is encoded once
+per call.
 `write_canonical` streams that text, its top two levels member by member.
 `weighting_from_json` converts each weight vector as soon as it is parsed,
 so a weighting file's palette strings are never all held at once.
@@ -264,18 +265,12 @@ def count_report_to_obj(report):
     }
 
 
-def equations_to_obj(eqs):
-    # edges share their Gram terms: each term tuple object is encoded once,
-    # looked up by identity, since hashing the tuple would walk all its terms;
-    # the cache holds the tuple too, so its id is not reused meanwhile
-    encoded = {}
-    out = []
-    for eq in eqs:
-        key = id(eq.terms)
-        if key not in encoded:
-            encoded[key] = (eq.terms, [[str(i), str(j), scalar_to_str(c)] for i, j, c in eq.terms])
-        out.append({"edge": [str(eq.edge[0]), str(eq.edge[1])], "terms": encoded[key][1]})
-    return {"equations": out}
+def equations_to_obj(edges, terms):
+    """The defining equations, one per edge (lo, hi) in the given order:
+    each term (i, j, c) stands for c * x_{lo,i} * x_{hi,j}.  Every edge
+    shares one term list, which `_encode` writes once."""
+    shared = [[str(i), str(j), scalar_to_str(c)] for i, j, c in terms]
+    return {"equations": [{"edge": [str(lo), str(hi)], "terms": shared} for lo, hi in edges]}
 
 
 def gram_terms_from_obj(obj, field):

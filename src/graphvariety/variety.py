@@ -283,21 +283,6 @@ def singular_certificate(ctx, assignment):
     return SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
 
 
-class EdgeEquation(namedtuple("EdgeEquation", "edge terms")):
-    """One edge equation as a sparse list of (i, j, coeff) bilinear terms.
-
-    Term (i, j, c) stands for c * x_{lo,i} * x_{hi,j} for the edge (lo, hi).
-    """
-
-    __slots__ = ()
-
-
-def equations(ctx):
-    """The defining equations, one per edge in canonical order."""
-    terms = ctx.space.terms
-    return [EdgeEquation(edge=(lo, hi), terms=terms) for lo, hi in ctx.edge_order]
-
-
 def canonical_degrees(graph, n):
     """The canonical-class degree at each vertex factor: -n + deg(v)."""
     return tuple(-n + graph.degree(v) for v in range(graph.num_vertices))

@@ -476,6 +476,29 @@ def star_graph(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def cycle_graph(n):
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def isotropic_index(space):
+    """The index of a standard basis vector e_i with <e_i, e_i> = 0, or None."""
+    diagonal = {i for i, j, _ in space.terms if i == j}
+    return next((i for i in range(space.n) if i not in diagonal), None)
+
+
+def cycle_singular_point(k, space):
+    """The all-equal point on `cycle_graph(k)`: every vertex carries the
+    isotropic basis vector e_i of `isotropic_index`, written as its integer
+    form.  It is singular for a symplectic space of dimension >= 4 (i = 0)
+    and, for an even k, for a symmetric space with such a vector; nothing
+    here checks either condition."""
+    idx = isotropic_index(space)
+    vec = tuple(int(i == idx) for i in range(space.n))
+    return VertexAssignment.from_numerators(space.field, [(vec, 1)] * k)
+
+
 def complete_graph(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
 

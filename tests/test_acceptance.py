@@ -21,8 +21,6 @@ from graphvariety import (
     color_classes,
     count_points,
     CountRequest,
-    cycle_graph,
-    cycle_singular_point,
     degeneracy_order,
     edge_count_closed_form,
     is_anti_ample,
@@ -41,6 +39,8 @@ from oracles import (
     brute_force_min_colors,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
+    cycle_singular_point,
     dot,
     independent_set_point,
     jacobian,
@@ -179,8 +179,9 @@ def test_criterion_3_cycle_singular_points_certify():
     for k in (3, 4, 5, 6):
         for n in (4, 6):
             space = standard_space("symplectic", n, RATIONALS)
-            pt, cert = cycle_singular_point(k, space)
             ctx = VarietyContext(cycle_graph(k), space)
+            pt = cycle_singular_point(k, space)
+            cert = singular_certificate(ctx, pt)
             if not is_member(ctx, pt):
                 failures.append(("symplectic", k, n, "not a member"))
             if rank(RATIONALS, jacobian(ctx, pt)) >= k:
@@ -191,8 +192,9 @@ def test_criterion_3_cycle_singular_points_certify():
     for k in (4, 6):
         for n in (2, 4):
             space = standard_space("hyperbolic", n, RATIONALS)
-            pt, cert = cycle_singular_point(k, space)
             ctx = VarietyContext(cycle_graph(k), space)
+            pt = cycle_singular_point(k, space)
+            cert = singular_certificate(ctx, pt)
             if not is_member(ctx, pt):
                 failures.append(("hyperbolic", k, n, "not a member"))
             if rank(RATIONALS, jacobian(ctx, pt)) >= k:

@@ -23,8 +23,6 @@ from graphvariety import (
     SingularityCertificate,
     VarietyContext,
     VertexAssignment,
-    cycle_graph,
-    cycle_singular_point,
     degeneracy_order,
     is_member,
     residual,
@@ -39,10 +37,11 @@ from graphvariety.linalg import first_dependency
 from graphvariety.sampling import SamplerConfig
 from graphvariety.serialization import assignment_from_obj, assignment_to_obj
 from graphvariety.variety import _certifies, _edge_rows
-from oracles import (complete_bipartite_graph, dense_gram, dot, field_kernel, field_rref, gram_product,
-                     independent_set_point, integer_sparse_row, jacobian, jw_rows, left_kernel,
-                     origin, random_connected_graph, rank, reference_certifies,
-                     reference_first_dependency, reference_rref, space_from_rows, vectors)
+from oracles import (complete_bipartite_graph, cycle_graph, cycle_singular_point, dense_gram, dot,
+                     field_kernel, field_rref, gram_product, independent_set_point, integer_sparse_row,
+                     isotropic_index, jacobian, jw_rows, left_kernel, origin, random_connected_graph,
+                     rank, reference_certifies, reference_first_dependency, reference_rref,
+                     space_from_rows, vectors)
 
 FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
@@ -60,7 +59,7 @@ def isotropic_coordinates(space):
     (the identity form)."""
     if space.kind == "symplectic":
         return range(space.n // 2)
-    if space.isotropic_basis_vector() is not None:
+    if isotropic_index(space) is not None:
         return range(0, space.n, 2)
     return range(0)
 
@@ -230,7 +229,7 @@ def test_rank_deficient_bipartite_points(field):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_cycle_singular_points(field, k):
     space = standard_space("symplectic", 4, field)
-    point, _ = cycle_singular_point(k, space)
+    point = cycle_singular_point(k, space)
     assert not assert_matches_dense(cycle_graph(k), space, point)
 
 
@@ -463,8 +462,8 @@ def test_certify_output_is_pinned(field, tmp_path, capsys):
 class TestOnePassVerifier:
     def cycle_case(self, field=RATIONALS):
         space = standard_space("symplectic", 4, field)
-        point, cert = cycle_singular_point(4, space)
-        return VarietyContext(cycle_graph(4), space), point, cert
+        ctx, point = VarietyContext(cycle_graph(4), space), cycle_singular_point(4, space)
+        return ctx, point, singular_certificate(ctx, point)
 
     def test_one_perturbed_weight_is_rejected(self):
         ctx, point, cert = self.cycle_case()
@@ -512,8 +511,8 @@ class TestWireShape:
     @pytest.mark.parametrize("wire", [str, int])
     def test_wire_values_and_list_edges_verify(self, field, wire):
         space = standard_space("symplectic", 4, field)
-        point, cert = cycle_singular_point(4, space)
-        ctx = VarietyContext(cycle_graph(4), space)
+        ctx, point = VarietyContext(cycle_graph(4), space), cycle_singular_point(4, space)
+        cert = singular_certificate(ctx, point)
         edges = [list(e) for e in cert.edges]
         values = [wire(x) for x in cert.values]
         assert verify_certificate(ctx, point, SingularityCertificate(edges, values))

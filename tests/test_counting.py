@@ -15,7 +15,6 @@ from graphvariety import (
     RATIONALS,
     WorkCapExceededError,
     count_points,
-    cycle_graph,
     degeneracy_order,
     edge_count_closed_form,
     expected_dimension,
@@ -27,6 +26,7 @@ from graphvariety.linalg import kernel
 from oracles import (
     c4_point_count,
     complete_bipartite_graph,
+    cycle_graph,
     enumerate_point_count,
     forest_point_count,
     frontier_key,

@@ -10,7 +10,6 @@ from graphvariety import (
     Graph,
     bfs_layers,
     connected_components,
-    cycle_graph,
     degeneracy_order,
     has_even_cycle,
     induced_subgraph_with_map,
@@ -24,6 +23,7 @@ from oracles import (
     brute_has_even_cycle,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     format_edge_list,
     path_graph,
     random_connected_graph,

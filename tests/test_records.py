@@ -1,4 +1,4 @@
-"""The ten result and request records: construction, defaults, validation,
+"""The nine result and request records: construction, defaults, validation,
 read-only fields, equality, hash and repr; and the start-up import guard."""
 
 import subprocess
@@ -14,7 +14,6 @@ from graphvariety import (
     BfsLayering,
     CountReport,
     CountRequest,
-    EdgeEquation,
     EdgeVerdict,
     Graph,
     PrimeField,
@@ -34,7 +33,6 @@ SPACE_F3 = standard_space("symplectic", 2, PrimeField(3))
 RECORDS = [
     (BfsLayering, {"root": 0, "layers": ((0,), (1,)), "level": (0, 1)}, True),
     (SingularityCertificate, {"edges": ((0, 1),), "values": (Fraction(1, 2),)}, True),
-    (EdgeEquation, {"edge": (0, 1), "terms": ((0, 1, 1), (1, 0, -1))}, True),
     (ProjectiveVerdict, {"verdict": "smooth", "hypothesis_met": False}, True),
     (VertexWeighting, {"colors": ("a", "b"), "weights": {0: [1, 0], 1: [0, 1]}}, False),
     (EdgeVerdict, {"edge": (0, 1), "argmax": ("a",), "strict": True}, True),

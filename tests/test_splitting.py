@@ -14,16 +14,15 @@ from graphvariety import (
     color_budget,
     color_classes,
     connected_components,
-    cycle_graph,
     palette,
     split_forest_into_matchings,
     split_into_matchings,
 )
 from graphvariety.serialization import canonical_dumps, weighting_to_obj
 from graphvariety.splitting import _leaf_peel, _split_component
-from oracles import (brute_force_min_colors, complete_bipartite_graph, complete_graph, path_graph,
-                     random_connected_graph, random_tree, scan_leaf_peel, SearchSpaceTooLargeError,
-                     star_graph)
+from oracles import (brute_force_min_colors, complete_bipartite_graph, complete_graph, cycle_graph,
+                     path_graph, random_connected_graph, random_tree, scan_leaf_peel,
+                     SearchSpaceTooLargeError, star_graph)
 from strategies import forests
 
 

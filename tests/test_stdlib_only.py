@@ -12,8 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "graphvariety"
-# cycle_singular_point awaits a general witness builder (ROADMAP item 4)
-UNUSED_BY_DESIGN = {"cycle_singular_point"}
 
 
 def test_package_imports_only_the_standard_library():
@@ -63,7 +61,7 @@ def test_every_public_name_has_a_use_outside_the_tests():
     those modules, or is wrapped by name by perfbench's tracer."""
     sources = sorted(PACKAGE.glob("*.py"))
     users = [p for p in sources if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
-    read = set().union(*map(names_read, users)) | UNUSED_BY_DESIGN
+    read = set().union(*map(names_read, users))
     attributes = set().union(*map(attributes_read, users)) | traced_methods()
     trees = [(path, ast.parse(path.read_text())) for path in sources]
     unused = [f"{path.name}: {name}" for path, tree in trees for node in tree.body
