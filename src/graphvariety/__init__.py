@@ -44,7 +44,7 @@ from .graphs import (
     parse_edge_list,
     proper_vertex_numbering,
 )
-from .sampling import SamplerConfig, sample_regular_point
+from .sampling import sample_regular_point
 from .splitting import (
     EdgeVerdict,
     SplittingReport,
@@ -56,7 +56,6 @@ from .splitting import (
     split_into_matchings,
 )
 from .variety import (
-    ProjectiveVerdict,
     SingularityCertificate,
     VarietyContext,
     VertexAssignment,

@@ -17,7 +17,7 @@ from .counting import DEFAULT_WORK_CAP, CountRequest, count_points
 from .errors import GraphVarietyError
 from .fields import RATIONALS, field_from_spec
 from .graphs import degeneracy_order, is_forest, parse_edge_list
-from .sampling import SamplerConfig, check_point_size, sample_regular_point
+from .sampling import check_point_size, sample_regular_point
 from .serialization import (
     assignment_from_obj,
     assignment_to_obj,
@@ -83,6 +83,12 @@ def cmd_analyze(args):
     big_d = g.max_degree()
     degrees = canonical_degrees(g, n)
     verdict = projective_smoothness(g, n, kind)
+    bounds = {
+        "n_ge_2_times_degeneracy": n >= 2 * d,
+        "n_ge_degeneracy_plus_max_degree_minus_1": n >= d + big_d - 1,
+        "n_gt_degeneracy_plus_max_degree_minus_1": n > d + big_d - 1,
+        "n_gt_max_degree": n > big_d,
+    }
     payload = {
         "num_vertices": str(g.num_vertices),
         "num_edges": str(g.num_edges),
@@ -95,18 +101,13 @@ def cmd_analyze(args):
         "expected_dimension": str(expected_dimension(g, space)),
         "canonical_degrees": [str(x) for x in degrees],
         "anti_ample": is_anti_ample(degrees),
-        "bounds": {
-            "n_ge_2_times_degeneracy": n >= 2 * d,
-            "n_ge_degeneracy_plus_max_degree_minus_1": n >= d + big_d - 1,
-            "n_gt_degeneracy_plus_max_degree_minus_1": n > d + big_d - 1,
-            "n_gt_max_degree": n > big_d,
-        },
-        "projective_verdict": verdict.verdict,
-        "verdict_hypothesis_met": verdict.hypothesis_met,
+        "bounds": bounds,
+        "projective_verdict": verdict,
+        "verdict_hypothesis_met": bounds["n_ge_degeneracy_plus_max_degree_minus_1"],
     }
     summary = (
         f"{g.num_vertices} vertices, {g.num_edges} edges, max degree {big_d}, "
-        f"degeneracy {d}; projective verdict: {verdict.verdict}"
+        f"degeneracy {d}; projective verdict: {verdict}"
     )
     return payload, summary
 
@@ -117,8 +118,7 @@ def cmd_sample(args):
     space = _resolve_space(args, field)
     check_point_size(g.num_vertices, space.n)  # before the degeneracy order's pass
     og, _ = degeneracy_order(g)
-    cfg = SamplerConfig(seed=args.seed, bound=args.bound, max_retries=args.retries)
-    assignment = sample_regular_point(og, space, cfg)
+    assignment = sample_regular_point(og, space, args.seed, args.bound, args.retries)
     summary = (
         f"sampled a regular member point for {g.num_vertices} vertices "
         f"over {field.name} (n={space.n}, seed={args.seed})"

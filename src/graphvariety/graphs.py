@@ -113,13 +113,9 @@ def degeneracy_order(graph):
     A heap of (degree, vertex) entries with lazy deletion finds each vertex
     in O(log V): a neighbor whose degree drops gets a fresh entry, which
     pops before its older, larger ones, so an entry is stale exactly when
-    its vertex is gone.  That is O((V + E) log V) in all.  The result is
-    memoized on the graph, so every caller on the same graph shares one
-    peel.
+    its vertex is gone.  That is O((V + E) log V) in all.  Nothing is
+    memoized: each command that needs the order peels once.
     """
-    cached = getattr(graph, "_degeneracy_cache", None)
-    if cached is not None:
-        return cached
     adjacency = graph.adjacency
     deg = [len(ns) for ns in adjacency]
     removed = [False] * graph.num_vertices
@@ -138,9 +134,7 @@ def degeneracy_order(graph):
             if not removed[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-    cached = (OrderedGraph(graph, order), degeneracy)
-    graph._degeneracy_cache = cached
-    return cached
+    return OrderedGraph(graph, order), degeneracy
 
 
 class BfsLayering(namedtuple("BfsLayering", "root layers level")):

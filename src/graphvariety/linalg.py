@@ -88,7 +88,7 @@ def solve(rows, ncols, p=None):
     x_f has x_c = -(sum_f row[f] * x_f) / row[c].  `rows` are ints, as
     `rref` takes them."""
     rows, pivots = rref(rows, ncols, p)
-    denominator = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    denominator = 1 if p is not None else lcm(*[row[c] for row, c in zip(rows, pivots)])
     pivot_set = set(pivots)
     free = [f for f in range(ncols) if f not in pivot_set]
     return free, denominator, [(c, row, denominator // row[c]) for row, c in zip(rows, pivots)]

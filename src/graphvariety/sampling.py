@@ -33,7 +33,6 @@ re-ranking on field scalars.
 """
 
 import random
-from collections import namedtuple
 from math import gcd
 from operator import mul
 
@@ -41,21 +40,6 @@ from .errors import PreconditionViolatedError, RetriesExhaustedError, WorkCapExc
 from .linalg import solve
 from .splitting import WEIGHTING_CAP
 from .variety import VertexAssignment
-
-
-class SamplerConfig(namedtuple("SamplerConfig", "seed bound max_retries")):
-    """The sampler's seed, rational draw bound and retries per vertex,
-    checked on construction.  namedtuple's `_make` and `_replace` skip
-    `__new__` and so the checks; nothing calls them."""
-
-    __slots__ = ()
-
-    def __new__(cls, seed=0, bound=10, max_retries=64):
-        if bound < 1:
-            raise ValueError("bound must be at least 1")
-        if max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-        return super().__new__(cls, seed, bound, max_retries)
 
 
 def _draw(system, n, rng, bound, p):
@@ -111,17 +95,22 @@ def check_point_size(num_vertices, n):
             entries, WEIGHTING_CAP, "; the point would hold |V| * n coordinates")
 
 
-def sample_regular_point(og, space, cfg=None):
+def sample_regular_point(og, space, seed=0, bound=10, max_retries=64):
     """A member point of the variety lying in the regular part of the order.
 
-    Needs n >= 2 * width(og) so the admissible kernels always have room
-    outside the finitely many bad subspaces.  Over a prime field, p must
-    exceed the number of rejection conditions at every vertex; otherwise the
-    draw could fail forever and we error out up front instead.  A point too
-    large for `check_point_size` is refused before any draw.
+    `seed` seeds the draws, `bound` limits rational draws to [-bound, bound]
+    and `max_retries` is the number of draws per vertex; a `bound` or
+    `max_retries` below 1 is a `ValueError`, raised first.  Needs
+    n >= 2 * width(og) so the admissible kernels always have room outside
+    the finitely many bad subspaces.  Over a prime field, p must exceed the
+    number of rejection conditions at every vertex; otherwise the draw could
+    fail forever and we error out up front instead.  A point too large for
+    `check_point_size` is refused before any draw.
     """
-    if cfg is None:
-        cfg = SamplerConfig()
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    if max_retries < 1:
+        raise ValueError("max_retries must be at least 1")
     g = og.graph
     check_point_size(g.num_vertices, space.n)
     field = space.field
@@ -140,22 +129,22 @@ def sample_regular_point(og, space, cfg=None):
             raise PreconditionViolatedError(
                 f"prime field too small: need p > {worst}, got {field.order}"
             )
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     candidates, numerators = {}, {}  # the accepted integer draws, and their integer forms
     echelon = {v: [] for v in range(g.num_vertices)}  # partial older-neighbor families
     # oldest vertex first
     for v in reversed(og.order):
         younger = og.younger_neighbors(v)
         system = solve([space._image(candidates[u]) for u in og.older_neighbors(v)], space.n, p)
-        for _ in range(cfg.max_retries):
-            candidate = _draw(system, space.n, rng, cfg.bound, p)
+        for _ in range(max_retries):
+            candidate = _draw(system, space.n, rng, bound, p)
             if not any(candidate):
                 continue
             remainders = [_reduce(candidate, echelon[y], p) for y in younger]
             if all(map(any, remainders)):
                 break
         else:
-            raise RetriesExhaustedError(v, cfg.max_retries)
+            raise RetriesExhaustedError(v, max_retries)
         for y, rest in zip(younger, remainders):
             echelon[y].append(_echelon_row(rest, p))
         candidates[v] = candidate

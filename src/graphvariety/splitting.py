@@ -103,18 +103,10 @@ def color_classes(graph, weighting):
         per_edge.append(EdgeVerdict(edge=(lo, hi), argmax=winners, strict=strict))
         for c in winners:
             classes.setdefault(c, []).append((lo, hi))
-    matching_flags = {}
-    all_matching = True
-    for c, edges in classes.items():
-        covered = set()
-        ok = True
-        for lo, hi in edges:
-            if lo in covered or hi in covered:
-                ok = False
-            covered.add(lo)
-            covered.add(hi)
-        matching_flags[c] = ok
-        all_matching = all_matching and ok
+    # a class is a matching exactly when its edges' endpoints are all distinct
+    matching_flags = {c: len({v for e in edges for v in e}) == 2 * len(edges)
+                      for c, edges in classes.items()}
+    all_matching = all(matching_flags.values())
     return SplittingReport(
         per_edge=tuple(per_edge),
         classes={c: tuple(es) for c, es in classes.items()},
@@ -201,24 +193,24 @@ def _split_component(sub, big_d, root):
     levels = layering.layers
     weights = [[0] * color_budget(big_d) for _ in range(sub.num_vertices)]
 
-    # stage 2: recursive base weights per level, then cumulative shifts
+    # stage 2: recursive base weights per level, then cumulative shifts;
+    # top[v] is v's base maximum, level_max[i] level i's
+    top = [0] * sub.num_vertices
     level_max = []
     numbering = [0] * sub.num_vertices
-    for i, level in enumerate(levels):
+    for level in levels:
         lg, _, back = induced_subgraph_with_map(sub, level)
-        # palette(max degree of lg) is a prefix of palette(big_d - 1)
-        for lv, vec in enumerate(_weights(lg)):
-            weights[back[lv]][: len(vec)] = vec
+        # palette(max degree of lg) is a prefix of palette(big_d - 1), so each
+        # recursive vector is its base block, zero past its end
+        padded = [vec + [0] * (base_size - len(vec)) for vec in _weights(lg)]
+        shift = max(0, sum(level_max[-2:]) + 10 - min(map(min, padded)))
         nums = proper_vertex_numbering(lg, big_d)
-        for lv in range(lg.num_vertices):
-            numbering[back[lv]] = nums[lv]
-        pre_min = min(min(weights[v][:base_size]) for v in level)
-        pre_max = max(max(weights[v][:base_size]) for v in level)
-        shift = max(0, sum(level_max[-2:]) + 10 - pre_min)
-        for v in level:
-            for c in range(base_size):
-                weights[v][c] += shift
-        level_max.append(pre_max + shift)
+        for lv, vec in enumerate(padded):
+            v = back[lv]
+            weights[v][:base_size] = [x + shift for x in vec]
+            top[v] = max(vec) + shift
+            numbering[v] = nums[lv]
+        level_max.append(max(top[v] for v in level))
 
     # stage 3: greedy pool colors for edges between consecutive levels, as
     # (upper, lower) pairs bucketed by the lower endpoint's level
@@ -249,7 +241,7 @@ def _split_component(sub, big_d, root):
                 )
             colored.append(((upper, lower), chosen))
             # stage 4: a dominating weight on the pool color
-            weights[upper][chosen] = max(weights[upper][:base_size]) + level_max[i] + 5
+            weights[upper][chosen] = top[upper] + level_max[i] + 5
             weights[lower][chosen] = 5
     return weights
 

@@ -63,7 +63,7 @@ from operator import mul
 
 from .errors import NotOnVarietyError
 from .fields import RATIONALS
-from .graphs import degeneracy_order, has_even_cycle, is_forest
+from .graphs import has_even_cycle, is_forest
 from .linalg import first_dependency
 
 
@@ -134,12 +134,12 @@ def _integer_form(field, vec):
 
 
 class VarietyContext:
-    """A graph, a bilinear space, and the canonical edge order between them."""
+    """A graph and a bilinear space; every per-edge result follows the
+    graph's canonical edge order, `graph.edges`."""
 
     def __init__(self, graph, space):
         self.graph = graph
         self.space = space
-        self.edge_order = graph.edges
 
     @property
     def field(self):
@@ -167,7 +167,7 @@ def _dots(ctx, assignment):
     _check_shape(ctx, assignment)
     num, p = assignment.numerators, ctx.field.p
     images = [ctx.space._image(a) for a, _ in num]
-    dots = [sum(map(mul, num[lo][0], images[hi])) for lo, hi in ctx.edge_order]
+    dots = [sum(map(mul, num[lo][0], images[hi])) for lo, hi in ctx.graph.edges]
     return dots if p is None else [x % p for x in dots]
 
 
@@ -178,7 +178,7 @@ def residual(ctx, assignment):
         return tuple(dots)
     den, scale, zero = [d for _, d in assignment.numerators], ctx.space.scale, ctx.field.zero()
     return tuple(Fraction(x, den[lo] * den[hi] * scale) if x else zero
-                 for x, (lo, hi) in zip(dots, ctx.edge_order))
+                 for x, (lo, hi) in zip(dots, ctx.graph.edges))
 
 
 def is_member(ctx, assignment):
@@ -196,7 +196,7 @@ def _edge_rows(ctx, assignment):
     if ctx.space.kind == "symplectic":
         mirrored = [[(i, -x if p is None else p - x) for i, x in vec] for vec in support]
     return [dict([(lo * n + i, x) for i, x in support[hi]]
-                 + [(hi * n + i, x) for i, x in mirrored[lo]]) for lo, hi in ctx.edge_order]
+                 + [(hi * n + i, x) for i, x in mirrored[lo]]) for lo, hi in ctx.graph.edges]
 
 
 class SingularityCertificate(namedtuple("SingularityCertificate", "edges values")):
@@ -224,9 +224,9 @@ def verify_certificate(ctx, assignment, certificate):
     Edges may be lists and values ints or decimal strings, as in JSON.
     """
     _check_shape(ctx, assignment)
-    if tuple(map(tuple, certificate.edges)) != tuple(ctx.edge_order):
+    if tuple(map(tuple, certificate.edges)) != ctx.graph.edges:
         return False
-    if len(certificate.values) != len(ctx.edge_order):
+    if len(certificate.values) != len(ctx.graph.edges):
         return False
     return is_member(ctx, assignment) and _certifies(ctx, assignment.numerators, certificate.values)
 
@@ -243,7 +243,7 @@ def _certifies(ctx, num, values):
         return False
     p, sign = ctx.field.p, -1 if ctx.space.kind == "symplectic" else 1
     # each end of each weighted edge: (vertex, neighbour, value, sign)
-    ends = [end for (lo, hi), lam in zip(ctx.edge_order, values) if lam
+    ends = [end for (lo, hi), lam in zip(ctx.graph.edges, values) if lam
             for end in ((lo, hi, lam, 1), (hi, lo, lam, sign))]
     if p is None:
         scale = [1] * len(num)
@@ -273,14 +273,14 @@ def singular_certificate(ctx, assignment):
         return None
     if ctx.field.p is None:  # the dependency of J', mapped back to J_w's (module docstring)
         den = [d for _, d in assignment.numerators]
-        scale = [den[lo] * den[hi] for lo, hi in ctx.edge_order]
+        scale = [den[lo] * den[hi] for lo, hi in ctx.graph.edges]
         f = max(combo)
         combo = {e: Fraction(x.numerator * scale[e], x.denominator * scale[f])
                  for e, x in combo.items()}
     values = tuple(combo.get(e, ctx.field.zero()) for e in range(ctx.graph.num_edges))
     if not _certifies(ctx, assignment.numerators, values):
         raise AssertionError("internal error: left-kernel vector failed re-verification")
-    return SingularityCertificate(edges=tuple(ctx.edge_order), values=values)
+    return SingularityCertificate(edges=ctx.graph.edges, values=values)
 
 
 def canonical_degrees(graph, n):
@@ -293,36 +293,21 @@ def is_anti_ample(degrees):
     return all(d < 0 for d in degrees)
 
 
-class ProjectiveVerdict(namedtuple("ProjectiveVerdict", "verdict hypothesis_met")):
-    """What is known about singular points away from the zero locus.
-
-    verdict is "smooth", "singular", or "unknown"; hypothesis_met records
-    whether the ambient dimension is large enough (relative to degeneracy and
-    max degree) for the dimension-theoretic parts of the analysis to apply.
-    """
-
-    __slots__ = ()
-
-
 def projective_smoothness(graph, n, kind):
-    """Classify smoothness of the projectivized variety (zero locus removed).
+    """Classify smoothness of the projectivized variety (zero locus removed)
+    as "smooth", "singular" or "unknown".
 
     Forests give smooth varieties.  A symplectic space of dimension at least 4
     turns any cycle into a singular point; over a symmetric space the same
     holds once the graph has an even cycle.  Anything else is reported unknown
-    rather than guessed.  hypothesis_met records whether n is large enough
-    (degeneracy + max degree - 1) for the verdict to carry its full geometric
-    meaning; the rank facts behind it hold either way.
+    rather than guessed.  The verdict carries its full geometric meaning when
+    n >= degeneracy + max degree - 1, which `analyze` reports beside it; the
+    rank facts behind it hold either way.
     """
     if kind not in ("symplectic", "symmetric"):
         raise ValueError(f"unknown form kind {kind!r}")
-    d = degeneracy_order(graph)[1]
-    big_d = graph.max_degree()
-    hypothesis_met = n >= d + big_d - 1
     if is_forest(graph):
-        return ProjectiveVerdict("smooth", hypothesis_met)
-    if kind == "symplectic" and n >= 4:
-        return ProjectiveVerdict("singular", hypothesis_met)
-    if kind == "symmetric" and has_even_cycle(graph):
-        return ProjectiveVerdict("singular", hypothesis_met)
-    return ProjectiveVerdict("unknown", hypothesis_met)
+        return "smooth"
+    if (kind == "symplectic" and n >= 4) or (kind == "symmetric" and has_even_cycle(graph)):
+        return "singular"
+    return "unknown"

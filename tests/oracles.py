@@ -208,7 +208,7 @@ def jacobian(ctx, assignment):
     """
     n, w = ctx.space.n, vectors(assignment)
     rows = []
-    for lo, hi in ctx.edge_order:
+    for lo, hi in ctx.graph.edges:
         row = [ctx.field.zero()] * (ctx.graph.num_vertices * n)
         row[lo * n:lo * n + n] = gram_product(ctx.space, w[hi])
         row[hi * n:hi * n + n] = gram_product(ctx.space, w[lo], transpose=True)
@@ -224,7 +224,7 @@ def jw_rows(ctx, assignment):
     n, field, w = ctx.space.n, ctx.field, vectors(assignment)
     s = -1 if ctx.space.kind == "symplectic" else 1
     rows = []
-    for lo, hi in ctx.edge_order:
+    for lo, hi in ctx.graph.edges:
         row = {lo * n + i: x for i, x in enumerate(w[hi]) if x}
         row.update({hi * n + i: field(s * x) for i, x in enumerate(w[lo]) if x})
         rows.append(row)
@@ -240,7 +240,7 @@ def reference_certifies(ctx, w, values):
         return False
     z, sign = ctx.field.zero(), -1 if ctx.space.kind == "symplectic" else 1
     acc = [[z] * ctx.space.n for _ in w]
-    for (lo, hi), lam in zip(ctx.edge_order, values):
+    for (lo, hi), lam in zip(ctx.graph.edges, values):
         if not lam:
             continue
         mirrored = sign * lam

@@ -27,7 +27,6 @@ from graphvariety import (
     is_member,
     residual,
     sample_regular_point,
-    SamplerConfig,
     singular_certificate,
     split_forest_into_matchings,
     split_into_matchings,
@@ -118,7 +117,7 @@ def test_criterion_1_first_order_expansion_is_exact():
 
         members = [origin(g, space), independent_set_point(rng, g, space)]
         if n >= 2 * d:
-            members.append(sample_regular_point(og, space, SamplerConfig(seed=points)))
+            members.append(sample_regular_point(og, space, seed=points))
         for w in members:
             if not is_member(ctx, w):
                 failures.append((g, kind, "generator produced a non-member"))
@@ -128,7 +127,7 @@ def test_criterion_1_first_order_expansion_is_exact():
             moved = residual(ctx, add_assignments(field, w, e))
             flat = [x for v in range(g.num_vertices) for x in vectors(e)[v]]
             linear = [dot(field, row, flat) for row in jacobian(ctx, w)]
-            for idx, (lo, hi) in enumerate(ctx.edge_order):
+            for idx, (lo, hi) in enumerate(ctx.graph.edges):
                 second = space.pair(vectors(e)[lo], vectors(e)[hi])
                 if field(moved[idx] - base[idx] - linear[idx]) != second:
                     failures.append((g, kind, f"edge {idx} expansion off"))
@@ -157,7 +156,7 @@ def test_criterion_2_sampled_points_are_smooth():
         field = fields[points % 2]
         space = standard_space(kind, n, field)
         ctx = VarietyContext(g, space)
-        pt = sample_regular_point(og, space, SamplerConfig(seed=points))
+        pt = sample_regular_point(og, space, seed=points)
         if not is_member(ctx, pt):
             failures.append((points, "not a member"))
         if not regular_part_test(og, pt):

@@ -34,7 +34,6 @@ from graphvariety import (
 from graphvariety.cli import main
 from graphvariety.errors import NotOnVarietyError
 from graphvariety.linalg import first_dependency
-from graphvariety.sampling import SamplerConfig
 from graphvariety.serialization import assignment_from_obj, assignment_to_obj
 from graphvariety.variety import _certifies, _edge_rows
 from oracles import (complete_bipartite_graph, cycle_graph, cycle_singular_point, dense_gram, dot,
@@ -117,8 +116,7 @@ def cases(field, seed):
             yield g, space, origin(g, space)
             og, width = degeneracy_order(g)
             if space.n >= 2 * width and (field.p is None or field.p > 1000):
-                cfg = SamplerConfig(seed=rng.randrange(2**31), bound=3)
-                yield g, space, sample_regular_point(og, space, cfg)
+                yield g, space, sample_regular_point(og, space, seed=rng.randrange(2**31), bound=3)
 
 
 def assert_matches_dense(g, space, point):
@@ -175,7 +173,7 @@ def gram_restored(ctx, point):
     d = [d for _, d in point.numerators]
     gram = dense_gram(ctx.space)
     rows = []
-    for (lo, hi), sparse in zip(ctx.edge_order, _edge_rows(ctx, point)):
+    for (lo, hi), sparse in zip(ctx.graph.edges, _edge_rows(ctx, point)):
         row = []
         for v in range(ctx.graph.num_vertices):
             factor = 1 if field.p is not None else Fraction(d[v], d[lo] * d[hi])
@@ -261,9 +259,9 @@ def integer_path_verdict(ctx, point):
     """The integer path at `point` against the references on field scalars,
     and what the point is: "non-member", "smooth" or "singular"."""
     w, field = vectors(point), ctx.field
-    values = tuple(ctx.space.pair(w[lo], w[hi]) for lo, hi in ctx.edge_order)
+    values = tuple(ctx.space.pair(w[lo], w[hi]) for lo, hi in ctx.graph.edges)
     assert values == tuple(dot(field, w[lo], gram_product(ctx.space, w[hi]))
-                           for lo, hi in ctx.edge_order)
+                           for lo, hi in ctx.graph.edges)
     assert residual(ctx, point) == values
     member = not any(values)
     assert is_member(ctx, point) == member

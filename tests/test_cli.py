@@ -1,12 +1,14 @@
 import argparse
+import hashlib
 import json
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from graphvariety import edge_count_closed_form
+from graphvariety import edge_count_closed_form, graphs
 from graphvariety.bilinear import MAX_DIMENSION
 from graphvariety.cli import build_parser, main
 from graphvariety.counting import DEFAULT_WORK_CAP
@@ -38,6 +40,7 @@ def run_json(capsys, argv):
 PATH3 = "0 1\n1 2\n"
 TRIANGLE = "0 1\n1 2\n0 2\n"
 C4 = "0 1\n1 2\n2 3\n0 3\n"
+PATH4 = "0 1\n1 2\n2 3\n"
 
 
 class TestAnalyze:
@@ -67,6 +70,49 @@ class TestAnalyze:
         payload = run_json(capsys, ["analyze", "--graph", g, "--form", "symplectic", "--dim", "2"])
         assert payload["bounds"]["n_ge_2_times_degeneracy"] is False
         assert payload["anti_ample"] is False
+        assert payload["verdict_hypothesis_met"] is False  # 2 < 2 + 2 - 1
+
+    def test_hypothesis_flag_tracks_dimension_bound(self, capsys, graph_file):
+        g = graph_file("c4.txt", C4)
+        for n in range(2, 7):  # symmetric: a symplectic form needs n even
+            payload = run_json(capsys, ["analyze", "--graph", g, "--form", "symmetric",
+                                        "--dim", str(n)])
+            d, big_d = int(payload["degeneracy"]), int(payload["max_degree"])
+            assert payload["verdict_hypothesis_met"] == (n >= d + big_d - 1)
+            assert payload["verdict_hypothesis_met"] \
+                == payload["bounds"]["n_ge_degeneracy_plus_max_degree_minus_1"]
+
+    # sha256 of the stdout bytes
+    @pytest.mark.parametrize("text, argv, digest", [
+        (TRIANGLE, ["--form", "symplectic", "--dim", "2"],
+         "09570fc496448ba4476e686b5d91ca8a3250247c1c074abbb02c00208290ad86"),
+        (TRIANGLE, ["--form", "symplectic", "--dim", "4"],
+         "cedfe7939a29eb8ed01f9e945e5ddd5a5a62527df01d9a43b7341443f2f291a9"),
+        (C4, ["--form", "symmetric", "--dim", "4"],
+         "1efa68422cd92de8a8dc96ddea15f24210996c965e0d74d5709d5f318aa571df"),
+        (PATH4, ["--dim", "2"],
+         "1fb190b213e6d97549018af6d56f914662f99ed9870e37f19149b36e87aa4fd0"),
+    ], ids=["triangle-symplectic-2", "triangle-symplectic-4", "c4-symmetric-4", "path4-2"])
+    def test_pinned_output(self, capsys, graph_file, text, argv, digest):
+        code, out, _ = run(capsys, ["analyze", "--graph", graph_file("g.txt", text), *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+def test_command_peels_once(capsys, graph_file, monkeypatch, command):
+    # every package module's name for degeneracy_order counts its calls
+    peel, calls = graphs.degeneracy_order, []
+
+    def counted(graph):
+        calls.append(graph)
+        return peel(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphvariety") and getattr(module, "degeneracy_order", None) is peel:
+            monkeypatch.setattr(module, "degeneracy_order", counted)
+    run_json(capsys, [command, "--graph", graph_file("t.txt", TRIANGLE), "--dim", "4"])
+    assert len(calls) == 1
 
 
 class TestSampleCheckCertify:
@@ -168,6 +214,18 @@ class TestSampleCheckCertify:
             "type": "WorkCapExceededError",
             "message": "estimated work 25600000 exceeds cap 10000000;"
                        " the point would hold |V| * n coordinates"}}
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (PATH4, ["--dim", "4", "--bound", "0"], "bound must be at least 1"),
+        (PATH4, ["--dim", "4", "--retries", "0"], "max_retries must be at least 1"),
+        # the bound is checked before the width precondition n >= 2 * width
+        (TRIANGLE, ["--dim", "2", "--bound", "0"], "bound must be at least 1"),
+    ], ids=["bound-0", "retries-0", "bound-before-width"])
+    def test_sample_refuses_bad_options(self, capsys, graph_file, text, argv, message):
+        code, out, err = run(capsys, ["sample", "--graph", graph_file("g.txt", text), *argv])
+        assert code == 1 and out == ""
+        assert err == ('{\n  "error": {\n    "message": "%s",\n    "type": "ValueError"\n  }\n}\n'
+                       % message)
 
     def test_sample_at_entry_cap_is_admitted(self, capsys, graph_file, monkeypatch):
         # the cap bounds |V| * n itself: at a cap of 12, path3 at n = 4 holds

@@ -171,10 +171,6 @@ class TestDegeneracy:
         og, d = degeneracy_order(g)
         assert (og.order, d) == scan_degeneracy_order(g)
 
-    def test_memoized_on_the_graph(self):
-        g = cycle_graph(5)
-        assert degeneracy_order(g) is degeneracy_order(g)
-
 
 class TestBfsLayers:
     def test_path_from_end(self):

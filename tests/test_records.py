@@ -1,5 +1,6 @@
-"""The nine result and request records: construction, defaults, validation,
-read-only fields, equality, hash and repr; and the start-up import guard."""
+"""The seven result and request records: construction, defaults, validation,
+read-only fields, equality, hash and repr; the sampler's argument defaults
+and checks; and the start-up import guard."""
 
 import subprocess
 import sys
@@ -17,23 +18,24 @@ from graphvariety import (
     EdgeVerdict,
     Graph,
     PrimeField,
-    ProjectiveVerdict,
-    SamplerConfig,
     SingularityCertificate,
     SplittingReport,
     VertexWeighting,
+    degeneracy_order,
+    sample_regular_point,
     standard_space,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
 EDGE = Graph(2, [(0, 1)])
 SPACE_F3 = standard_space("symplectic", 2, PrimeField(3))
+EDGE_ORDER = degeneracy_order(EDGE)[0]
+SPACE_Q = standard_space("symplectic", 2, RATIONALS)
 
 # each record with field values in field order, and whether they hash
 RECORDS = [
     (BfsLayering, {"root": 0, "layers": ((0,), (1,)), "level": (0, 1)}, True),
     (SingularityCertificate, {"edges": ((0, 1),), "values": (Fraction(1, 2),)}, True),
-    (ProjectiveVerdict, {"verdict": "smooth", "hypothesis_met": False}, True),
     (VertexWeighting, {"colors": ("a", "b"), "weights": {0: [1, 0], 1: [0, 1]}}, False),
     (EdgeVerdict, {"edge": (0, 1), "argmax": ("a",), "strict": True}, True),
     (SplittingReport, {"per_edge": (), "classes": {"a": [(0, 1)]},
@@ -41,7 +43,6 @@ RECORDS = [
     (CountRequest, {"graph": EDGE, "space": SPACE_F3, "cap": 5}, False),
     (CountReport, {"count": 17, "q": 3, "expected_dimension": 3,
                    "ratio": Fraction(17, 27)}, True),
-    (SamplerConfig, {"seed": 1, "bound": 2, "max_retries": 3}, True),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -77,8 +78,10 @@ class TestRecord:
 
 def test_defaults():
     assert CountRequest(EDGE, SPACE_F3).cap == DEFAULT_WORK_CAP
-    assert SamplerConfig() == SamplerConfig(seed=0, bound=10, max_retries=64)
-    assert SamplerConfig(5).seed == 5
+    assert sample_regular_point(EDGE_ORDER, SPACE_Q) == sample_regular_point(
+        EDGE_ORDER, SPACE_Q, seed=0, bound=10, max_retries=64)
+    assert sample_regular_point(EDGE_ORDER, SPACE_Q, 5) == sample_regular_point(
+        EDGE_ORDER, SPACE_Q, seed=5)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -86,9 +89,11 @@ def test_defaults():
      "point counting needs a prime field"),
     (lambda: CountRequest(EDGE, SPACE_F3, cap=0), "work cap must be at least 1"),
     (lambda: CountRequest(EDGE, SPACE_F3, 0), "work cap must be at least 1"),
-    (lambda: SamplerConfig(bound=0), "bound must be at least 1"),
-    (lambda: SamplerConfig(max_retries=0), "max_retries must be at least 1"),
-    (lambda: SamplerConfig(0, 10, 0), "max_retries must be at least 1"),
+    (lambda: sample_regular_point(EDGE_ORDER, SPACE_Q, bound=0), "bound must be at least 1"),
+    (lambda: sample_regular_point(EDGE_ORDER, SPACE_Q, max_retries=0),
+     "max_retries must be at least 1"),
+    (lambda: sample_regular_point(EDGE_ORDER, SPACE_Q, 0, 10, 0),
+     "max_retries must be at least 1"),
 ], ids=["count-over-Q", "cap-0-keyword", "cap-0-positional", "bound-0",
         "max-retries-0-keyword", "max-retries-0-positional"])
 def test_validation(build, message):

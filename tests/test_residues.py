@@ -17,7 +17,6 @@ from graphvariety import (
     singular_certificate,
     standard_space,
 )
-from graphvariety.sampling import SamplerConfig
 from oracles import cycle_graph, cycle_singular_point, dot, field_kernel, jacobian, vectors
 
 
@@ -57,7 +56,7 @@ def test_every_returned_scalar_is_reduced(field, seed):
     points = [point]
     if field.p is None or field.p > 3:
         og, _ = degeneracy_order(g)
-        points.append(sample_regular_point(og, space, SamplerConfig(seed=seed)))
+        points.append(sample_regular_point(og, space, seed=seed))
     for w in points:
         for vec in vectors(w):
             assert_reduced(field, vec)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from graphvariety import (
     PrimeField,
     RATIONALS,
     RetriesExhaustedError,
-    SamplerConfig,
     VarietyContext,
     VertexAssignment,
     degeneracy_order,
@@ -31,15 +31,20 @@ from oracles import (complete_bipartite_graph, cycle_graph, cycle_singular_point
 
 
 class TestSamplerConfig:
+    """The sampler's seed, bound and max_retries arguments."""
+
     def test_defaults(self):
-        cfg = SamplerConfig()
-        assert cfg.seed == 0 and cfg.bound == 10 and cfg.max_retries == 64
+        defaults = inspect.signature(sample_regular_point).parameters
+        assert [(name, defaults[name].default) for name in ("seed", "bound", "max_retries")] \
+            == [("seed", 0), ("bound", 10), ("max_retries", 64)]
 
     def test_validation(self):
+        og, _ = degeneracy_order(path_graph(3))
+        space = standard_space("symplectic", 4, RATIONALS)
         with pytest.raises(ValueError):
-            SamplerConfig(bound=0)
+            sample_regular_point(og, space, bound=0)
         with pytest.raises(ValueError):
-            SamplerConfig(max_retries=0)
+            sample_regular_point(og, space, max_retries=0)
 
 
 def spaces_for(n, include_fp=True):
@@ -62,7 +67,7 @@ class TestSampler:
             n = 2 * max(d, 1)
             for space in spaces_for(n):
                 ctx = VarietyContext(g, space)
-                pt = sample_regular_point(og, space, SamplerConfig(seed=3))
+                pt = sample_regular_point(og, space, seed=3)
                 assert is_member(ctx, pt)
                 assert regular_part_test(og, pt)
                 # the stored integer form is the least one of its vectors
@@ -79,16 +84,16 @@ class TestSampler:
         og, d = degeneracy_order(g)
         n = 2 * max(d, 1) + (seed % 2)
         for space in spaces_for(n if n % 2 == 0 else n + 1, include_fp=False):
-            pt = sample_regular_point(og, space, SamplerConfig(seed=seed % 1000))
+            pt = sample_regular_point(og, space, seed=seed % 1000)
             assert is_member(VarietyContext(g, space), pt)
             assert regular_part_test(og, pt)
 
     def test_determinism(self):
         og, _ = degeneracy_order(cycle_graph(6))
         sp = standard_space("symplectic", 4, RATIONALS)
-        a = sample_regular_point(og, sp, SamplerConfig(seed=11))
-        b = sample_regular_point(og, sp, SamplerConfig(seed=11))
-        c = sample_regular_point(og, sp, SamplerConfig(seed=12))
+        a = sample_regular_point(og, sp, seed=11)
+        b = sample_regular_point(og, sp, seed=11)
+        c = sample_regular_point(og, sp, seed=12)
         assert a == b
         assert a != c
 
@@ -116,7 +121,7 @@ class TestSampler:
         saw_failure = False
         for seed in range(64):
             try:
-                sample_regular_point(og, sp, SamplerConfig(seed=seed, max_retries=1))
+                sample_regular_point(og, sp, seed=seed, max_retries=1)
             except RetriesExhaustedError as err:
                 assert err.vertex == 0
                 assert err.attempts == 1
@@ -171,7 +176,7 @@ class TestPinnedOutput:
         else:
             space = standard_space(form, n, field)
         og, _ = degeneracy_order(self.GRAPHS[name])
-        pt = sample_regular_point(og, space, SamplerConfig(seed=seed, bound=bound))
+        pt = sample_regular_point(og, space, seed=seed, bound=bound)
         text = canonical_dumps(assignment_to_obj(pt))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -23,7 +23,7 @@ from graphvariety.splitting import _leaf_peel, _split_component
 from oracles import (brute_force_min_colors, complete_bipartite_graph, complete_graph, cycle_graph,
                      path_graph, random_connected_graph, random_tree, scan_leaf_peel,
                      SearchSpaceTooLargeError, star_graph)
-from strategies import forests
+from strategies import forests, graphs
 
 
 def check_split_by_hand(graph, weighting):
@@ -114,6 +114,23 @@ class TestColorClasses:
         assert rep.classes == {"c2": ((0, 1),), "c4": ((0, 1), (1, 2))}
         assert rep.matching_flags == {"c2": True, "c4": False}
         assert rep.color_count == 2
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matching_flags_agree_with_a_covered_vertex_scan(self, data):
+        g = data.draw(graphs(max_vertices=7))
+        k = data.draw(st.integers(1, 3))
+        vector = st.tuples(*[st.integers(0, 2)] * k)
+        weights = {v: data.draw(vector) for v in range(g.num_vertices)}
+        rep = color_classes(g, VertexWeighting(tuple(f"c{i}" for i in range(k)), weights))
+        for c, edges in rep.classes.items():
+            covered, disjoint = set(), True
+            for e in edges:
+                disjoint = disjoint and not covered.intersection(e)
+                covered.update(e)
+            assert rep.matching_flags[c] == disjoint
+        assert rep.valid == (all(v.strict for v in rep.per_edge)
+                             and all(rep.matching_flags.values()))
 
     def test_shared_vertex_collision_detected(self):
         g = path_graph(3)
