@@ -32,9 +32,7 @@ from .errors import (
 )
 from .fields import RATIONALS, PrimeField, RationalField, field_from_spec
 from .graphs import (
-    BfsLayering,
     Graph,
-    OrderedGraph,
     bfs_layers,
     connected_components,
     degeneracy_order,

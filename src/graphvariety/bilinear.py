@@ -90,7 +90,7 @@ class BilinearSpace:
         # each nonzero entry against its mirrored one; a nonzero entry whose
         # mirror is zero fails its own comparison, so no zero entry is read
         if kind == "symplectic":
-            if field.characteristic == 2:
+            if field.p == 2:
                 raise UnsupportedCombinationError(
                     "symplectic spaces over characteristic 2 are not supported"
                 )

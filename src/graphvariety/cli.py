@@ -16,8 +16,8 @@ from .bilinear import BilinearSpace, standard_space
 from .counting import DEFAULT_WORK_CAP, CountRequest, count_points
 from .errors import GraphVarietyError
 from .fields import RATIONALS, field_from_spec
-from .graphs import degeneracy_order, is_forest, parse_edge_list
-from .sampling import check_point_size, sample_regular_point
+from .graphs import degeneracy_order, parse_edge_list
+from .sampling import sample_regular_point
 from .serialization import (
     assignment_from_obj,
     assignment_to_obj,
@@ -79,7 +79,7 @@ def cmd_analyze(args):
     space = _resolve_space(args, RATIONALS)
     n = space.n
     kind = space.kind
-    og, d = degeneracy_order(g)
+    order, d = degeneracy_order(g)
     big_d = g.max_degree()
     degrees = canonical_degrees(g, n)
     verdict = projective_smoothness(g, n, kind)
@@ -94,8 +94,8 @@ def cmd_analyze(args):
         "num_edges": str(g.num_edges),
         "max_degree": str(big_d),
         "degeneracy": str(d),
-        "degeneracy_order": [str(v) for v in og.order],
-        "is_forest": is_forest(g),
+        "degeneracy_order": [str(v) for v in order],
+        "is_forest": verdict == "smooth",
         "dimension": str(n),
         "form_kind": kind,
         "expected_dimension": str(expected_dimension(g, space)),
@@ -116,9 +116,7 @@ def cmd_sample(args):
     g = _load_graph(args)
     field = field_from_spec(args.field)
     space = _resolve_space(args, field)
-    check_point_size(g.num_vertices, space.n)  # before the degeneracy order's pass
-    og, _ = degeneracy_order(g)
-    assignment = sample_regular_point(og, space, args.seed, args.bound, args.retries)
+    assignment = sample_regular_point(g, space, args.seed, args.bound, args.retries)
     summary = (
         f"sampled a regular member point for {g.num_vertices} vertices "
         f"over {field.name} (n={space.n}, seed={args.seed})"

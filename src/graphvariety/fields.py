@@ -51,7 +51,6 @@ class RationalField:
     """The field of rational numbers, with Fraction as the element type."""
 
     name = "Q"
-    characteristic = 0
     p = None
 
     def __call__(self, value):
@@ -98,7 +97,6 @@ class PrimeField:
             raise ValueError(f"modulus must be prime, got {p!r}")
         self.p = p
         self.name = f"Fp:{p}"
-        self.characteristic = p
 
     def __call__(self, value):
         if isinstance(value, int):

@@ -6,7 +6,6 @@ every function that reports per-edge data does so in one canonical order.
 """
 
 import heapq
-from collections import namedtuple
 
 from .errors import BoundTooSmallError, DisconnectedGraphError
 
@@ -39,10 +38,12 @@ class Graph:
         self.num_vertices = num_vertices
         self.edges = tuple(canon)
         adj = [[] for _ in range(num_vertices)]
+        # canon is sorted, so row v gets its smaller neighbours (edges (u, v))
+        # in increasing u before its larger ones (edges (v, w)) in increasing w
         for lo, hi in canon:
             adj[lo].append(hi)
             adj[hi].append(lo)
-        self.adjacency = tuple(tuple(sorted(ns)) for ns in adj)
+        self.adjacency = tuple(map(tuple, adj))
 
     @property
     def num_edges(self):
@@ -70,45 +71,13 @@ class Graph:
         return f"Graph({self.num_vertices}, {list(self.edges)})"
 
 
-class OrderedGraph:
-    """A graph together with a vertex elimination order.
-
-    `order[i]` is the i-th vertex in the order; `position[v]` inverts it.
-    The older neighbors of v are its neighbors that come later in the order.
-    """
-
-    def __init__(self, graph, order):
-        if sorted(order) != list(range(graph.num_vertices)):
-            raise ValueError("order must be a permutation of the vertices")
-        self.graph = graph
-        self.order = tuple(order)
-        pos = [0] * graph.num_vertices
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        self.position = tuple(pos)
-
-    def older_neighbors(self, v):
-        pv = self.position[v]
-        return tuple(u for u in self.graph.adjacency[v] if self.position[u] > pv)
-
-    def younger_neighbors(self, v):
-        pv = self.position[v]
-        return tuple(u for u in self.graph.adjacency[v] if self.position[u] < pv)
-
-    def width(self):
-        """The largest older-neighbor count over all vertices."""
-        if self.graph.num_vertices == 0:
-            return 0
-        return max(len(self.older_neighbors(v)) for v in range(self.graph.num_vertices))
-
-
 def degeneracy_order(graph):
-    """A degeneracy ordering, as (OrderedGraph, degeneracy).
+    """A degeneracy ordering, as (order, degeneracy) with `order` a tuple.
 
     Repeatedly removes a vertex of minimum remaining degree, smallest index
-    on ties.  The returned order lists vertices in removal order, so each
-    vertex's older neighbors are the ones still present when it was removed,
-    and the degeneracy is the largest such count.
+    on ties.  The order lists vertices in removal order, so each vertex's
+    older neighbors, the ones after it in the order, are those still present
+    when it was removed, and the degeneracy is the largest such count.
 
     A heap of (degree, vertex) entries with lazy deletion finds each vertex
     in O(log V): a neighbor whose degree drops gets a fresh entry, which
@@ -134,17 +103,13 @@ def degeneracy_order(graph):
             if not removed[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-    return OrderedGraph(graph, order), degeneracy
-
-
-class BfsLayering(namedtuple("BfsLayering", "root layers level")):
-    """Vertices grouped by breadth-first distance from a root."""
-
-    __slots__ = ()
+    return tuple(order), degeneracy
 
 
 def bfs_layers(graph, root=0):
-    """Breadth-first layers from `root`; the graph must be connected."""
+    """Breadth-first layers from `root`, as (layers, level): `layers[i]` is
+    the sorted tuple of vertices at distance i and `level[v]` is v's
+    distance.  The graph must be connected."""
     n = graph.num_vertices
     if n == 0:
         raise DisconnectedGraphError("cannot layer an empty graph")
@@ -163,13 +128,9 @@ def bfs_layers(graph, root=0):
         raise DisconnectedGraphError("graph is not connected")
     depth = max(level)
     layers = [[] for _ in range(depth + 1)]
-    for v in range(n):
+    for v in range(n):  # in index order, so each layer comes out sorted
         layers[level[v]].append(v)
-    return BfsLayering(
-        root=root,
-        layers=tuple(tuple(sorted(layer)) for layer in layers),
-        level=tuple(level),
-    )
+    return tuple(map(tuple, layers)), tuple(level)
 
 
 def connected_components(graph):

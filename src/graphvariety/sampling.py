@@ -1,9 +1,12 @@
 """Constructive point generation on the variety.
 
-`sample_regular_point` walks the vertices from the oldest down.  Each new
-vector is drawn from the vectors orthogonal to every already assigned older
-neighbor, then rejected if it is zero or if it lands in the span of some
-partially assembled older-neighbor family of a younger vertex.
+`sample_regular_point` takes the graph, refuses a point too large to hold
+before any other work, peels the graph once into a degeneracy order, splits
+each vertex's neighbours once into older and younger ones, and walks the
+vertices from the oldest down.  Each new vector is drawn from the vectors
+orthogonal to every already assigned older neighbor, then rejected if it is
+zero or if it lands in the span of some partially assembled older-neighbor
+family of a younger vertex.
 Every accepted run therefore satisfies membership and the regular-part test
 by construction, and both are still re-checked by the tests, with dense
 ranks rather than the echelon rows below.
@@ -37,6 +40,7 @@ from math import gcd
 from operator import mul
 
 from .errors import PreconditionViolatedError, RetriesExhaustedError, WorkCapExceededError
+from .graphs import degeneracy_order
 from .linalg import solve
 from .splitting import WEIGHTING_CAP
 from .variety import VertexAssignment
@@ -86,68 +90,63 @@ def _echelon_row(rest, p):
     return next(c for c, x in enumerate(rest) if x), rest
 
 
-def check_point_size(num_vertices, n):
-    """Refuse a point of more than WEIGHTING_CAP coordinates, |V| * n, as
-    `split` refuses a weighting that large."""
-    entries = num_vertices * n
-    if entries > WEIGHTING_CAP:
-        raise WorkCapExceededError(
-            entries, WEIGHTING_CAP, "; the point would hold |V| * n coordinates")
-
-
-def sample_regular_point(og, space, seed=0, bound=10, max_retries=64):
-    """A member point of the variety lying in the regular part of the order.
+def sample_regular_point(graph, space, seed=0, bound=10, max_retries=64):
+    """A member point of the variety lying in the regular part of the
+    graph's degeneracy order.
 
     `seed` seeds the draws, `bound` limits rational draws to [-bound, bound]
-    and `max_retries` is the number of draws per vertex; a `bound` or
-    `max_retries` below 1 is a `ValueError`, raised first.  Needs
-    n >= 2 * width(og) so the admissible kernels always have room outside
-    the finitely many bad subspaces.  Over a prime field, p must exceed the
-    number of rejection conditions at every vertex; otherwise the draw could
-    fail forever and we error out up front instead.  A point too large for
-    `check_point_size` is refused before any draw.
+    and `max_retries` is the number of draws per vertex.  The checks run
+    before any draw, in this order: a point of more than WEIGHTING_CAP
+    coordinates, |V| * n, is refused, as `split` refuses a weighting that
+    large; a `bound` or `max_retries` below 1 is a `ValueError`; then one
+    `degeneracy_order` call gives d, and n >= 2 * d is needed so the
+    admissible kernels always have room outside the finitely many bad
+    subspaces; last, over a prime field p must exceed the number of
+    rejection conditions at every vertex, since otherwise the draw could
+    fail forever.
     """
+    num_vertices, n = graph.num_vertices, space.n
+    if num_vertices * n > WEIGHTING_CAP:
+        raise WorkCapExceededError(
+            num_vertices * n, WEIGHTING_CAP, "; the point would hold |V| * n coordinates")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    g = og.graph
-    check_point_size(g.num_vertices, space.n)
-    field = space.field
-    p = field.p
-    d = og.width()
-    if space.n < 2 * d:
-        raise PreconditionViolatedError(
-            f"need dimension >= {2 * d} for width {d}, got {space.n}"
-        )
+    order, d = degeneracy_order(graph)
+    if n < 2 * d:
+        raise PreconditionViolatedError(f"need dimension >= {2 * d} for width {d}, got {n}")
+    position = [0] * num_vertices
+    for i, v in enumerate(order):
+        position[v] = i
+    older, younger = [], []  # neighbours after and before each vertex in the order
+    for v, ns in enumerate(graph.adjacency):
+        older.append([u for u in ns if position[u] > position[v]])
+        younger.append([u for u in ns if position[u] < position[v]])
+    field, p = space.field, space.field.p
     if p is not None:
-        worst = max(
-            (len(og.younger_neighbors(v)) + 1 for v in range(g.num_vertices)),
-            default=0,
-        )
+        worst = max((len(ys) + 1 for ys in younger), default=0)
         if field.order <= worst:
             raise PreconditionViolatedError(
-                f"prime field too small: need p > {worst}, got {field.order}"
-            )
+                f"prime field too small: need p > {worst}, got {field.order}")
     rng = random.Random(seed)
     candidates, numerators = {}, {}  # the accepted integer draws, and their integer forms
-    echelon = {v: [] for v in range(g.num_vertices)}  # partial older-neighbor families
+    echelon = [[] for _ in range(num_vertices)]  # partial older-neighbor families
     # oldest vertex first
-    for v in reversed(og.order):
-        younger = og.younger_neighbors(v)
-        system = solve([space._image(candidates[u]) for u in og.older_neighbors(v)], space.n, p)
+    for v in reversed(order):
+        system = solve([space._image(candidates[u]) for u in older[v]], n, p)
         for _ in range(max_retries):
-            candidate = _draw(system, space.n, rng, bound, p)
+            candidate = _draw(system, n, rng, bound, p)
             if not any(candidate):
                 continue
-            remainders = [_reduce(candidate, echelon[y], p) for y in younger]
+            remainders = [_reduce(candidate, echelon[y], p) for y in younger[v]]
             if all(map(any, remainders)):
                 break
         else:
             raise RetriesExhaustedError(v, max_retries)
-        for y, rest in zip(younger, remainders):
+        for y, rest in zip(younger[v], remainders):
             echelon[y].append(_echelon_row(rest, p))
         candidates[v] = candidate
         content = gcd(system[1], *candidate)  # 1 over F_p
         numerators[v] = tuple(x // content for x in candidate), system[1] // content
-    return VertexAssignment.from_numerators(field, [numerators[v] for v in range(g.num_vertices)])
+    return VertexAssignment.from_numerators(field, [numerators[v] for v in range(num_vertices)])

@@ -189,8 +189,7 @@ def _split_component(sub, big_d, root):
     """Stages 1-4 on one connected component, rooted at `root`: one weight
     list per vertex of `sub`, indexed by palette(big_d) positions."""
     base_size = color_budget(big_d - 1)
-    layering = bfs_layers(sub, root)
-    levels = layering.layers
+    levels, level_of = bfs_layers(sub, root)
     weights = [[0] * color_budget(big_d) for _ in range(sub.num_vertices)]
 
     # stage 2: recursive base weights per level, then cumulative shifts;
@@ -214,7 +213,6 @@ def _split_component(sub, big_d, root):
 
     # stage 3: greedy pool colors for edges between consecutive levels, as
     # (upper, lower) pairs bucketed by the lower endpoint's level
-    level_of = layering.level
     adjacency = sub.adjacency
     between = [[] for _ in levels]
     for lo, hi in sub.edges:

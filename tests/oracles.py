@@ -269,13 +269,16 @@ def rank(field, rows):
     return len(reference_rref(rows, len(rows[0]) if rows else 0, field.p)[1])
 
 
-def regular_part_test(og, assignment):
+def regular_part_test(graph, assignment):
     """Whether each vertex's older neighbors carry vectors of full rank (the
-    regular part of the order); membership in the variety is not required."""
-    if assignment.num_vertices != og.graph.num_vertices:
+    regular part of the degeneracy order); membership in the variety is not
+    required.  The order comes from `scan_degeneracy_order`, not the
+    package's peel."""
+    if assignment.num_vertices != graph.num_vertices:
         raise ValueError("assignment has the wrong number of vertices")
     w = vectors(assignment)
-    older = map(og.older_neighbors, range(og.graph.num_vertices))
+    position = {v: i for i, v in enumerate(scan_degeneracy_order(graph)[0])}
+    older = ([u for u in ns if position[u] > position[v]] for v, ns in enumerate(graph.adjacency))
     return all(rank(assignment.field, [w[u] for u in us]) == len(us) for us in older)
 
 
@@ -330,7 +333,7 @@ def enumerate_point_count(graph, space):
     contributes q^dim(kernel) without enumeration."""
     field = space.field
     q = field.order
-    order = list(reversed(degeneracy_order(graph)[0].order))
+    order = list(reversed(degeneracy_order(graph)[0]))
     vectors = {}
 
     def recurse(i):
@@ -552,7 +555,7 @@ def independent_set_point(rng, graph, space, bound=5):
             taken.add(v)
     vectors = [[field.zero()] * space.n for _ in range(graph.num_vertices)]
     for v in chosen:
-        if field.characteristic == 0:
+        if field.p is None:
             vectors[v] = [field(rng.randint(-bound, bound)) for _ in range(space.n)]
         else:
             vectors[v] = [field(rng.randrange(field.order)) for _ in range(space.n)]
@@ -560,7 +563,7 @@ def independent_set_point(rng, graph, space, bound=5):
 
 
 def random_tangent(rng, field, num_vertices, n, bound=5):
-    if field.characteristic == 0:
+    if field.p is None:
         return VertexAssignment(
             field,
             [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(num_vertices)],

@@ -106,7 +106,7 @@ def test_criterion_1_first_order_expansion_is_exact():
     failures = []
     while points < 200:
         g = random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 5))
-        og, d = degeneracy_order(g)
+        _, d = degeneracy_order(g)
         field = fields[points % 2]
         n = rng.randint(2, 6)
         kind = rng.choice(["symmetric", "symplectic", "hyperbolic"])
@@ -117,7 +117,7 @@ def test_criterion_1_first_order_expansion_is_exact():
 
         members = [origin(g, space), independent_set_point(rng, g, space)]
         if n >= 2 * d:
-            members.append(sample_regular_point(og, space, seed=points))
+            members.append(sample_regular_point(g, space, seed=points))
         for w in members:
             if not is_member(ctx, w):
                 failures.append((g, kind, "generator produced a non-member"))
@@ -147,7 +147,7 @@ def test_criterion_2_sampled_points_are_smooth():
     points = 0
     while points < 100:
         g = random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 4))
-        og, d = degeneracy_order(g)
+        _, d = degeneracy_order(g)
         big_d = g.max_degree()
         n = max(2 * d, d + big_d)
         kind = rng.choice(["symmetric", "symplectic", "hyperbolic"])
@@ -156,10 +156,10 @@ def test_criterion_2_sampled_points_are_smooth():
         field = fields[points % 2]
         space = standard_space(kind, n, field)
         ctx = VarietyContext(g, space)
-        pt = sample_regular_point(og, space, seed=points)
+        pt = sample_regular_point(g, space, seed=points)
         if not is_member(ctx, pt):
             failures.append((points, "not a member"))
-        if not regular_part_test(og, pt):
+        if not regular_part_test(g, pt):
             failures.append((points, "regular part test failed"))
         if rank(field, jacobian(ctx, pt)) != g.num_edges:
             failures.append((points, "Jacobian rank below edge count"))

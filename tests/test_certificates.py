@@ -47,7 +47,7 @@ FIELDS = [RATIONALS] + [PrimeField(p) for p in (2, 3, 7, 10007)]
 
 def spaces(field):
     shapes = [("symmetric", 3), ("hyperbolic", 4)]
-    if field.characteristic != 2:
+    if field.p != 2:
         shapes += [("symplectic", 2), ("symplectic", 4), ("symplectic", 6)]
     return [standard_space(form, n, field) for form, n in shapes]
 
@@ -114,9 +114,9 @@ def cases(field, seed):
             yield g, space, repeated_point(rng, g, space)
             yield g, space, independent_set_point(rng, g, space, bound=3)
             yield g, space, origin(g, space)
-            og, width = degeneracy_order(g)
+            _, width = degeneracy_order(g)
             if space.n >= 2 * width and (field.p is None or field.p > 1000):
-                yield g, space, sample_regular_point(og, space, seed=rng.randrange(2**31), bound=3)
+                yield g, space, sample_regular_point(g, space, seed=rng.randrange(2**31), bound=3)
 
 
 def assert_matches_dense(g, space, point):

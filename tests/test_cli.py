@@ -99,19 +99,32 @@ class TestAnalyze:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command", ["analyze", "sample"])
-def test_command_peels_once(capsys, graph_file, monkeypatch, command):
-    # every package module's name for degeneracy_order counts its calls
-    peel, calls = graphs.degeneracy_order, []
+def count_calls(monkeypatch, name):
+    """The list of graphs passed to `graphs.<name>`, counted through every
+    package module's name for it."""
+    func, calls = getattr(graphs, name), []
 
     def counted(graph):
         calls.append(graph)
-        return peel(graph)
+        return func(graph)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("graphvariety") and getattr(module, "degeneracy_order", None) is peel:
-            monkeypatch.setattr(module, "degeneracy_order", counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("graphvariety") and getattr(module, name, None) is func:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+def test_command_peels_once(capsys, graph_file, monkeypatch, command):
+    calls = count_calls(monkeypatch, "degeneracy_order")
     run_json(capsys, [command, "--graph", graph_file("t.txt", TRIANGLE), "--dim", "4"])
+    assert len(calls) == 1
+
+
+def test_analyze_finds_components_once(capsys, graph_file, monkeypatch):
+    # the payload's is_forest is read off the projective verdict's forest test
+    calls = count_calls(monkeypatch, "connected_components")
+    run_json(capsys, ["analyze", "--graph", graph_file("c4.txt", C4), "--dim", "4"])
     assert len(calls) == 1
 
 
@@ -206,7 +219,7 @@ class TestSampleCheckCertify:
         def peel(graph):
             raise AssertionError("degeneracy_order ran before the entry cap")
 
-        monkeypatch.setattr("graphvariety.cli.degeneracy_order", peel)
+        monkeypatch.setattr("graphvariety.sampling.degeneracy_order", peel)
         g = graph_file("far.txt", "0 1\n99999 99998\n")
         code, out, err = run(capsys, ["sample", "--graph", g, "--dim", "256"])
         assert code == 1 and out == ""
@@ -226,6 +239,16 @@ class TestSampleCheckCertify:
         assert code == 1 and out == ""
         assert err == ('{\n  "error": {\n    "message": "%s",\n    "type": "ValueError"\n  }\n}\n'
                        % message)
+
+    @pytest.mark.parametrize("option", [["--bound", "0"], ["--retries", "0"]],
+                             ids=["bound-0", "retries-0"])
+    def test_sample_refuses_entry_cap_before_bad_options(self, capsys, graph_file, option):
+        g = graph_file("far.txt", "0 1\n99999 99998\n")
+        code, out, err = run(capsys, ["sample", "--graph", g, "--dim", "256", *option])
+        assert code == 1 and out == ""
+        assert err == ('{\n  "error": {\n    "message": "estimated work 25600000 exceeds cap'
+                       ' 10000000; the point would hold |V| * n coordinates",\n'
+                       '    "type": "WorkCapExceededError"\n  }\n}\n')
 
     def test_sample_at_entry_cap_is_admitted(self, capsys, graph_file, monkeypatch):
         # the cap bounds |V| * n itself: at a cap of 12, path3 at n = 4 holds

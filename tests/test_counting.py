@@ -281,7 +281,7 @@ class TestFrontierCount:
         admitted = counting._cap_exponent(q, counting.DEFAULT_WORK_CAP) // n
         g = data.draw(graphs(min(8, admitted), min_vertices=0))
         space = standard_space(form, n, PrimeField(q))
-        degeneracy = list(reversed(degeneracy_order(g)[0].order))
+        degeneracy = list(reversed(degeneracy_order(g)[0]))
         assert count_points(CountRequest(g, space)).count == counting._frontier_count(g, degeneracy, space)
 
     # alternating forms, whose classes are counted in closed form, then

@@ -47,7 +47,7 @@ class TestRationalField:
 
     def test_basic_attributes(self):
         assert RATIONALS.name == "Q"
-        assert RATIONALS.characteristic == 0
+        assert RATIONALS.p is None
         assert RATIONALS.zero() == 0
         assert type(RATIONALS(1)) is Fraction and RATIONALS(1) == 1
 
@@ -65,7 +65,7 @@ class TestPrimeField:
         f = PrimeField(7)
         assert f.name == "Fp:7"
         assert f.order == 7
-        assert f.characteristic == 7
+        assert f.p == 7
 
     def test_coercion_reduces_into_range(self):
         f = PrimeField(7)

@@ -1,4 +1,4 @@
-"""The seven result and request records: construction, defaults, validation,
+"""The six result and request records: construction, defaults, validation,
 read-only fields, equality, hash and repr; the sampler's argument defaults
 and checks; and the start-up import guard."""
 
@@ -12,7 +12,6 @@ import pytest
 from graphvariety import (
     DEFAULT_WORK_CAP,
     RATIONALS,
-    BfsLayering,
     CountReport,
     CountRequest,
     EdgeVerdict,
@@ -21,7 +20,6 @@ from graphvariety import (
     SingularityCertificate,
     SplittingReport,
     VertexWeighting,
-    degeneracy_order,
     sample_regular_point,
     standard_space,
 )
@@ -29,12 +27,10 @@ from graphvariety import (
 ROOT = Path(__file__).resolve().parents[1]
 EDGE = Graph(2, [(0, 1)])
 SPACE_F3 = standard_space("symplectic", 2, PrimeField(3))
-EDGE_ORDER = degeneracy_order(EDGE)[0]
 SPACE_Q = standard_space("symplectic", 2, RATIONALS)
 
 # each record with field values in field order, and whether they hash
 RECORDS = [
-    (BfsLayering, {"root": 0, "layers": ((0,), (1,)), "level": (0, 1)}, True),
     (SingularityCertificate, {"edges": ((0, 1),), "values": (Fraction(1, 2),)}, True),
     (VertexWeighting, {"colors": ("a", "b"), "weights": {0: [1, 0], 1: [0, 1]}}, False),
     (EdgeVerdict, {"edge": (0, 1), "argmax": ("a",), "strict": True}, True),
@@ -78,10 +74,10 @@ class TestRecord:
 
 def test_defaults():
     assert CountRequest(EDGE, SPACE_F3).cap == DEFAULT_WORK_CAP
-    assert sample_regular_point(EDGE_ORDER, SPACE_Q) == sample_regular_point(
-        EDGE_ORDER, SPACE_Q, seed=0, bound=10, max_retries=64)
-    assert sample_regular_point(EDGE_ORDER, SPACE_Q, 5) == sample_regular_point(
-        EDGE_ORDER, SPACE_Q, seed=5)
+    assert sample_regular_point(EDGE, SPACE_Q) == sample_regular_point(
+        EDGE, SPACE_Q, seed=0, bound=10, max_retries=64)
+    assert sample_regular_point(EDGE, SPACE_Q, 5) == sample_regular_point(
+        EDGE, SPACE_Q, seed=5)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -89,10 +85,10 @@ def test_defaults():
      "point counting needs a prime field"),
     (lambda: CountRequest(EDGE, SPACE_F3, cap=0), "work cap must be at least 1"),
     (lambda: CountRequest(EDGE, SPACE_F3, 0), "work cap must be at least 1"),
-    (lambda: sample_regular_point(EDGE_ORDER, SPACE_Q, bound=0), "bound must be at least 1"),
-    (lambda: sample_regular_point(EDGE_ORDER, SPACE_Q, max_retries=0),
+    (lambda: sample_regular_point(EDGE, SPACE_Q, bound=0), "bound must be at least 1"),
+    (lambda: sample_regular_point(EDGE, SPACE_Q, max_retries=0),
      "max_retries must be at least 1"),
-    (lambda: sample_regular_point(EDGE_ORDER, SPACE_Q, 0, 10, 0),
+    (lambda: sample_regular_point(EDGE, SPACE_Q, 0, 10, 0),
      "max_retries must be at least 1"),
 ], ids=["count-over-Q", "cap-0-keyword", "cap-0-positional", "bound-0",
         "max-retries-0-keyword", "max-retries-0-positional"])

@@ -14,6 +14,7 @@ from graphvariety import (
     RetriesExhaustedError,
     VarietyContext,
     VertexAssignment,
+    WorkCapExceededError,
     degeneracy_order,
     field_from_spec,
     is_member,
@@ -39,12 +40,18 @@ class TestSamplerConfig:
             == [("seed", 0), ("bound", 10), ("max_retries", 64)]
 
     def test_validation(self):
-        og, _ = degeneracy_order(path_graph(3))
+        g = path_graph(3)
         space = standard_space("symplectic", 4, RATIONALS)
         with pytest.raises(ValueError):
-            sample_regular_point(og, space, bound=0)
+            sample_regular_point(g, space, bound=0)
         with pytest.raises(ValueError):
-            sample_regular_point(og, space, max_retries=0)
+            sample_regular_point(g, space, max_retries=0)
+
+    def test_entry_cap_is_checked_first(self):
+        # 10^5 vertices at n = 256 hold 2.56e7 coordinates, past the 10^7 cap
+        with pytest.raises(WorkCapExceededError):
+            sample_regular_point(Graph(10**5, [(0, 1)]), standard_space("symplectic", 256),
+                                 bound=0)
 
 
 def spaces_for(n, include_fp=True):
@@ -63,13 +70,13 @@ class TestSampler:
     def test_soundness_on_hand_graphs(self):
         graphs = [path_graph(4), cycle_graph(5), complete_bipartite_graph(2, 3), star_graph(4)]
         for g in graphs:
-            og, d = degeneracy_order(g)
+            _, d = degeneracy_order(g)
             n = 2 * max(d, 1)
             for space in spaces_for(n):
                 ctx = VarietyContext(g, space)
-                pt = sample_regular_point(og, space, seed=3)
+                pt = sample_regular_point(g, space, seed=3)
                 assert is_member(ctx, pt)
-                assert regular_part_test(og, pt)
+                assert regular_part_test(g, pt)
                 # the stored integer form is the least one of its vectors
                 assert VertexAssignment(space.field, vectors(pt)) == pt
                 zero = space.field.zero()
@@ -81,47 +88,48 @@ class TestSampler:
     def test_soundness_on_random_graphs(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 4))
-        og, d = degeneracy_order(g)
+        _, d = degeneracy_order(g)
         n = 2 * max(d, 1) + (seed % 2)
         for space in spaces_for(n if n % 2 == 0 else n + 1, include_fp=False):
-            pt = sample_regular_point(og, space, seed=seed % 1000)
+            pt = sample_regular_point(g, space, seed=seed % 1000)
             assert is_member(VarietyContext(g, space), pt)
-            assert regular_part_test(og, pt)
+            assert regular_part_test(g, pt)
 
     def test_determinism(self):
-        og, _ = degeneracy_order(cycle_graph(6))
+        g = cycle_graph(6)
         sp = standard_space("symplectic", 4, RATIONALS)
-        a = sample_regular_point(og, sp, seed=11)
-        b = sample_regular_point(og, sp, seed=11)
-        c = sample_regular_point(og, sp, seed=12)
+        a = sample_regular_point(g, sp, seed=11)
+        b = sample_regular_point(g, sp, seed=11)
+        c = sample_regular_point(g, sp, seed=12)
         assert a == b
         assert a != c
 
     def test_dimension_precondition(self):
-        og, d = degeneracy_order(complete_bipartite_graph(3, 3))
+        g = complete_bipartite_graph(3, 3)
+        _, d = degeneracy_order(g)
         assert d == 3
         sp = standard_space("symmetric", 5, RATIONALS)
         with pytest.raises(PreconditionViolatedError):
-            sample_regular_point(og, sp)
+            sample_regular_point(g, sp)
 
     def test_small_field_precondition(self):
-        og, _ = degeneracy_order(path_graph(3))
+        g = path_graph(3)
         sp = standard_space("symmetric", 2, PrimeField(2))
         with pytest.raises(PreconditionViolatedError):
-            sample_regular_point(og, sp)
+            sample_regular_point(g, sp)
         # one prime higher clears the bar
-        pt = sample_regular_point(og, standard_space("symmetric", 2, PrimeField(3)))
+        pt = sample_regular_point(g, standard_space("symmetric", 2, PrimeField(3)))
         assert is_member(VarietyContext(path_graph(3), standard_space("symmetric", 2, PrimeField(3))), pt)
 
     def test_retries_can_exhaust(self):
         # a single vertex over F_2 draws the zero vector half the time, so
         # with max_retries=1 some seed must fail
-        og, _ = degeneracy_order(Graph(1, []))
+        g = Graph(1, [])
         sp = standard_space("symmetric", 1, PrimeField(2))
         saw_failure = False
         for seed in range(64):
             try:
-                sample_regular_point(og, sp, seed=seed, max_retries=1)
+                sample_regular_point(g, sp, seed=seed, max_retries=1)
             except RetriesExhaustedError as err:
                 assert err.vertex == 0
                 assert err.attempts == 1
@@ -175,8 +183,7 @@ class TestPinnedOutput:
                                     field)
         else:
             space = standard_space(form, n, field)
-        og, _ = degeneracy_order(self.GRAPHS[name])
-        pt = sample_regular_point(og, space, seed=seed, bound=bound)
+        pt = sample_regular_point(self.GRAPHS[name], space, seed=seed, bound=bound)
         text = canonical_dumps(assignment_to_obj(pt))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

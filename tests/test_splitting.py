@@ -246,16 +246,16 @@ class TestSplitIntoMatchings:
         colors = palette(big_d)
         assert len(connected_components(g)) == 1
         weights = _split_component(g, big_d, 0)
-        layering = bfs_layers(g, 0)
+        _, level = bfs_layers(g, 0)
         w = split_into_matchings(g)
         # root 0 admits a pool assignment, so its layering is the split's own
         assert w == VertexWeighting(colors, {v: tuple(vec) for v, vec in enumerate(weights)})
         rep = color_classes(g, w)
         by_edge = {v.edge: v.argmax[0] for v in rep.per_edge}
-        assert sum(layering.level[lo] == layering.level[hi] for lo, hi in g.edges) == intra
+        assert sum(level[lo] == level[hi] for lo, hi in g.edges) == intra
         for lo, hi in g.edges:
             color = by_edge[(lo, hi)]
-            if layering.level[lo] == layering.level[hi]:
+            if level[lo] == level[hi]:
                 assert color in small
             else:
                 assert color.startswith(f"a{big_d}.")

@@ -103,7 +103,7 @@ def gram_obj(rng, field, n, sign):
 def pairing_spaces(rng, field):
     """The standard forms over `field`, and random non-degenerate `--gram`
     spaces: symmetric, and antisymmetric outside characteristic 2."""
-    odd = field.characteristic != 2
+    odd = field.p != 2
     shapes = [("symmetric", 1), ("symmetric", 3), ("hyperbolic", 4)]
     shapes += [("symplectic", 2), ("symplectic", 8)] if odd else []
     spaces = [standard_space(form, n, field) for form, n in shapes]

@@ -20,7 +20,6 @@ from graphvariety import (
     expected_dimension,
     is_anti_ample,
     is_member,
-    degeneracy_order,
     projective_smoothness,
     residual,
     singular_certificate,
@@ -488,21 +487,18 @@ class TestCertificates:
 class TestRegularPart:
     def test_zero_point_fails_when_edges_exist(self):
         g = path_graph(3)
-        og, _ = degeneracy_order(g)
         sp = symplectic2()
-        assert not regular_part_test(og, origin(g, sp))
+        assert not regular_part_test(g, origin(g, sp))
 
     def test_edgeless_graph_passes(self):
         g = Graph(3, [])
-        og, _ = degeneracy_order(g)
         sp = standard_space("symmetric", 2, RATIONALS)
-        assert regular_part_test(og, origin(g, sp))
+        assert regular_part_test(g, origin(g, sp))
 
     def test_independent_families_pass(self):
         g = path_graph(3)
-        og, _ = degeneracy_order(g)
         pt = VertexAssignment(RATIONALS, [[1, 0], [0, 1], [1, 1]])
-        assert regular_part_test(og, pt)
+        assert regular_part_test(g, pt)
 
 
 class TestEquations:
