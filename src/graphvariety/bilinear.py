@@ -46,13 +46,15 @@ from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
 from .fields import RATIONALS
-from .linalg import _numerators, kernel
+from .linalg import _numerators, kernel, rref
 
 # The largest ambient dimension accepted.  The degeneracy check's dense int
-# matrix and its `kernel` grow as n^2 and worse: `analyze` on one edge, with
+# matrix and its `rref` grow as n^2 and worse: `analyze` on one edge, with
 # the ceiling lifted, took 0.012-0.014 s at n = 256, 0.025-0.030 s at
 # n = 400 and 0.10 s at n = 800 (best of 3, Python 3.11 on a 2-core host).
+# A dense 256x256 Q Gram takes 3.0 s there on the modular proof below (31 s exact).
 MAX_DIMENSION = 256
+_CHECK_PRIME = 2**31 - 1
 
 
 class BilinearSpace:
@@ -62,7 +64,9 @@ class BilinearSpace:
     row-major order, and `scale` their least common denominator (1 over
     F_p).  `__init__` takes terms in any order, converts each value by
     `field` and drops zeros; an (i, j) outside the matrix or repeated is
-    refused.
+    refused.  The Gram is non-degenerate when one `rref` mod p has n pivots;
+    over Q, n pivots mod _CHECK_PRIME prove it (a minor nonzero mod a prime
+    is a nonzero integer), and only a shortfall there is decided exactly.
     """
 
     def __init__(self, n, kind, terms, field=RATIONALS):
@@ -85,7 +89,8 @@ class BilinearSpace:
         ints = [[0] * n for _ in range(n)]
         for i, j, c in int_terms:
             ints[i][j] = c
-        if kernel(ints, n, field.p)[0]:
+        if len(rref(ints, n, field.p or _CHECK_PRIME)[1]) < n and (
+                field.p is not None or len(rref(ints, n)[1]) < n):
             raise ValueError("gram matrix is degenerate")
         # each nonzero entry against its mirrored one; a nonzero entry whose
         # mirror is zero fails its own comparison, so no zero entry is read

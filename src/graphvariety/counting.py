@@ -294,7 +294,7 @@ def count_points(req):
     so the estimate itself is never built.
     """
     g, space = req.graph, req.space
-    q = space.field.order
+    q = space.field.p
     work = space.n * g.num_vertices
     if work > _cap_exponent(q, req.cap):
         raise WorkCapExceededError((q, work), req.cap)

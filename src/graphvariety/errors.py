@@ -28,13 +28,6 @@ class NotOnVarietyError(GraphVarietyError):
 class RetriesExhaustedError(GraphVarietyError):
     """The rejection sampler failed to find an admissible vector for a vertex."""
 
-    def __init__(self, vertex, attempts):
-        self.vertex = vertex
-        self.attempts = attempts
-        super().__init__(
-            f"no admissible draw for vertex {vertex} after {attempts} attempts"
-        )
-
 
 class PreconditionViolatedError(GraphVarietyError):
     """A documented precondition of an operation does not hold."""
@@ -52,7 +45,6 @@ class WorkCapExceededError(GraphVarietyError):
     """
 
     def __init__(self, estimate, cap, advice=""):
-        self.cap = cap
         shown = "{}^{}".format(*estimate) if isinstance(estimate, tuple) else estimate
         super().__init__(f"estimated work {shown} exceeds cap {cap}{advice}")
 

@@ -2,11 +2,11 @@
 
 A rational is a `fractions.Fraction`; an element of F_p is a plain `int` in
 [0, p).  Calling a field object is the one place a scalar is made or
-reduced: `field(x)` coerces an int or a decimal string, and over F_p it is
-also how raw int arithmetic is brought back into [0, p), which must happen
-before a result is compared or stored.  Floats are rejected at the boundary
-so rounding error can never leak into a rank computation or a certificate
-check.
+reduced: `field(x)` coerces an int or a decimal string (zero is `field(0)`),
+and over F_p it is also how raw int arithmetic is brought back into [0, p),
+which must happen before a result is compared or stored.  Floats are
+rejected at the boundary so rounding error can never leak into a rank
+computation or a certificate check.
 """
 
 from fractions import Fraction
@@ -72,13 +72,6 @@ class RationalField:
                 raise ValueError(f"{value!r} has a zero denominator") from None
         raise TypeError(f"cannot coerce {value!r} into the rational field")
 
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def order(self):
-        raise TypeError("the rational field is not finite")
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -104,9 +97,6 @@ class PrimeField:
         if isinstance(value, str):
             return int(value) % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-
-    def zero(self):
-        return 0
 
     @property
     def order(self):

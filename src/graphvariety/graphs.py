@@ -16,25 +16,24 @@ MAX_VERTICES = 10**5
 
 
 class Graph:
-    """An undirected simple graph on vertices 0..num_vertices-1."""
+    """An undirected simple graph on vertices 0..num_vertices-1.  Repeats
+    are found in the sorted edge list, so the smallest one is reported."""
 
     def __init__(self, num_vertices, edges):
         if num_vertices < 0:
             raise ValueError("vertex count must be non-negative")
         canon = []
-        seen = set()
         for e in edges:
             u, v = e
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge {e} out of range for {num_vertices} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            lo, hi = (u, v) if u < v else (v, u)
-            if (lo, hi) in seen:
-                raise ValueError(f"duplicate edge ({lo}, {hi})")
-            seen.add((lo, hi))
-            canon.append((lo, hi))
+            canon.append((u, v) if u < v else (v, u))
         canon.sort()
+        for e, nxt in zip(canon, canon[1:]):
+            if e == nxt:
+                raise ValueError(f"duplicate edge {e}")
         self.num_vertices = num_vertices
         self.edges = tuple(canon)
         adj = [[] for _ in range(num_vertices)]
@@ -161,7 +160,8 @@ def is_forest(graph):
 
 
 def induced_subgraph_with_map(graph, vertices):
-    """The induced subgraph on `vertices`, plus old-to-new and new-to-old maps."""
+    """The induced subgraph on `vertices`, as (subgraph, vertices): new
+    vertex i is the i-th smallest of `vertices`, the tuple's i-th entry."""
     vs = sorted(set(vertices))
     old_to_new = {v: i for i, v in enumerate(vs)}
     edges = [
@@ -169,7 +169,7 @@ def induced_subgraph_with_map(graph, vertices):
         for lo, hi in graph.edges
         if lo in old_to_new and hi in old_to_new
     ]
-    return Graph(len(vs), edges), old_to_new, tuple(vs)
+    return Graph(len(vs), edges), tuple(vs)
 
 
 def proper_vertex_numbering(graph, bound):

@@ -126,9 +126,8 @@ def sample_regular_point(graph, space, seed=0, bound=10, max_retries=64):
     field, p = space.field, space.field.p
     if p is not None:
         worst = max((len(ys) + 1 for ys in younger), default=0)
-        if field.order <= worst:
-            raise PreconditionViolatedError(
-                f"prime field too small: need p > {worst}, got {field.order}")
+        if p <= worst:
+            raise PreconditionViolatedError(f"prime field too small: need p > {worst}, got {p}")
     rng = random.Random(seed)
     candidates, numerators = {}, {}  # the accepted integer draws, and their integer forms
     echelon = [[] for _ in range(num_vertices)]  # partial older-neighbor families
@@ -143,7 +142,8 @@ def sample_regular_point(graph, space, seed=0, bound=10, max_retries=64):
             if all(map(any, remainders)):
                 break
         else:
-            raise RetriesExhaustedError(v, max_retries)
+            raise RetriesExhaustedError(
+                f"no admissible draw for vertex {v} after {max_retries} attempts")
         for y, rest in zip(younger[v], remainders):
             echelon[y].append(_echelon_row(rest, p))
         candidates[v] = candidate

@@ -45,7 +45,6 @@ from .graphs import (
     bfs_layers,
     connected_components,
     induced_subgraph_with_map,
-    is_forest,
     proper_vertex_numbering,
 )
 
@@ -168,7 +167,7 @@ def _weights(graph):
         return [[10] for _ in range(graph.num_vertices)]
     weights = [None] * graph.num_vertices
     for comp in connected_components(graph):
-        sub, _, new_to_old = induced_subgraph_with_map(graph, comp)
+        sub, new_to_old = induced_subgraph_with_map(graph, comp)
         for root in range(sub.num_vertices):
             try:
                 comp_weights = _split_component(sub, big_d, root)
@@ -198,7 +197,7 @@ def _split_component(sub, big_d, root):
     level_max = []
     numbering = [0] * sub.num_vertices
     for level in levels:
-        lg, _, back = induced_subgraph_with_map(sub, level)
+        lg, back = induced_subgraph_with_map(sub, level)
         # palette(max degree of lg) is a prefix of palette(big_d - 1), so each
         # recursive vector is its base block, zero past its end
         padded = [vec + [0] * (base_size - len(vec)) for vec in _weights(lg)]
@@ -248,20 +247,21 @@ def split_forest_into_matchings(forest):
     """A splitting of a forest into at most D matchings.
 
     Leaves are peeled off one at a time, smallest index first, in
-    O((V + E) log V) (see `_leaf_peel`); rebuilding in reverse, each leaf
-    edge takes the smallest color still free at the attachment vertex and a
-    weight one larger than everything the attachment vertex carries, which
-    makes the new edge win exactly its own color.
+    O((V + E) log V) (see `_leaf_peel`); no vertex of a cycle drops to
+    degree 1, so the graph is a forest exactly when every vertex goes.
+    Rebuilding in reverse, each leaf edge takes the smallest color still
+    free at the attachment vertex and a weight one larger than everything
+    the attachment vertex carries, which makes the new edge win exactly its
+    own color.
     """
-    if not is_forest(forest):
-        raise NotAForestError("splitting with max_degree colors needs a forest")
     n = forest.num_vertices
     big_d = forest.max_degree()
     if big_d == 0:
         return VertexWeighting(colors=(), weights={v: () for v in range(n)})
-    colors = tuple(f"c{k}" for k in range(1, big_d + 1))
-
     peel, parent = _leaf_peel(forest)
+    if len(peel) < n:
+        raise NotAForestError("splitting with max_degree colors needs a forest")
+    colors = tuple(f"c{k}" for k in range(1, big_d + 1))
     weights = {v: [0] * big_d for v in range(n)}
     used = {v: set() for v in range(n)}
     for v in reversed(peel):
@@ -276,13 +276,13 @@ def split_forest_into_matchings(forest):
 
 
 def _leaf_peel(forest):
-    """The leaf-peel order of a forest and the vertex each leaf hung from.
+    """The leaf-peel order of a graph and the vertex each leaf hung from.
 
     Removes a vertex of remaining degree at most 1 at every step, smallest
-    index first; parent[v] is v's one remaining neighbor when it went, or
-    None.  The candidates sit on a heap: every vertex enters it once, when
-    its degree first reaches 1 (or at the start), so the peel is
-    O((V + E) log V).
+    index first, until none is left (short of any cycle); parent[v] is v's
+    one remaining neighbor when it went, or None.  The candidates sit on a
+    heap: every vertex enters it once, when its degree first reaches 1 (or
+    at the start), so the peel is O((V + E) log V).
     """
     adjacency = forest.adjacency
     deg = [len(ns) for ns in adjacency]

@@ -176,7 +176,7 @@ def residual(ctx, assignment):
     dots = _dots(ctx, assignment)
     if ctx.field.p is not None:
         return tuple(dots)
-    den, scale, zero = [d for _, d in assignment.numerators], ctx.space.scale, ctx.field.zero()
+    den, scale, zero = [d for _, d in assignment.numerators], ctx.space.scale, ctx.field(0)
     return tuple(Fraction(x, den[lo] * den[hi] * scale) if x else zero
                  for x, (lo, hi) in zip(dots, ctx.graph.edges))
 
@@ -277,7 +277,8 @@ def singular_certificate(ctx, assignment):
         f = max(combo)
         combo = {e: Fraction(x.numerator * scale[e], x.denominator * scale[f])
                  for e, x in combo.items()}
-    values = tuple(combo.get(e, ctx.field.zero()) for e in range(ctx.graph.num_edges))
+    zero = ctx.field(0)
+    values = tuple(combo.get(e, zero) for e in range(ctx.graph.num_edges))
     if not _certifies(ctx, assignment.numerators, values):
         raise AssertionError("internal error: left-kernel vector failed re-verification")
     return SingularityCertificate(edges=ctx.graph.edges, values=values)

@@ -167,7 +167,7 @@ def dot(field, u, v):
     if len(u) != len(v):
         raise ValueError("dot product of vectors with different lengths")
     # over Q, a sum started from Fraction(0) is faster than one from int 0
-    return field(sum(map(mul, u, v), field.zero()))
+    return field(sum(map(mul, u, v), field(0)))
 
 
 def vectors(assignment):
@@ -180,7 +180,7 @@ def vectors(assignment):
 
 def dense_gram(space):
     """The Gram matrix as n row tuples of field scalars, from its terms."""
-    rows = [[space.field.zero()] * space.n for _ in range(space.n)]
+    rows = [[space.field(0)] * space.n for _ in range(space.n)]
     for i, j, x in space.terms:
         rows[i][j] = x
     return tuple(map(tuple, rows))
@@ -209,7 +209,7 @@ def jacobian(ctx, assignment):
     n, w = ctx.space.n, vectors(assignment)
     rows = []
     for lo, hi in ctx.graph.edges:
-        row = [ctx.field.zero()] * (ctx.graph.num_vertices * n)
+        row = [ctx.field(0)] * (ctx.graph.num_vertices * n)
         row[lo * n:lo * n + n] = gram_product(ctx.space, w[hi])
         row[hi * n:hi * n + n] = gram_product(ctx.space, w[lo], transpose=True)
         rows.append(row)
@@ -238,7 +238,7 @@ def reference_certifies(ctx, w, values):
     values = [ctx.field(x) for x in values]
     if not any(values):
         return False
-    z, sign = ctx.field.zero(), -1 if ctx.space.kind == "symplectic" else 1
+    z, sign = ctx.field(0), -1 if ctx.space.kind == "symplectic" else 1
     acc = [[z] * ctx.space.n for _ in w]
     for (lo, hi), lam in zip(ctx.graph.edges, values):
         if not lam:
@@ -332,7 +332,7 @@ def enumerate_point_count(graph, space):
     every admissible vector, one kernel per search-tree node; the last vertex
     contributes q^dim(kernel) without enumeration."""
     field = space.field
-    q = field.order
+    q = field.p
     order = list(reversed(degeneracy_order(graph)[0]))
     vectors = {}
 
@@ -348,7 +348,7 @@ def enumerate_point_count(graph, space):
             return q ** len(basis)
         total = 0
         for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-            vec = [field.zero()] * space.n
+            vec = [field(0)] * space.n
             for c, basis_vec in zip(coeffs, basis):
                 vec = [a + c * b for a, b in zip(vec, basis_vec)]
             vectors[v] = [field(x) for x in vec]
@@ -553,12 +553,12 @@ def independent_set_point(rng, graph, space, bound=5):
         if not any(u in taken for u in graph.adjacency[v]):
             chosen.append(v)
             taken.add(v)
-    vectors = [[field.zero()] * space.n for _ in range(graph.num_vertices)]
+    vectors = [[field(0)] * space.n for _ in range(graph.num_vertices)]
     for v in chosen:
         if field.p is None:
             vectors[v] = [field(rng.randint(-bound, bound)) for _ in range(space.n)]
         else:
-            vectors[v] = [field(rng.randrange(field.order)) for _ in range(space.n)]
+            vectors[v] = [field(rng.randrange(field.p)) for _ in range(space.n)]
     return VertexAssignment(field, vectors)
 
 
@@ -570,7 +570,7 @@ def random_tangent(rng, field, num_vertices, n, bound=5):
         )
     return VertexAssignment(
         field,
-        [[field(rng.randrange(field.order)) for _ in range(n)] for _ in range(num_vertices)],
+        [[field(rng.randrange(field.p)) for _ in range(n)] for _ in range(num_vertices)],
     )
 
 

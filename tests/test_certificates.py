@@ -68,7 +68,7 @@ def scalar(rng, field):
 
 
 def isotropic_vector(rng, space):
-    vec = [space.field.zero()] * space.n
+    vec = [space.field(0)] * space.n
     for i in isotropic_coordinates(space):
         vec[i] = scalar(rng, space.field)
     return vec
@@ -77,7 +77,7 @@ def isotropic_vector(rng, space):
 def lagrangian_point(rng, graph, space, zero_share=0.2):
     """Random vectors of one totally isotropic subspace, some of them zero:
     a member of every graph's variety, often of lower Jacobian rank."""
-    zero = [space.field.zero()] * space.n
+    zero = [space.field(0)] * space.n
     return VertexAssignment(space.field, [
         zero if rng.random() < zero_share else isotropic_vector(rng, space)
         for _ in range(graph.num_vertices)
@@ -157,7 +157,7 @@ def dense_case(rng, space, point):
     a = invertible_matrix(rng, field, n)
     gram = [[dot(field, col, [dot(field, row, b) for row in dense_gram(space)]) for b in zip(*a)]
             for col in zip(*a)]
-    identity = [[field(1) if i == j else field.zero() for j in range(n)] for i in range(n)]
+    identity = [[field(1) if i == j else field(0) for j in range(n)] for i in range(n)]
     inverse = [row[n:] for row in reference_rref([a[i] + identity[i] for i in range(n)], n,
                                                  field.p)[0]]
     return (space_from_rows(space.kind, gram, field),
@@ -278,7 +278,7 @@ def integer_path_verdict(ctx, point):
     if expected is None:
         assert cert is None
         return "smooth"
-    assert cert.values == tuple(expected.get(e, field.zero()) for e in range(len(values)))
+    assert cert.values == tuple(expected.get(e, field(0)) for e in range(len(values)))
     return "singular"
 
 
@@ -326,7 +326,7 @@ def test_integer_verifier_matches_the_fraction_one(field, seed):
         e = rng.randrange(len(moved))
         moved[e] = field(moved[e] + (Fraction(rng.randint(1, 5), rng.randint(1, 5))
                                      if field.p is None else rng.randrange(1, field.p)))
-        zeros = [field.zero()] * len(values)
+        zeros = [field(0)] * len(values)
         for pt in (point, perturbed(rng, point)):
             for vals in (values, moved, zeros, [str(x) for x in values]):
                 expected = reference_certifies(ctx, vectors(pt), vals)

@@ -128,6 +128,13 @@ def test_analyze_finds_components_once(capsys, graph_file, monkeypatch):
     assert len(calls) == 1
 
 
+def test_split_tree_finds_no_components(capsys, graph_file, monkeypatch):
+    # the leaf peel is the forest test
+    calls = count_calls(monkeypatch, "connected_components")
+    run_json(capsys, ["split-tree", "--graph", graph_file("p.txt", PATH3)])
+    assert len(calls) == 0
+
+
 class TestSampleCheckCertify:
     def test_sample_then_check(self, capsys, graph_file, tmp_path):
         g = graph_file("p.txt", PATH3)

@@ -74,6 +74,29 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(3, [(0, 1), (1, 0)])
 
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_smallest_repeated_edge_reported(self, g, rng, data):
+        repeats = data.draw(st.lists(st.sampled_from(g.edges), max_size=6)) if g.edges else []
+        edges = [(hi, lo) if rng.random() < 0.5 else (lo, hi) for lo, hi in g.edges + tuple(repeats)]
+        rng.shuffle(edges)
+        if not repeats:
+            assert Graph(g.num_vertices, edges) == g
+            return
+        with pytest.raises(ValueError) as exc:
+            Graph(g.num_vertices, edges)
+        assert str(exc.value) == f"duplicate edge {min(repeats)}"
+
+    def test_defect_precedence(self):
+        """Range and self-loops are checked in input order, repeats in the
+        sorted edges after them.  A check of each edge in input order
+        reported "duplicate edge (1, 2)" for the first list and "duplicate
+        edge (0, 1)" for the second."""
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(3, [(1, 2), (0, 1), (2, 1), (1, 0)])
+        with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
+            Graph(3, [(0, 1), (1, 0), (2, 2)])
+
     def test_has_edge(self):
         g = Graph(3, [(0, 2)])
         assert g.edges == ((0, 2),) and Graph(3, [(2, 0)]).edges == ((0, 2),)
@@ -238,10 +261,9 @@ class TestComponentsAndForests:
 class TestInducedSubgraph:
     def test_mapping(self):
         g = Graph(5, [(0, 2), (2, 4), (1, 3)])
-        sub, old_to_new, new_to_old = induced_subgraph_with_map(g, [0, 2, 4])
+        sub, new_to_old = induced_subgraph_with_map(g, [0, 2, 4])
         assert sub.num_vertices == 3
         assert sub.edges == ((0, 1), (1, 2))
-        assert old_to_new == {0: 0, 2: 1, 4: 2}
         assert new_to_old == (0, 2, 4)
 
     def test_plain_wrapper(self):

@@ -333,6 +333,27 @@ class TestForestSplitter:
         with pytest.raises(NotAForestError):
             split_forest_into_matchings(cycle_graph(3))
 
+    @pytest.mark.parametrize("g", [
+        # a triangle with pendant paths: the peel removes the paths, stops at the triangle
+        Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6)]),
+        # a cycle plus an isolated vertex, which the peel does remove
+        Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    ], ids=["triangle-with-paths", "cycle-and-isolated"])
+    def test_cycle_left_by_the_peel_rejected(self, g):
+        with pytest.raises(NotAForestError):
+            split_forest_into_matchings(g)
+
+    @given(graphs(max_vertices=9))
+    @settings(max_examples=100, deadline=None)
+    def test_rejects_exactly_the_non_forests(self, g):
+        forest = g.num_edges == g.num_vertices - len(connected_components(g))
+        try:
+            w = split_forest_into_matchings(g)
+        except NotAForestError:
+            assert not forest
+        else:
+            assert forest and color_classes(g, w).valid
+
     @given(forests())
     @settings(max_examples=100, deadline=None)
     def test_leaf_peel_matches_scan_oracle(self, g):

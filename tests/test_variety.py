@@ -26,6 +26,7 @@ from graphvariety import (
     standard_space,
     verify_certificate,
 )
+from graphvariety import bilinear
 from graphvariety.linalg import _numerators
 from graphvariety.serialization import equations_to_obj, gram_terms_from_obj
 from oracles import (complete_bipartite_graph, cycle_graph, dense_gram, dot, field_kernel,
@@ -78,6 +79,8 @@ class TestBilinearSpace:
     def test_degenerate_gram_rejected(self):
         with pytest.raises(ValueError):
             space_from_rows("symmetric", [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="^gram matrix is degenerate$"):
+            space_from_rows("symmetric", [[1, 2], [2, 4]])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -150,7 +153,7 @@ def form_grams(draw, kinds=("symmetric", "symplectic")):
         scalars, nonzero = (st.integers(low, field.p - 1).map(field) for low in (0, 1))
     n = draw(st.sampled_from([2, 4]) if kind == "symplectic" else st.integers(1, 4))
     sign = 1 if kind == "symmetric" else -1
-    gram = [[field.zero()] * n for _ in range(n)]
+    gram = [[field(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i if kind == "symmetric" else i + 1, n):
             gram[i][j] = draw(scalars)
@@ -208,6 +211,34 @@ class TestGramChecks:
         with pytest.raises(ValueError, match="^gram matrix is degenerate$"):
             space_from_rows(kind, gram, field)
 
+    @staticmethod
+    def spy_rref(monkeypatch):
+        """The moduli of the `rref` calls `BilinearSpace.__init__` makes."""
+        moduli, real = [], bilinear.rref
+
+        def spy(rows, ncols, p=None):
+            moduli.append(p)
+            return real(rows, ncols, p)
+
+        monkeypatch.setattr(bilinear, "rref", spy)
+        return moduli
+
+    def test_singular_mod_check_prime_decided_exactly(self, monkeypatch):
+        # non-singular over Q, singular mod 2^31 - 1
+        big = 2**31 - 1
+        moduli = self.spy_rref(monkeypatch)
+        assert dense_gram(space_from_rows("symmetric", [[big, 0], [0, 1]])) == ((big, 0), (0, 1))
+        assert moduli == [big, None]
+        with pytest.raises(ValueError, match="^gram matrix is degenerate$"):
+            space_from_rows("symmetric", [[big, 0], [0, 1]], PrimeField(big))
+
+    def test_standard_spaces_need_no_exact_elimination(self, monkeypatch):
+        moduli = self.spy_rref(monkeypatch)
+        for form, n in [("symplectic", 2), ("symplectic", 256), ("symmetric", 1),
+                        ("symmetric", 255), ("hyperbolic", 8)]:
+            standard_space(form, n, RATIONALS)
+        assert moduli == [2**31 - 1] * 5
+
 
 def gram_file_space(kind, n, seed):
     """A space on a random non-degenerate Gram matrix with fractional
@@ -251,7 +282,7 @@ def vector_families(draw, space):
     for _ in range(draw(st.integers(0, 4))):
         shape = draw(st.sampled_from(["free", "zero", "dependent"]))
         if shape == "zero":
-            family.append([field.zero()] * n)
+            family.append([field(0)] * n)
         elif shape == "dependent" and family:
             cs = draw(st.lists(scalars, min_size=len(family), max_size=len(family)))
             family.append([field(sum(c * u[i] for c, u in zip(cs, family))) for i in range(n)])
