@@ -161,13 +161,17 @@ def is_forest(graph):
 
 def induced_subgraph_with_map(graph, vertices):
     """The induced subgraph on `vertices`, as (subgraph, vertices): new
-    vertex i is the i-th smallest of `vertices`, the tuple's i-th entry."""
+    vertex i is the i-th smallest of `vertices`, the tuple's i-th entry.
+    Each edge is read once, from the adjacency row of its smaller end, so
+    the cost is O(sum of the chosen degrees), not O(E)."""
     vs = sorted(set(vertices))
     old_to_new = {v: i for i, v in enumerate(vs)}
+    adjacency = graph.adjacency
     edges = [
-        (old_to_new[lo], old_to_new[hi])
-        for lo, hi in graph.edges
-        if lo in old_to_new and hi in old_to_new
+        (i, old_to_new[u])
+        for i, v in enumerate(vs)
+        for u in adjacency[v]
+        if u > v and u in old_to_new
     ]
     return Graph(len(vs), edges), tuple(vs)
 

@@ -6,9 +6,12 @@ exact rationals survive any JSON parser untouched; booleans stay booleans.
 newline, making repeated runs byte-identical, without `json`'s pure-Python
 indent encoder: a list of strings is joined in C, in one join when no string
 needs an escape, and a container seen again at the same depth, such as the
-one term list `equations_to_obj` gives every edge equation, is encoded once
-per call.
-`write_canonical` streams that text, its top two levels member by member.
+one term list `equations_to_obj` gives every edge equation, is encoded at
+most twice per call: its text is kept from its second encoding on, so the
+text of a container met once is never held past its use.
+`write_canonical` streams that text, its top three levels member by member,
+so an `equations` document is written an edge's members at a time and the
+shared term list's text is never copied into an edge's.
 `weighting_from_json` converts each weight vector as soon as it is parsed,
 so a weighting file's palette strings are never all held at once.
 
@@ -42,7 +45,7 @@ def canonical_dumps(obj):
 
 def write_canonical(obj, stream):
     """Write `canonical_dumps(obj)` to a text stream in pieces."""
-    _write(obj, stream.write, "\n", {}, 2)
+    _write(obj, stream.write, "\n", {}, 3)
     stream.write("\n")
 
 
@@ -76,8 +79,10 @@ def _joined(items):
 def _encode(obj, nl, memo):
     """The canonical JSON of `obj` placed after the line break and indent
     `nl`.  `memo` maps the id and depth of each container encoded in this
-    call to the container, which keeps its id from being reused, and its
-    text."""
+    call to the container, which keeps its id from being reused, and to its
+    text once it has been encoded twice (None before), so a writer does not
+    hold the text of every container met once, such as each edge equation,
+    until it ends."""
     if isinstance(obj, str):
         return _quote(obj)
     if not isinstance(obj, _CONTAINERS):
@@ -98,15 +103,16 @@ def _encode(obj, nl, memo):
                 body = ("," + inner).join(map(_quote, obj))
             return "[" + inner + body + nl + "]"
     key = (id(obj), len(nl))
-    hit = memo.get(key)
-    if hit is None:
-        if isinstance(obj, dict):
-            body = [_quote(k) + ": " + _encode(v, inner, memo) for k, v in sorted(obj.items())]
-            text = "{" + inner + ("," + inner).join(body) + nl + "}"
-        else:
-            text = "[" + inner + ("," + inner).join([_encode(x, inner, memo) for x in obj]) + nl + "]"
-        hit = memo[key] = (obj, text)
-    return hit[1]
+    seen = memo.get(key)
+    if seen is not None and seen[1] is not None:
+        return seen[1]
+    if isinstance(obj, dict):
+        body = [_quote(k) + ": " + _encode(v, inner, memo) for k, v in sorted(obj.items())]
+        text = "{" + inner + ("," + inner).join(body) + nl + "}"
+    else:
+        text = "[" + inner + ("," + inner).join([_encode(x, inner, memo) for x in obj]) + nl + "]"
+    memo[key] = (obj, None if seen is None else text)
+    return text
 
 
 def scalar_to_str(x):
@@ -168,10 +174,10 @@ def certificate_to_obj(certificate, field):
 
 def weighting_to_obj(weighting):
     # a vertex's weights repeat heavily over the palette: one string per value
-    text = {x: str(x) for vec in weighting.weights.values() for x in set(vec)}
+    text = {x: str(x) for x in set().union(*weighting.weights.values())}
     return {
         "colors": list(weighting.colors),
-        "weights": {str(v): [text[x] for x in vec] for v, vec in weighting.weights.items()},
+        "weights": {str(v): list(map(text.__getitem__, vec)) for v, vec in weighting.weights.items()},
     }
 
 
@@ -268,7 +274,7 @@ def count_report_to_obj(report):
 def equations_to_obj(edges, terms):
     """The defining equations, one per edge (lo, hi) in the given order:
     each term (i, j, c) stands for c * x_{lo,i} * x_{hi,j}.  Every edge
-    shares one term list, which `_encode` writes once."""
+    shares one term list, which `_encode` encodes at most twice."""
     shared = [[str(i), str(j), scalar_to_str(c)] for i, j, c in terms]
     return {"equations": [{"edge": [str(lo), str(hi)], "terms": shared} for lo, hi in edges]}
 

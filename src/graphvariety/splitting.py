@@ -30,6 +30,20 @@ inter-level edge wins its own pool color with margin at least 5.  The
 verifier `color_classes` re-checks the outcome from scratch on every run.
 The construction computes on palette positions; color names appear only
 in `palette` and in the weighting `split_into_matchings` returns.
+
+Inside, a vector is a run list: (start, value) pairs by increasing palette
+position, each value holding up to the next start.  A vertex has few
+runs (a median of 13 over a palette of 2591 on a 300-vertex graph of max
+degree 8), so a level pads its recursive vectors with one zero run, adds
+its shift run by run and reads minima and maxima off the run values.  The
+pool weights of stage 4 are point updates, kept per vertex and merged into
+its runs once per component.  `split_into_matchings` expands each run list
+to its dense tuple once, at the end.  Stage 3 indexes the colored edges of
+a level pair by lower and by upper endpoint, so an edge's banned colors
+come from its endpoints' neighbours rather than from every edge colored
+before it.  Each level's subgraph is read from its vertices' adjacency
+rows, O(sum of their degrees), so a graph with one level per few vertices,
+such as a ladder, is not quadratic.
 """
 
 import heapq
@@ -144,19 +158,28 @@ def split_into_matchings(graph):
     """A weighting splitting the graph into matchings on palette(D) colors; refused
     up front when its dense vectors would hold over WEIGHTING_CAP entries in all."""
     big_d = graph.max_degree()
-    entries = color_budget(big_d) * graph.num_vertices
+    size = color_budget(big_d)
+    entries = size * graph.num_vertices
     if entries > WEIGHTING_CAP:
         raise WorkCapExceededError(
             entries, WEIGHTING_CAP, "; a forest splits on max-degree colors with split-tree")
-    weights = _weights(graph)
     return VertexWeighting(
         colors=palette(big_d),
-        weights={v: tuple(vec) for v, vec in enumerate(weights)},
+        weights={v: _expand(runs, size) for v, runs in enumerate(_weights(graph))},
     )
 
 
+def _expand(runs, size):
+    """The dense tuple of a run list over `size` palette positions."""
+    dense = []
+    for (start, x), (end, _) in zip(runs, runs[1:] + [(size, None)]):
+        dense += [x] * (end - start)
+    return tuple(dense)
+
+
 def _weights(graph):
-    """One weight list per vertex, indexed by palette(D) positions.
+    """One run list per vertex over palette(D) positions: (start, value)
+    pairs by increasing start, each value holding up to the next start.
 
     Components are processed independently on the shared palette.  If the
     greedy pool assignment of stage 3 runs out of colors for some root, the
@@ -164,7 +187,7 @@ def _weights(graph):
     """
     big_d = graph.max_degree()
     if big_d <= 1:
-        return [[10] for _ in range(graph.num_vertices)]
+        return [[(0, 10)] for _ in range(graph.num_vertices)]
     weights = [None] * graph.num_vertices
     for comp in connected_components(graph):
         sub, new_to_old = induced_subgraph_with_map(graph, comp)
@@ -179,34 +202,36 @@ def _weights(graph):
                 f"no root admits a conflict-free pool assignment on a "
                 f"{sub.num_vertices}-vertex component: {failure}"
             )
-        for v, vec in enumerate(comp_weights):
-            weights[new_to_old[v]] = vec
+        for v, runs in enumerate(comp_weights):
+            weights[new_to_old[v]] = runs
     return weights
 
 
 def _split_component(sub, big_d, root):
-    """Stages 1-4 on one connected component, rooted at `root`: one weight
-    list per vertex of `sub`, indexed by palette(big_d) positions."""
+    """Stages 1-4 on one connected component, rooted at `root`: one run
+    list per vertex of `sub` over palette(big_d) positions."""
     base_size = color_budget(big_d - 1)
     levels, level_of = bfs_layers(sub, root)
-    weights = [[0] * color_budget(big_d) for _ in range(sub.num_vertices)]
 
     # stage 2: recursive base weights per level, then cumulative shifts;
     # top[v] is v's base maximum, level_max[i] level i's
+    base = [None] * sub.num_vertices
     top = [0] * sub.num_vertices
     level_max = []
     numbering = [0] * sub.num_vertices
     for level in levels:
         lg, back = induced_subgraph_with_map(sub, level)
         # palette(max degree of lg) is a prefix of palette(big_d - 1), so each
-        # recursive vector is its base block, zero past its end
-        padded = [vec + [0] * (base_size - len(vec)) for vec in _weights(lg)]
-        shift = max(0, sum(level_max[-2:]) + 10 - min(map(min, padded)))
+        # recursive vector is its base block, one zero run past its end
+        length = color_budget(lg.max_degree())
+        pad = [(length, 0)] if length < base_size else []
+        padded = [runs + pad for runs in _weights(lg)]
+        shift = max(0, sum(level_max[-2:]) + 10 - min(x for runs in padded for _, x in runs))
         nums = proper_vertex_numbering(lg, big_d)
-        for lv, vec in enumerate(padded):
+        for lv, runs in enumerate(padded):
             v = back[lv]
-            weights[v][:base_size] = [x + shift for x in vec]
-            top[v] = max(vec) + shift
+            base[v] = [(start, x + shift) for start, x in runs]
+            top[v] = max(x for _, x in runs) + shift
             numbering[v] = nums[lv]
         level_max.append(max(top[v] for v in level))
 
@@ -218,29 +243,46 @@ def _split_component(sub, big_d, root):
         if level_of[lo] != level_of[hi]:
             lower, upper = (lo, hi) if level_of[lo] < level_of[hi] else (hi, lo)
             between[level_of[lower]].append((upper, lower))
+    points = [{} for _ in range(sub.num_vertices)]
     for i, pair in enumerate(between):
         pair.sort()
-        colored = []
+        # the pair's colored edges, as (other endpoint, color) lists indexed
+        # by the lower and by the upper endpoint
+        by_lower, by_upper = {}, {}
         for upper, lower in pair:
-            start = base_size + (i % 2 * big_d + numbering[upper] - 1) * big_d * big_d
+            k = numbering[upper]
+            start = base_size + (i % 2 * big_d + k - 1) * big_d * big_d
             pool = range(start, start + big_d * big_d)
-            banned = set()
-            for (u2, l2), c2 in colored:
-                if numbering[u2] != numbering[upper]:
-                    continue
-                if l2 in adjacency[upper] or lower in adjacency[u2]:
-                    banned.add(c2)
+            banned = {c for l2 in adjacency[upper] for u2, c in by_lower.get(l2, ())
+                      if numbering[u2] == k}
+            banned.update(c for u2 in adjacency[lower] if numbering[u2] == k
+                          for _, c in by_upper.get(u2, ()))
             chosen = next((c for c in pool if c not in banned), None)
             if chosen is None:
                 raise InternalConflictError(
-                    f"pool ({i % 2}, {numbering[upper]}) exhausted at edge "
+                    f"pool ({i % 2}, {k}) exhausted at edge "
                     f"({lower}, {upper}) between levels {i} and {i + 1}"
                 )
-            colored.append(((upper, lower), chosen))
+            by_lower.setdefault(lower, []).append((upper, chosen))
+            by_upper.setdefault(upper, []).append((lower, chosen))
             # stage 4: a dominating weight on the pool color
-            weights[upper][chosen] = top[upper] + level_max[i] + 5
-            weights[lower][chosen] = 5
-    return weights
+            points[upper][chosen] = top[upper] + level_max[i] + 5
+            points[lower][chosen] = 5
+    size = color_budget(big_d)
+    return [_with_points(base[v], points[v], base_size, size) for v in range(sub.num_vertices)]
+
+
+def _with_points(runs, points, base_size, size):
+    """A base-block run list continued up to `size` by zeros, but for the
+    point weights `points` (position -> value), all past `base_size`."""
+    merged = runs + [(base_size, 0)]
+    for p in sorted(points):
+        if merged[-1][0] == p:  # a zero run that starts right here
+            merged.pop()
+        merged += [(p, points[p]), (p + 1, 0)]
+    if merged[-1][0] == size:
+        merged.pop()
+    return merged
 
 
 def split_forest_into_matchings(forest):

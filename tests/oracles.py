@@ -10,8 +10,11 @@ from math import lcm
 from operator import add, mul
 
 from graphvariety import RATIONALS, BilinearSpace, Graph, VertexAssignment, degeneracy_order
+from graphvariety.errors import InternalConflictError
+from graphvariety.graphs import bfs_layers, connected_components, proper_vertex_numbering
 from graphvariety.linalg import kernel, rref
 from graphvariety.serialization import _weight_vector, _weighting
+from graphvariety.splitting import color_budget
 
 
 # Elimination with every row operation on field scalars: `Fraction`s over Q,
@@ -395,6 +398,113 @@ def brute_force_min_colors(graph, max_colors, max_weight, cap=BRUTE_FORCE_CAP):
     return None
 
 
+def naive_induced_subgraph(graph, vertices):
+    """The induced subgraph on `vertices` by a filter over every edge, as
+    (subgraph, sorted vertex tuple): the reference for
+    `induced_subgraph_with_map`."""
+    vs = sorted(set(vertices))
+    old_to_new = {v: i for i, v in enumerate(vs)}
+    edges = [
+        (old_to_new[lo], old_to_new[hi])
+        for lo, hi in graph.edges
+        if lo in old_to_new and hi in old_to_new
+    ]
+    return Graph(len(vs), edges), tuple(vs)
+
+
+# The matching-splitting construction on dense vectors, one list over the
+# whole palette per vertex at every recursion level: the reference for the
+# run lists of `splitting._weights`.
+
+
+def dense_split_weights(graph):
+    """One weight list per vertex, indexed by palette(D) positions.
+
+    Components are processed independently on the shared palette.  If the
+    greedy pool assignment of stage 3 runs out of colors for some root, the
+    component is retried from every other root before giving up.
+    """
+    big_d = graph.max_degree()
+    if big_d <= 1:
+        return [[10] for _ in range(graph.num_vertices)]
+    weights = [None] * graph.num_vertices
+    for comp in connected_components(graph):
+        sub, new_to_old = naive_induced_subgraph(graph, comp)
+        for root in range(sub.num_vertices):
+            try:
+                comp_weights = _dense_split_component(sub, big_d, root)
+                break
+            except InternalConflictError as exc:
+                failure = exc
+        else:
+            raise InternalConflictError(
+                f"no root admits a conflict-free pool assignment on a "
+                f"{sub.num_vertices}-vertex component: {failure}"
+            )
+        for v, vec in enumerate(comp_weights):
+            weights[new_to_old[v]] = vec
+    return weights
+
+
+def _dense_split_component(sub, big_d, root):
+    """Stages 1-4 on one connected component, rooted at `root`: one weight
+    list per vertex of `sub`, indexed by palette(big_d) positions."""
+    base_size = color_budget(big_d - 1)
+    levels, level_of = bfs_layers(sub, root)
+    weights = [[0] * color_budget(big_d) for _ in range(sub.num_vertices)]
+
+    # stage 2: recursive base weights per level, then cumulative shifts;
+    # top[v] is v's base maximum, level_max[i] level i's
+    top = [0] * sub.num_vertices
+    level_max = []
+    numbering = [0] * sub.num_vertices
+    for level in levels:
+        lg, back = naive_induced_subgraph(sub, level)
+        # palette(max degree of lg) is a prefix of palette(big_d - 1), so each
+        # recursive vector is its base block, zero past its end
+        padded = [vec + [0] * (base_size - len(vec)) for vec in dense_split_weights(lg)]
+        shift = max(0, sum(level_max[-2:]) + 10 - min(map(min, padded)))
+        nums = proper_vertex_numbering(lg, big_d)
+        for lv, vec in enumerate(padded):
+            v = back[lv]
+            weights[v][:base_size] = [x + shift for x in vec]
+            top[v] = max(vec) + shift
+            numbering[v] = nums[lv]
+        level_max.append(max(top[v] for v in level))
+
+    # stage 3: greedy pool colors for edges between consecutive levels, as
+    # (upper, lower) pairs bucketed by the lower endpoint's level
+    adjacency = sub.adjacency
+    between = [[] for _ in levels]
+    for lo, hi in sub.edges:
+        if level_of[lo] != level_of[hi]:
+            lower, upper = (lo, hi) if level_of[lo] < level_of[hi] else (hi, lo)
+            between[level_of[lower]].append((upper, lower))
+    for i, pair in enumerate(between):
+        pair.sort()
+        colored = []
+        for upper, lower in pair:
+            start = base_size + (i % 2 * big_d + numbering[upper] - 1) * big_d * big_d
+            pool = range(start, start + big_d * big_d)
+            banned = set()
+            for (u2, l2), c2 in colored:
+                if numbering[u2] != numbering[upper]:
+                    continue
+                if l2 in adjacency[upper] or lower in adjacency[u2]:
+                    banned.add(c2)
+            chosen = next((c for c in pool if c not in banned), None)
+            if chosen is None:
+                raise InternalConflictError(
+                    f"pool ({i % 2}, {numbering[upper]}) exhausted at edge "
+                    f"({lower}, {upper}) between levels {i} and {i + 1}"
+                )
+            colored.append(((upper, lower), chosen))
+            # stage 4: a dominating weight on the pool color
+            weights[upper][chosen] = top[upper] + level_max[i] + 5
+            weights[lower][chosen] = 5
+    return weights
+
+
 def brute_degeneracy(graph):
     """Minimise the maximum back-degree over all vertex orderings."""
     best = None
@@ -508,6 +618,23 @@ def complete_graph(n):
 
 def complete_bipartite_graph(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def ladder_graph(rungs):
+    """Two paths of `rungs` vertices, 0..rungs-1 and rungs..2*rungs-1, joined
+    rung by rung: max degree 3 and rungs BFS levels from vertex 0."""
+    rails = [(v, v + 1) for v in range(rungs - 1)]
+    return Graph(2 * rungs, rails + [(rungs + a, rungs + b) for a, b in rails]
+                 + [(v, rungs + v) for v in range(rungs)])
+
+
+def brick_wall_graph(rows, cols):
+    """The rows x cols grid keeping only the vertical edges below a vertex
+    (r, c) with r + c even, at index r * cols + c: max degree 3."""
+    horizontal = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    vertical = [(r * cols + c, (r + 1) * cols + c)
+                for r in range(rows - 1) for c in range(cols) if (r + c) % 2 == 0]
+    return Graph(rows * cols, horizontal + vertical)
 
 
 def format_edge_list(graph):

@@ -27,6 +27,27 @@ def connected_graphs(draw, max_vertices=8):
 
 
 @st.composite
+def capped_graphs(draw, max_vertices=30, max_degree=7):
+    """Random graphs whose degrees stay at most a drawn cap <= max_degree:
+    each drawn pair becomes an edge unless it would push an endpoint past
+    the cap, so disconnected graphs and isolated vertices occur."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    cap = draw(st.integers(min_value=0, max_value=max_degree))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    tries = draw(st.integers(min_value=0, max_value=4 * n))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=tries, max_size=tries))
+    deg = [0] * n
+    edges = set()
+    for a, b in pairs:
+        e = (min(a, b), max(a, b))
+        if a != b and e not in edges and deg[a] < cap and deg[b] < cap:
+            edges.add(e)
+            deg[a] += 1
+            deg[b] += 1
+    return Graph(n, sorted(edges))
+
+
+@st.composite
 def forests(draw, max_vertices=12):
     """Random forests under a random labelling: each vertex hangs from an
     earlier one or starts a new tree, so isolated vertices, edgeless graphs

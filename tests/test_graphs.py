@@ -25,6 +25,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     format_edge_list,
+    naive_induced_subgraph,
     path_graph,
     random_connected_graph,
     scan_degeneracy_order,
@@ -269,6 +270,14 @@ class TestInducedSubgraph:
     def test_plain_wrapper(self):
         sub = induced_subgraph_with_map(cycle_graph(4), [0, 1, 2])[0]
         assert sub.edges == ((0, 1), (1, 2))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_an_edge_filter(self, data):
+        # vertex lists may repeat a vertex, come unsorted or be empty
+        g = data.draw(graphs(max_vertices=9))
+        vs = data.draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=12))
+        assert induced_subgraph_with_map(g, vs) == naive_induced_subgraph(g, vs)
 
 
 class TestProperNumbering:

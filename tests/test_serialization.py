@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -97,6 +99,13 @@ class TestCanonicalText:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(TREES, shared_trees()))
     def test_matches_json_dumps(self, obj):
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert dumped(obj) == (expected, expected)
+
+    def test_a_container_met_thrice_at_one_depth(self):
+        # "b" puts the three below the levels `write_canonical` streams
+        shared = [["1", "2"], {"k": ["3"]}]
+        obj = {"a": [shared, shared, shared], "b": [[[shared, shared, shared]]]}
         expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert dumped(obj) == (expected, expected)
 
@@ -413,6 +422,34 @@ class TestReportObjects:
         assert obj["equations"][0]["edge"] == ["0", "1"]
         terms = obj["equations"][0]["terms"]
         assert ["0", "1", "1"] in terms and ["1", "0", "-1"] in terms
+
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+class TestWriterMemory:
+    def test_equations_are_not_held_until_the_write_ends(self):
+        # a dense symmetric 128x128 Gram over Fp:10007: each of the 40 edge
+        # equations repeats its 16384 terms, about 1.1 MB of text per edge
+        rng = random.Random(0)
+        a = [[rng.randrange(10007) for _ in range(128)] for _ in range(128)]
+        terms = [(i, j, (a[i][j] + a[j][i]) % 10007) for i in range(128) for j in range(128)]
+        obj = equations_to_obj([(v, v + 1) for v in range(40)], terms)
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            write_canonical(obj, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 40 * 10**6
+        assert peak < sink.size / 4
 
 
 class TestGram:

@@ -19,11 +19,12 @@ from graphvariety import (
     split_into_matchings,
 )
 from graphvariety.serialization import canonical_dumps, weighting_to_obj
-from graphvariety.splitting import _leaf_peel, _split_component
-from oracles import (brute_force_min_colors, complete_bipartite_graph, complete_graph, cycle_graph,
-                     path_graph, random_connected_graph, random_tree, scan_leaf_peel,
+from graphvariety.splitting import _expand, _leaf_peel, _split_component
+from oracles import (brick_wall_graph, brute_force_min_colors, complete_bipartite_graph,
+                     complete_graph, cycle_graph, dense_split_weights, ladder_graph, path_graph,
+                     random_connected_graph, random_tree, scan_leaf_peel,
                      SearchSpaceTooLargeError, star_graph)
-from strategies import forests, graphs
+from strategies import capped_graphs, forests, graphs
 
 
 def check_split_by_hand(graph, weighting):
@@ -249,7 +250,8 @@ class TestSplitIntoMatchings:
         _, level = bfs_layers(g, 0)
         w = split_into_matchings(g)
         # root 0 admits a pool assignment, so its layering is the split's own
-        assert w == VertexWeighting(colors, {v: tuple(vec) for v, vec in enumerate(weights)})
+        assert w == VertexWeighting(
+            colors, {v: _expand(runs, len(colors)) for v, runs in enumerate(weights)})
         rep = color_classes(g, w)
         by_edge = {v.edge: v.argmax[0] for v in rep.per_edge}
         assert sum(level[lo] == level[hi] for lo, hi in g.edges) == intra
@@ -259,6 +261,49 @@ class TestSplitIntoMatchings:
                 assert color in small
             else:
                 assert color.startswith(f"a{big_d}.")
+
+
+def outcome(split, g):
+    """The weighting `split(g)` returns, or the type and message of its error."""
+    try:
+        return split(g)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def dense_split(g):
+    """`split_into_matchings` by the dense oracle construction."""
+    weights = dense_split_weights(g)
+    return VertexWeighting(palette(g.max_degree()), {v: tuple(vec) for v, vec in enumerate(weights)})
+
+
+class TestAgainstTheDenseConstruction:
+    """The run-list construction gives the dense one's weighting, or its error."""
+
+    @given(capped_graphs(max_vertices=30, max_degree=7))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, g):
+        assert outcome(split_into_matchings, g) == outcome(dense_split, g)
+
+    @given(st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_ladders(self, rungs):
+        g = ladder_graph(rungs)
+        assert outcome(split_into_matchings, g) == outcome(dense_split, g)
+
+    @given(st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_brick_walls(self, rows, cols):
+        g = brick_wall_graph(rows, cols)
+        assert outcome(split_into_matchings, g) == outcome(dense_split, g)
+
+    @pytest.mark.parametrize("g", [ladder_graph(2000), brick_wall_graph(60, 60)],
+                             ids=["ladder-4000", "brick-wall-60x60"])
+    def test_long_graphs(self, g):
+        # a ladder has one BFS level per rung, so these recurse thousands of times
+        w = split_into_matchings(g)
+        assert w == dense_split(g)
+        assert color_classes(g, w).valid
 
 
 def petersen_graph():
