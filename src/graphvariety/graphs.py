@@ -6,6 +6,7 @@ every function that reports per-edge data does so in one canonical order.
 """
 
 import heapq
+from itertools import chain
 
 from .errors import BoundTooSmallError, DisconnectedGraphError
 
@@ -78,30 +79,44 @@ def degeneracy_order(graph):
     older neighbors, the ones after it in the order, are those still present
     when it was removed, and the degeneracy is the largest such count.
 
-    A heap of (degree, vertex) entries with lazy deletion finds each vertex
-    in O(log V): a neighbor whose degree drops gets a fresh entry, which
-    pops before its older, larger ones, so an entry is stale exactly when
-    its vertex is gone.  That is O((V + E) log V) in all.  Nothing is
-    memoized: each command that needs the order peels once.
+    Smallest-last ordering over degree buckets (Matula and Beck, J. ACM 30,
+    1983), with each bucket a heap of plain vertex ints: a vertex enters the
+    bucket of each degree it reaches, and `low` never exceeds the minimum
+    remaining degree, which a removal lowers by at most one.  So a live
+    vertex's entry in bucket `low` is current (its degree only fell since,
+    and cannot be below `low`), every live vertex of degree `low` has one,
+    and an entry is stale exactly when its vertex is gone.  The bucket's top
+    live entry is then the smallest index of minimum degree.  Each edge
+    pushes at most one entry and `low` climbs at most V + max degree times
+    in all, so the peel is O((V + E) log V).  Nothing is memoized: each
+    command that needs the order peels once.
     """
     adjacency = graph.adjacency
     deg = [len(ns) for ns in adjacency]
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)  # ascending, so a heap
     removed = [False] * graph.num_vertices
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
     order = []
-    degeneracy = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        degeneracy = max(degeneracy, d)
+    degeneracy = low = 0
+    for _ in deg:
+        while True:
+            bucket = buckets[low]
+            if not bucket:
+                low += 1
+            elif not removed[v := heapq.heappop(bucket)]:
+                break
+        if low > degeneracy:
+            degeneracy = low
         order.append(v)
         removed[v] = True
         for u in adjacency[v]:
             if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+                d = deg[u] - 1
+                deg[u] = d
+                heapq.heappush(buckets[d], u)
+        if low:
+            low -= 1
     return tuple(order), degeneracy
 
 
@@ -243,26 +258,23 @@ def parse_edge_list(text):
     One "u v" pair per line; '#' starts a comment; blank lines are skipped.
     A line holding a single integer declares an isolated vertex.  The vertex
     count is one more than the largest index mentioned, and a count above
-    MAX_VERTICES is refused before any adjacency is allocated.
+    MAX_VERTICES is refused before any adjacency is allocated.  Lines are
+    read in order, so the first defective one is the one reported.
     """
     edges = []
     singles = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            singles.append(int(parts[0]))
-        elif len(parts) == 2:
+        parts = raw.partition("#")[0].split()
+        if len(parts) == 2:
             edges.append((int(parts[0]), int(parts[1])))
-        else:
+        elif len(parts) == 1:
+            singles.append(int(parts[0]))
+        elif parts:
             raise ValueError(f"bad edge-list line {raw!r}")
-    mentioned = singles + [v for e in edges for v in e]
-    if any(v < 0 for v in mentioned):
+    mentioned = [*singles, *chain.from_iterable(edges)]
+    if mentioned and min(mentioned) < 0:
         raise ValueError("vertex indices must be non-negative")
     n = max(mentioned) + 1 if mentioned else 0
     if n > MAX_VERTICES:
         raise ValueError(f"edge list names {n} vertices, more than the limit of {MAX_VERTICES}")
     return Graph(n, edges)
-

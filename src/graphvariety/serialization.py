@@ -5,10 +5,12 @@ exact rationals survive any JSON parser untouched; booleans stay booleans.
 `canonical_dumps` gives `json.dumps(obj, sort_keys=True, indent=2)` plus a
 newline, making repeated runs byte-identical, without `json`'s pure-Python
 indent encoder: a list of strings is joined in C, in one join when no string
-needs an escape, and a container seen again at the same depth, such as the
-one term list `equations_to_obj` gives every edge equation, is encoded at
-most twice per call: its text is kept from its second encoding on, so the
-text of a container met once is never held past its use.
+needs an escape (a list is tried as strings only when it starts with one,
+and a streamed list's join is reused for its text), and a container seen
+again at the same depth, such as the one term list `equations_to_obj` gives
+every edge equation, is encoded at most twice per call: its text is kept
+from its second encoding on, so the text of a container met once is never
+held past its use.
 `write_canonical` streams that text, its top three levels member by member,
 so an `equations` document is written an edge's members at a time and the
 shared term list's text is never copied into an edge's.
@@ -52,13 +54,14 @@ def write_canonical(obj, stream):
 def _write(obj, write, nl, memo, levels):
     """Write `_encode(obj, nl, memo)`: a dict, or a list that holds
     containers, up to `levels` deep member by member."""
+    joined = None
     if levels and isinstance(obj, dict) and obj:
         members = [(_quote(k) + ": ", v) for k, v in sorted(obj.items())]
-    elif (levels and isinstance(obj, (list, tuple)) and _joined(obj) is None
+    elif (levels and isinstance(obj, (list, tuple)) and (joined := _joined(obj)) is None
             and any(isinstance(x, _CONTAINERS) for x in obj)):
         members = [("", x) for x in obj]
     else:  # a scalar, or a list of scalars: one piece
-        write(_encode(obj, nl, memo))
+        write(_encode(obj, nl, memo) if joined is None else _strings(obj, joined, nl))
         return
     inner = nl + "  "
     open_, close = "{}" if isinstance(obj, dict) else "[]"
@@ -69,11 +72,27 @@ def _write(obj, write, nl, memo, levels):
 
 
 def _joined(items):
-    """The items joined into one string, or None if they are not all strings."""
+    """The items joined into one string, or None if they are not all
+    strings.  Only a list that starts with a string is tried, so a list of
+    containers raises no TypeError."""
+    if not items or not isinstance(items[0], str):
+        return None
     try:
         return "".join(items)
     except TypeError:
         return None
+
+
+def _strings(items, joined, nl):
+    """`_encode` of a nonempty list of strings whose concatenation is
+    `joined`, placed after `nl`: joined in C, in one join when no string
+    needs an escape."""
+    inner = nl + "  "
+    if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
+        body = '"' + ('",' + inner + '"').join(items) + '"'  # nothing to escape
+    else:
+        body = ("," + inner).join(map(_quote, items))
+    return "[" + inner + body + nl + "]"
 
 
 def _encode(obj, nl, memo):
@@ -93,19 +112,15 @@ def _encode(obj, nl, memo):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
-    inner = nl + "  "
     if not isinstance(obj, dict):
         joined = _joined(obj)
-        if joined is not None:  # joined in C; too cheap to be worth a memo entry
-            if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
-                body = '"' + ('",' + inner + '"').join(obj) + '"'  # nothing to escape
-            else:
-                body = ("," + inner).join(map(_quote, obj))
-            return "[" + inner + body + nl + "]"
+        if joined is not None:  # too cheap to be worth a memo entry
+            return _strings(obj, joined, nl)
     key = (id(obj), len(nl))
     seen = memo.get(key)
     if seen is not None and seen[1] is not None:
         return seen[1]
+    inner = nl + "  "
     if isinstance(obj, dict):
         body = [_quote(k) + ": " + _encode(v, inner, memo) for k, v in sorted(obj.items())]
         text = "{" + inner + ("," + inner).join(body) + nl + "}"

@@ -38,7 +38,10 @@ degree 8), so a level pads its recursive vectors with one zero run, adds
 its shift run by run and reads minima and maxima off the run values.  The
 pool weights of stage 4 are point updates, kept per vertex and merged into
 its runs once per component.  `split_into_matchings` expands each run list
-to its dense tuple once, at the end.  Stage 3 indexes the colored edges of
+to its dense tuple once, at the end, after checking the run values against
+Python's digit limit for `int` -> `str`: base weights grow about like
+Fibonacci numbers over the BFS levels, so a long ladder's weighting can be
+built but not printed.  Stage 3 indexes the colored edges of
 a level pair by lower and by upper endpoint, so an edge's banned colors
 come from its endpoints' neighbours rather than from every edge colored
 before it.  Each level's subgraph is read from its vertices' adjacency
@@ -47,6 +50,7 @@ such as a ladder, is not quadratic.
 """
 
 import heapq
+import sys
 from collections import namedtuple
 from operator import add
 
@@ -156,17 +160,34 @@ def palette(max_degree):
 
 def split_into_matchings(graph):
     """A weighting splitting the graph into matchings on palette(D) colors; refused
-    up front when its dense vectors would hold over WEIGHTING_CAP entries in all."""
+    up front when its dense vectors would hold over WEIGHTING_CAP entries in all,
+    and before they are expanded when a weight has more digits than Python
+    converts to a string (`sys.get_int_max_str_digits()`, 0 for no limit)."""
     big_d = graph.max_degree()
     size = color_budget(big_d)
     entries = size * graph.num_vertices
     if entries > WEIGHTING_CAP:
         raise WorkCapExceededError(
             entries, WEIGHTING_CAP, "; a forest splits on max-degree colors with split-tree")
+    weights = _weights(graph)
+    # Python before 3.10.7 has no such limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    top = max((abs(x) for runs in weights for _, x in runs), default=0)
+    if limit and top >= 10**limit:
+        raise ValueError(f"the weighting needs a weight of {_digits(top)} digits, more than "
+                         f"the {limit} digits Python converts to a string")
     return VertexWeighting(
         colors=palette(big_d),
-        weights={v: _expand(runs, size) for v, runs in enumerate(_weights(graph))},
+        weights={v: _expand(runs, size) for v, runs in enumerate(weights)},
     )
+
+
+def _digits(x):
+    """The number of decimal digits of x > 0, found without `str`."""
+    d = (x.bit_length() - 1) * 3 // 10  # 10^d <= 2^(bits - 1) <= x, as 0.3 < log10(2)
+    while 10**d <= x:
+        d += 1
+    return d
 
 
 def _expand(runs, size):

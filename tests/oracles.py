@@ -783,6 +783,21 @@ def greedy_frontier_order(graph):
     return order
 
 
+def frontier_widths(graph, order):
+    """The counter's frontier widths by their definition: after step i, the
+    number of placed vertices with an unplaced neighbour."""
+    widths = []
+    for i in range(len(order)):
+        placed = set(order[: i + 1])
+        widths.append(sum(1 for v in placed if set(graph.adjacency[v]) - placed))
+    return widths
+
+
+def complete_binary_tree(num_vertices):
+    """Vertex v > 0 hangs from (v - 1) // 2."""
+    return Graph(num_vertices, [((v - 1) // 2, v) for v in range(1, num_vertices)])
+
+
 def forest_point_count(forest, n, q):
     """Members over F_q^n with any non-degenerate form, for a forest.
 

@@ -302,6 +302,35 @@ class TestSplitCommands:
         error = json.loads(err)["error"]
         assert error["type"] == "WorkCapExceededError" and "split-tree" in error["message"]
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python converts ints of any length to strings")
+    def test_split_refuses_weights_it_cannot_print(self, capsys, graph_file, tmp_path, monkeypatch):
+        # a 3100-rung ladder has 3100 BFS levels and a weight of 650 digits:
+        # refused from the run lists, before any dense vector or the verifier
+        rungs = 3100
+        rails = [(v, v + 1) for v in range(rungs - 1)]
+        edges = rails + [(rungs + a, rungs + b) for a, b in rails] + [(v, rungs + v) for v in range(rungs)]
+        g = graph_file("ladder.txt", "".join(f"{a} {b}\n" for a, b in edges))
+
+        def unreachable(*args):
+            raise RuntimeError("ran past the digit check")
+
+        monkeypatch.setattr("graphvariety.splitting._expand", unreachable)
+        monkeypatch.setattr("graphvariety.cli.color_classes", unreachable)
+        out_file = tmp_path / "w.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, ["split", "--graph", g, "--out", str(out_file)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1 and out == "" and not out_file.exists()
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "the weighting needs a weight of 650 digits, more than the 640 digits "
+                       "Python converts to a string",
+        }
+
     def test_split_star_under_ceiling(self, capsys, graph_file, tmp_path):
         g = graph_file("star.txt", "".join(f"0 {leaf}\n" for leaf in range(1, 21)))
         code, out, err = run(capsys, ["split", "--graph", g, "--out", str(tmp_path / "w.json")])

@@ -25,11 +25,13 @@ from graphvariety.counting import _extensions, _kept_echelon
 from graphvariety.linalg import kernel
 from oracles import (
     c4_point_count,
+    complete_binary_tree,
     complete_bipartite_graph,
     cycle_graph,
     enumerate_point_count,
     forest_point_count,
     frontier_key,
+    frontier_widths,
     greedy_frontier_order,
     hyperbolic_plane_count,
     naive_point_count,
@@ -281,7 +283,54 @@ class TestFrontierCount:
         g = data.draw(graphs(min(8, admitted), min_vertices=0))
         space = standard_space(form, n, PrimeField(q))
         degeneracy = list(reversed(degeneracy_order(g)[0]))
-        assert count_points(CountRequest(g, space)).count == counting._frontier_count(g, degeneracy, space)
+        count = counting._frontier_count(g, degeneracy, space)
+        assert counting._frontier_count(g, counting._min_frontier_order(g), space) == count
+        assert count_points(CountRequest(g, space)).count == count
+
+    @given(g=graphs(8, min_vertices=0), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_frontier_widths_match_their_definition(self, g, data):
+        order = data.draw(st.permutations(range(g.num_vertices)))
+        assert counting._frontier_widths(g, order) == frontier_widths(g, order)
+
+    @pytest.mark.parametrize("form,n,q", [("symplectic", 2, 3), ("symmetric", 3, 2), ("hyperbolic", 4, 5)])
+    @given(g=graphs(10, min_vertices=0))
+    @settings(max_examples=30, deadline=None)
+    def test_count_order_has_the_smaller_state_bound(self, form, n, q, g):
+        space = standard_space(form, n, PrimeField(q))
+
+        def bound(order):
+            return sum(q ** (n * w) for w in frontier_widths(g, order))
+
+        greedy = counting._min_frontier_order(g)
+        degeneracy = list(reversed(degeneracy_order(g)[0]))
+        chosen = list(counting._count_order(g, space))
+        assert chosen == (greedy if bound(greedy) <= bound(degeneracy) else degeneracy)
+
+    # perfbench's FULL_COUNTS graphs: the bounds tie or the greedy order is
+    # narrower (K2,3: 1901 against 16901), so each walks the greedy order
+    @pytest.mark.parametrize("g,form,n,q", [
+        (path_graph(3), "symplectic", 4, 3),
+        (path_graph(5), "symplectic", 2, 5),
+        (cycle_graph(5), "symmetric", 2, 7),
+        (complete_bipartite_graph(2, 3), "hyperbolic", 2, 5),
+        (SINGLE_EDGE, "symplectic", 4, 7),
+        (cycle_graph(4), "symmetric", 3, 2),
+    ], ids=["path3", "path5", "c5", "k23", "edge", "c4"])
+    def test_benchmark_graphs_walk_the_greedy_order(self, g, form, n, q):
+        space = standard_space(form, n, PrimeField(q))
+        assert list(counting._count_order(g, space)) == counting._min_frontier_order(g)
+
+    def test_binary_tree_walks_the_reversed_degeneracy_order(self):
+        # the greedy order has width 5 here and its walk takes seconds; the
+        # reversed degeneracy order has width 3 and takes milliseconds
+        tree = complete_binary_tree(31)
+        space = standard_space("symplectic", 4, PrimeField(3))
+        assert max(frontier_widths(tree, counting._min_frontier_order(tree))) == 5
+        assert max(frontier_widths(tree, counting._count_order(tree, space))) == 3
+        report = count_points(CountRequest(tree, space, cap=10**60))
+        assert report.count == forest_point_count(tree, 4, 3)
+        assert report.count == 18998077436192669401499694283784358116550678321
 
     # alternating forms, whose classes are counted in closed form, then
     # enumerated symmetric classes and raw keys over F_2

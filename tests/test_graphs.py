@@ -200,6 +200,34 @@ class TestDegeneracy:
         g = random_connected_graph(rng, n, rng.randint(0, 3 * n))
         assert degeneracy_order(g) == scan_degeneracy_order(g)
 
+    # isolated vertices sit in bucket 0 beside vertices whose degree falls
+    # to 0 (vertex 2 of the crossed edges goes before vertex 1); a star's
+    # centre and a clique climb the degree pointer, and each removal inside
+    # a clique lowers it again
+    @pytest.mark.parametrize("g", [
+        Graph(0, []),
+        Graph(5, []),
+        Graph(6, [(1, 3)]),
+        Graph(4, [(0, 2), (1, 3)]),
+        star_graph(6),
+        Graph(9, [(4, v) for v in range(9) if v != 4]),
+        complete_graph(1),
+        complete_graph(6),
+        Graph(9, complete_graph(5).edges + ((4, 5), (5, 6), (6, 7))),
+        Graph(12, complete_graph(4).edges + tuple((a + 5, b + 5) for a, b in complete_graph(6).edges)
+              + ((3, 11),)),
+    ], ids=["empty", "edgeless", "one-edge-and-isolated", "two-crossed-edges", "star", "star-centred-at-4", "K1", "K6",
+            "K5-with-tail", "K4-and-K6-bridged"])
+    def test_small_shapes_match_min_scan_oracle(self, g):
+        assert degeneracy_order(g) == scan_degeneracy_order(g)
+
+    def test_5000_vertex_random_graph_matches_min_scan_oracle(self):
+        # random pairs, so degrees vary and some vertices stay isolated
+        rng = random.Random(5000)
+        pairs = {tuple(sorted(rng.sample(range(5000), 2))) for _ in range(12000)}
+        g = Graph(5000, sorted(pairs))
+        assert degeneracy_order(g) == scan_degeneracy_order(g)
+
 
 class TestBfsLayers:
     def test_path_from_end(self):
@@ -379,6 +407,36 @@ class TestEdgeListFormat:
             parse_edge_list("0 1 2\n")
         with pytest.raises(ValueError):
             parse_edge_list("a b\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 1\nx 2\n0 1 2\n", "invalid literal for int"),
+        ("0 1\n0 1 2\nx 2\n", "bad edge-list line '0 1 2'"),
+        ("0 1\n7\n1 y\n3 4 5\n", "invalid literal for int"),
+        ("0 1\n3 4 5\n1 y\n", "bad edge-list line '3 4 5'"),
+    ], ids=["bad-integer-first", "three-tokens-first", "bad-second-token-first", "three-tokens-then-bad"])
+    def test_first_defective_line_is_reported(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_edge_list(text)
+
+    def test_negative_index_rejected(self):
+        for text in ("0 1\n-1 2\n", "0 1\n-3\n", "0 -1\n"):
+            with pytest.raises(ValueError, match="non-negative"):
+                parse_edge_list(text)
+
+    def test_whitespace_and_comment_only_lines(self):
+        text = "   \n\t\n0 1\n  # a comment\n#\n \t # indented\n1 2\n\n"
+        assert parse_edge_list(text) == Graph(3, [(0, 1), (1, 2)])
+        assert parse_edge_list("  \n# nothing\n") == Graph(0, [])
+
+    def test_comment_right_after_a_token(self):
+        assert parse_edge_list("0 1# an edge\n1 2#\n4#isolated\n") == Graph(5, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="bad edge-list line"):
+            parse_edge_list("0 1 2# three tokens\n")
+
+    def test_single_integer_lines(self):
+        assert parse_edge_list("2\n") == Graph(3, [])
+        assert parse_edge_list("0\n") == Graph(1, [])
+        assert parse_edge_list("5\n0 1\n5\n") == Graph(6, [(0, 1)])
 
     def test_vertex_ceiling(self):
         assert parse_edge_list(f"0 {MAX_VERTICES - 1}\n").num_vertices == MAX_VERTICES

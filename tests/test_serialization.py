@@ -109,6 +109,17 @@ class TestCanonicalText:
         expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert dumped(obj) == (expected, expected)
 
+    # lists whose first member does or does not say what the rest are, at
+    # the levels `write_canonical` streams and below them
+    @pytest.mark.parametrize("obj", [
+        ["s", ["t"]], [["t"], "s"], [1, "s"], ["s", 1], ["s", None, "t"], ["s", "t"],
+        {"a": ["s", ["t"]], "b": [["t"], "s"], "c": [[1, "s"], ["s", 1]], "d": ["s", "\u00e9"]},
+        {"a": [{"b": [["s", ["t"]], [["t"], "s"], ["s", "t"], [True, "s"]]}]},
+        [[[["s", ["t"]], ["s", "t"]]]]])
+    def test_mixed_lists(self, obj):
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert dumped(obj) == (expected, expected)
+
     @pytest.mark.parametrize("obj", [
         Fraction(1, 2), [Fraction(1, 2)], {"a": 1.5}, 1.5, {1: "a"}, {"a": {None: "b"}},
         ["x", b"y"], {"a": [{"b": object()}]}])

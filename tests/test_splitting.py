@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -304,6 +305,34 @@ class TestAgainstTheDenseConstruction:
         w = split_into_matchings(g)
         assert w == dense_split(g)
         assert color_classes(g, w).valid
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python converts ints of any length to strings")
+class TestDigitLimit:
+    """`split_into_matchings` refuses a weighting whose weights Python
+    cannot convert to strings, and 0 means no limit."""
+
+    @pytest.fixture
+    def limit(self):
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    def test_ladder_past_the_limit(self, limit):
+        limit(640)
+        with pytest.raises(ValueError, match="weight of 650 digits, more than the 640 digits"):
+            split_into_matchings(ladder_graph(3100))
+
+    def test_no_limit(self, limit):
+        limit(0)
+        w = split_into_matchings(ladder_graph(3100))
+        assert len(str(max(x for vec in w.weights.values() for x in vec))) == 650
+
+    def test_just_under_the_limit(self, limit):
+        limit(650)
+        w = split_into_matchings(ladder_graph(3100))
+        assert color_classes(ladder_graph(3100), w).valid
 
 
 def petersen_graph():
