@@ -160,15 +160,6 @@ class BilinearSpace:
         vectors, L)."""
         return kernel([self._image(u) for u in vectors], self.n, self.field.p)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearSpace)
-            and self.n == other.n
-            and self.kind == other.kind
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
     def __repr__(self):
         return f"BilinearSpace(n={self.n}, kind={self.kind!r}, field={self.field!r})"
 

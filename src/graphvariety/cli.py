@@ -21,7 +21,6 @@ from .sampling import sample_regular_point
 from .serialization import (
     assignment_from_obj,
     assignment_to_obj,
-    canonical_dumps,
     certificate_to_obj,
     count_report_to_obj,
     equations_to_obj,
@@ -261,7 +260,7 @@ def main(argv=None):
             write_canonical(payload, sys.stdout)
     except (GraphVarietyError, ValueError, TypeError, KeyError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(canonical_dumps(err))
+        write_canonical(err, sys.stderr)
         return 1
     if args.out:
         print(summary)

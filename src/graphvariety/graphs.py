@@ -57,16 +57,6 @@ class Graph:
             return 0
         return max(len(ns) for ns in self.adjacency)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.num_vertices == other.num_vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.num_vertices, self.edges))
-
     def __repr__(self):
         return f"Graph({self.num_vertices}, {list(self.edges)})"
 

@@ -2,18 +2,20 @@
 
 Every number travels as a decimal string so arbitrarily large integers and
 exact rationals survive any JSON parser untouched; booleans stay booleans.
-`canonical_dumps` gives `json.dumps(obj, sort_keys=True, indent=2)` plus a
-newline, making repeated runs byte-identical, without `json`'s pure-Python
-indent encoder: a list of strings is joined in C, in one join when no string
+`write_canonical` is the one writer: every document the CLI emits, on
+stdout, in an `--out` file or as an error on stderr, is
+`json.dumps(obj, sort_keys=True, indent=2)` plus a newline, making repeated
+runs byte-identical, without `json`'s pure-Python indent encoder.  It
+streams the text, its top three levels member by member, so an `equations`
+document is written an edge's members at a time and the shared term list's
+text is never copied into an edge's.  Below those levels `_encode` builds
+the text: a list of strings is joined in C, in one join when no string
 needs an escape (a list is tried as strings only when it starts with one,
 and a streamed list's join is reused for its text), and a container seen
 again at the same depth, such as the one term list `equations_to_obj` gives
 every edge equation, is encoded at most twice per call: its text is kept
 from its second encoding on, so the text of a container met once is never
 held past its use.
-`write_canonical` streams that text, its top three levels member by member,
-so an `equations` document is written an edge's members at a time and the
-shared term list's text is never copied into an edge's.
 `weighting_from_json` converts each weight vector as soon as it is parsed,
 so a weighting file's palette strings are never all held at once.
 
@@ -41,12 +43,9 @@ _space = json.decoder.WHITESPACE.match
 _decode = json.JSONDecoder().raw_decode
 
 
-def canonical_dumps(obj):
-    return _encode(obj, "\n", {}) + "\n"
-
-
 def write_canonical(obj, stream):
-    """Write `canonical_dumps(obj)` to a text stream in pieces."""
+    """Write `json.dumps(obj, sort_keys=True, indent=2)` and a newline to a
+    text stream, in pieces."""
     _write(obj, stream.write, "\n", {}, 3)
     stream.write("\n")
 

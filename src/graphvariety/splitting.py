@@ -35,7 +35,9 @@ Inside, a vector is a run list: (start, value) pairs by increasing palette
 position, each value holding up to the next start.  A vertex has few
 runs (a median of 13 over a palette of 2591 on a 300-vertex graph of max
 degree 8), so a level pads its recursive vectors with one zero run, adds
-its shift run by run and reads minima and maxima off the run values.  The
+its shift run by run and reads minima and maxima off the run values.  It
+shifts each distinct value once, so runs holding equal weights share one
+int: a long ladder's weights have thousands of digits each.  The
 pool weights of stage 4 are point updates, kept per vertex and merged into
 its runs once per component.  `split_into_matchings` expands each run list
 to its dense tuple once, at the end, after checking the run values against
@@ -49,7 +51,6 @@ rows, O(sum of their degrees), so a graph with one level per few vertices,
 such as a ladder, is not quadratic.
 """
 
-import heapq
 import sys
 from collections import namedtuple
 from operator import add
@@ -62,6 +63,7 @@ from .errors import (
 from .graphs import (
     bfs_layers,
     connected_components,
+    degeneracy_order,
     induced_subgraph_with_map,
     proper_vertex_numbering,
 )
@@ -247,12 +249,15 @@ def _split_component(sub, big_d, root):
         length = color_budget(lg.max_degree())
         pad = [(length, 0)] if length < base_size else []
         padded = [runs + pad for runs in _weights(lg)]
-        shift = max(0, sum(level_max[-2:]) + 10 - min(x for runs in padded for _, x in runs))
+        values = {x for runs in padded for _, x in runs}
+        shift = max(0, sum(level_max[-2:]) + 10 - min(values))
+        # one int per distinct shifted value, shared by every run that holds it
+        shifted = {x: x + shift for x in values}
         nums = proper_vertex_numbering(lg, big_d)
         for lv, runs in enumerate(padded):
             v = back[lv]
-            base[v] = [(start, x + shift) for start, x in runs]
-            top[v] = max(x for _, x in runs) + shift
+            base[v] = [(start, shifted[x]) for start, x in runs]
+            top[v] = shifted[max(x for _, x in runs)]
             numbering[v] = nums[lv]
         level_max.append(max(top[v] for v in level))
 
@@ -269,7 +274,7 @@ def _split_component(sub, big_d, root):
         pair.sort()
         # the pair's colored edges, as (other endpoint, color) lists indexed
         # by the lower and by the upper endpoint
-        by_lower, by_upper = {}, {}
+        by_lower, by_upper, dominant = {}, {}, {}
         for upper, lower in pair:
             k = numbering[upper]
             start = base_size + (i % 2 * big_d + k - 1) * big_d * big_d
@@ -286,8 +291,9 @@ def _split_component(sub, big_d, root):
                 )
             by_lower.setdefault(lower, []).append((upper, chosen))
             by_upper.setdefault(upper, []).append((lower, chosen))
-            # stage 4: a dominating weight on the pool color
-            points[upper][chosen] = top[upper] + level_max[i] + 5
+            # stage 4: a dominating weight on the pool color, one int per
+            # upper endpoint however many pool colors it takes
+            points[upper][chosen] = dominant.setdefault(upper, top[upper] + level_max[i] + 5)
             points[lower][chosen] = 5
     size = color_budget(big_d)
     return [_with_points(base[v], points[v], base_size, size) for v in range(sub.num_vertices)]
@@ -309,59 +315,32 @@ def _with_points(runs, points, base_size, size):
 def split_forest_into_matchings(forest):
     """A splitting of a forest into at most D matchings.
 
-    Leaves are peeled off one at a time, smallest index first, in
-    O((V + E) log V) (see `_leaf_peel`); no vertex of a cycle drops to
-    degree 1, so the graph is a forest exactly when every vertex goes.
-    Rebuilding in reverse, each leaf edge takes the smallest color still
-    free at the attachment vertex and a weight one larger than everything
-    the attachment vertex carries, which makes the new edge win exactly its
-    own color.
+    A graph is a forest exactly when its degeneracy is at most 1, so one
+    `degeneracy_order` peel is both the forest test and the order: each
+    vertex has at most one neighbour still present when the peel removes
+    it, the one it hangs from.  Rebuilding in reverse, each such edge takes
+    the smallest color still free at that neighbour and a weight one larger
+    than everything the neighbour carries, which makes the new edge win
+    exactly its own color.
     """
     n = forest.num_vertices
     big_d = forest.max_degree()
     if big_d == 0:
         return VertexWeighting(colors=(), weights={v: () for v in range(n)})
-    peel, parent = _leaf_peel(forest)
-    if len(peel) < n:
+    order, d = degeneracy_order(forest)
+    if d > 1:
         raise NotAForestError("splitting with max_degree colors needs a forest")
     colors = tuple(f"c{k}" for k in range(1, big_d + 1))
-    weights = {v: [0] * big_d for v in range(n)}
-    used = {v: set() for v in range(n)}
-    for v in reversed(peel):
-        y = parent[v]
-        if y is None:
-            continue
-        c = next(k for k in range(big_d) if k not in used[y])
-        weights[v][c] = 1 + max(weights[y])
-        used[y].add(c)
-        used[v].add(c)
-    return VertexWeighting(colors=colors, weights={v: tuple(w) for v, w in weights.items()})
-
-
-def _leaf_peel(forest):
-    """The leaf-peel order of a graph and the vertex each leaf hung from.
-
-    Removes a vertex of remaining degree at most 1 at every step, smallest
-    index first, until none is left (short of any cycle); parent[v] is v's
-    one remaining neighbor when it went, or None.  The candidates sit on a
-    heap: every vertex enters it once, when its degree first reaches 1 (or
-    at the start), so the peel is O((V + E) log V).
-    """
-    adjacency = forest.adjacency
-    deg = [len(ns) for ns in adjacency]
-    removed = [False] * forest.num_vertices
-    parent = [None] * forest.num_vertices
-    heap = [v for v, d in enumerate(deg) if d <= 1]  # ascending, so a heap
-    peel = []
-    while heap:
-        v = heapq.heappop(heap)
-        removed[v] = True
-        peel.append(v)
-        for u in adjacency[v]:
-            if not removed[u]:
-                parent[v] = u
-                deg[u] -= 1
-                if deg[u] == 1:
-                    heapq.heappush(heap, u)
-    return peel, parent
-
+    weights = [[0] * big_d for _ in range(n)]
+    used = [set() for _ in range(n)]
+    placed = [False] * n
+    for v in reversed(order):
+        # the neighbour placed before v is the one still present when v went
+        for y in forest.adjacency[v]:
+            if placed[y]:
+                c = next(k for k in range(big_d) if k not in used[y])
+                weights[v][c] = 1 + max(weights[y])
+                used[y].add(c)
+                used[v].add(c)
+        placed[v] = True
+    return VertexWeighting(colors=colors, weights=dict(enumerate(map(tuple, weights))))

@@ -89,13 +89,6 @@ class VertexAssignment:
     def num_vertices(self):
         return len(self.numerators)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VertexAssignment)
-            and self.field == other.field
-            and self.numerators == other.numerators
-        )
-
     def __repr__(self):
         return f"VertexAssignment({self.field!r}, {self.num_vertices} vectors)"
 

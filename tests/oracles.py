@@ -4,17 +4,18 @@ Everything here is deliberately naive: full enumeration, all-permutations
 search, direct definitions.  Slow but obviously correct on small inputs.
 """
 
+import io
 import itertools
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
 from graphvariety import RATIONALS, BilinearSpace, Graph, VertexAssignment, degeneracy_order
-from graphvariety.errors import InternalConflictError
+from graphvariety.errors import InternalConflictError, NotAForestError
 from graphvariety.graphs import bfs_layers, connected_components, proper_vertex_numbering
 from graphvariety.linalg import kernel, rref
-from graphvariety.serialization import _weight_vector, _weighting
-from graphvariety.splitting import color_budget
+from graphvariety.serialization import _weight_vector, _weighting, write_canonical
+from graphvariety.splitting import VertexWeighting, color_budget
 
 
 # Elimination with every row operation on field scalars: `Fraction`s over Q,
@@ -540,16 +541,19 @@ def scan_degeneracy_order(graph):
 
 
 def scan_leaf_peel(forest):
-    """The leaf peel of a forest by a full scan per step, O(V^2): the
-    smallest-index vertex of remaining degree at most 1 goes next.  Returns
-    (peel, parent) with parent[v] the neighbor v still had when removed."""
+    """The leaf peel of a graph by a full scan per step, O(V^2): the
+    smallest-index vertex of remaining degree at most 1 goes next, until
+    none is left (short of any cycle).  Returns (peel, parent) with
+    parent[v] the neighbor v still had when removed, or None."""
     n = forest.num_vertices
     deg = [forest.degree(v) for v in range(n)]
     removed = [False] * n
     parent = [None] * n
     peel = []
     for _ in range(n):
-        v = min(u for u in range(n) if not removed[u] and deg[u] <= 1)
+        v = min((u for u in range(n) if not removed[u] and deg[u] <= 1), default=None)
+        if v is None:
+            break
         removed[v] = True
         peel.append(v)
         for u in forest.adjacency[v]:
@@ -557,6 +561,35 @@ def scan_leaf_peel(forest):
                 parent[v] = u
                 deg[u] -= 1
     return peel, parent
+
+
+def leaf_peel_forest_split(forest):
+    """The forest splitting on `scan_leaf_peel`: leaves peeled one at a time,
+    smallest index first, and the graph a forest exactly when every vertex
+    goes.  Rebuilding in reverse, each leaf edge takes the smallest color
+    still free at the vertex it hung from and a weight one larger than
+    everything that vertex carries.  The reference for
+    `split_forest_into_matchings`, weighting for weighting and error for
+    error."""
+    n = forest.num_vertices
+    big_d = forest.max_degree()
+    if big_d == 0:
+        return VertexWeighting(colors=(), weights={v: () for v in range(n)})
+    peel, parent = scan_leaf_peel(forest)
+    if len(peel) < n:
+        raise NotAForestError("splitting with max_degree colors needs a forest")
+    colors = tuple(f"c{k}" for k in range(1, big_d + 1))
+    weights = {v: [0] * big_d for v in range(n)}
+    used = {v: set() for v in range(n)}
+    for v in reversed(peel):
+        y = parent[v]
+        if y is None:
+            continue
+        c = next(k for k in range(big_d) if k not in used[y])
+        weights[v][c] = 1 + max(weights[y])
+        used[y].add(c)
+        used[v].add(c)
+    return VertexWeighting(colors=colors, weights={v: tuple(w) for v, w in weights.items()})
 
 
 def _all_simple_cycles(graph):
@@ -645,8 +678,9 @@ def format_edge_list(graph):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def random_connected_graph(rng, num_vertices, extra_edges):
-    """Spanning tree plus up to extra_edges random chords."""
+def _random_tree_edges(rng, num_vertices):
+    """A random spanning tree's edges as a set of (lo, hi) pairs, in O(V):
+    each vertex of a shuffled list hangs from a random earlier one."""
     verts = list(range(num_vertices))
     rng.shuffle(verts)
     edges = set()
@@ -654,6 +688,13 @@ def random_connected_graph(rng, num_vertices, extra_edges):
         a = verts[i]
         b = verts[rng.randrange(i)]
         edges.add((min(a, b), max(a, b)))
+    return edges
+
+
+def random_connected_graph(rng, num_vertices, extra_edges):
+    """Spanning tree plus up to extra_edges random chords.  Every non-tree
+    pair is listed and shuffled, O(V^2) even when no chord is drawn."""
+    edges = _random_tree_edges(rng, num_vertices)
     pool = [
         (a, b)
         for a in range(num_vertices)
@@ -666,7 +707,8 @@ def random_connected_graph(rng, num_vertices, extra_edges):
 
 
 def random_tree(rng, num_vertices):
-    return random_connected_graph(rng, num_vertices, 0)
+    """The spanning tree `random_connected_graph` starts from, alone."""
+    return Graph(num_vertices, sorted(_random_tree_edges(rng, num_vertices)))
 
 
 def independent_set_point(rng, graph, space, bound=5):
@@ -840,3 +882,26 @@ def weighting_from_obj(obj):
     """The weighting of a parsed JSON document, whole: the reference for
     the streaming `weighting_from_json`."""
     return _weighting(obj, _weight_vector)
+
+
+# Graphs, points and spaces compare by identity, so assertions compare what
+# defines each: its vertex count and edges, its field and integer form, or
+# its dimension, kind, field and Gram terms.
+
+def graph_key(graph):
+    return graph.num_vertices, graph.edges
+
+
+def point_key(point):
+    return point.field, point.numerators
+
+
+def space_key(space):
+    return space.n, space.kind, space.field, space.terms
+
+
+def canonical_text(obj):
+    """The text `write_canonical` writes for `obj`."""
+    out = io.StringIO()
+    write_canonical(obj, out)
+    return out.getvalue()

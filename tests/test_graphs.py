@@ -25,6 +25,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     format_edge_list,
+    graph_key,
     naive_induced_subgraph,
     path_graph,
     random_connected_graph,
@@ -82,7 +83,7 @@ class TestGraphConstruction:
         edges = [(hi, lo) if rng.random() < 0.5 else (lo, hi) for lo, hi in g.edges + tuple(repeats)]
         rng.shuffle(edges)
         if not repeats:
-            assert Graph(g.num_vertices, edges) == g
+            assert graph_key(Graph(g.num_vertices, edges)) == graph_key(g)
             return
         with pytest.raises(ValueError) as exc:
             Graph(g.num_vertices, edges)
@@ -305,7 +306,9 @@ class TestInducedSubgraph:
         # vertex lists may repeat a vertex, come unsorted or be empty
         g = data.draw(graphs(max_vertices=9))
         vs = data.draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=12))
-        assert induced_subgraph_with_map(g, vs) == naive_induced_subgraph(g, vs)
+        sub, vertices = induced_subgraph_with_map(g, vs)
+        want, want_vertices = naive_induced_subgraph(g, vs)
+        assert (graph_key(sub), vertices) == (graph_key(want), want_vertices)
 
 
 class TestProperNumbering:
@@ -425,18 +428,18 @@ class TestEdgeListFormat:
 
     def test_whitespace_and_comment_only_lines(self):
         text = "   \n\t\n0 1\n  # a comment\n#\n \t # indented\n1 2\n\n"
-        assert parse_edge_list(text) == Graph(3, [(0, 1), (1, 2)])
-        assert parse_edge_list("  \n# nothing\n") == Graph(0, [])
+        assert graph_key(parse_edge_list(text)) == (3, ((0, 1), (1, 2)))
+        assert graph_key(parse_edge_list("  \n# nothing\n")) == (0, ())
 
     def test_comment_right_after_a_token(self):
-        assert parse_edge_list("0 1# an edge\n1 2#\n4#isolated\n") == Graph(5, [(0, 1), (1, 2)])
+        assert graph_key(parse_edge_list("0 1# an edge\n1 2#\n4#isolated\n")) == (5, ((0, 1), (1, 2)))
         with pytest.raises(ValueError, match="bad edge-list line"):
             parse_edge_list("0 1 2# three tokens\n")
 
     def test_single_integer_lines(self):
-        assert parse_edge_list("2\n") == Graph(3, [])
-        assert parse_edge_list("0\n") == Graph(1, [])
-        assert parse_edge_list("5\n0 1\n5\n") == Graph(6, [(0, 1)])
+        assert graph_key(parse_edge_list("2\n")) == (3, ())
+        assert graph_key(parse_edge_list("0\n")) == (1, ())
+        assert graph_key(parse_edge_list("5\n0 1\n5\n")) == (6, ((0, 1),))
 
     def test_vertex_ceiling(self):
         assert parse_edge_list(f"0 {MAX_VERTICES - 1}\n").num_vertices == MAX_VERTICES
@@ -447,11 +450,11 @@ class TestEdgeListFormat:
     def test_format_includes_isolated_vertices(self):
         g = Graph(3, [(0, 1)])
         text = format_edge_list(g)
-        assert parse_edge_list(text) == g
+        assert graph_key(parse_edge_list(text)) == graph_key(g)
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, g):
         if g.num_vertices == 0:
             return
-        assert parse_edge_list(format_edge_list(g)) == g
+        assert graph_key(parse_edge_list(format_edge_list(g))) == graph_key(g)

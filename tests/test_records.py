@@ -23,6 +23,7 @@ from graphvariety import (
     sample_regular_point,
     standard_space,
 )
+from oracles import point_key
 
 ROOT = Path(__file__).resolve().parents[1]
 EDGE = Graph(2, [(0, 1)])
@@ -36,7 +37,8 @@ RECORDS = [
     (EdgeVerdict, {"edge": (0, 1), "argmax": ("a",), "strict": True}, True),
     (SplittingReport, {"per_edge": (), "classes": {"a": [(0, 1)]},
                        "matching_flags": {"a": True}, "valid": True, "color_count": 1}, False),
-    (CountRequest, {"graph": EDGE, "space": SPACE_F3, "cap": 5}, False),
+    # a graph and a space hash by identity, so a request on them does too
+    (CountRequest, {"graph": EDGE, "space": SPACE_F3, "cap": 5}, True),
     (CountReport, {"count": 17, "q": 3, "expected_dimension": 3,
                    "ratio": Fraction(17, 27)}, True),
 ]
@@ -74,10 +76,10 @@ class TestRecord:
 
 def test_defaults():
     assert CountRequest(EDGE, SPACE_F3).cap == DEFAULT_WORK_CAP
-    assert sample_regular_point(EDGE, SPACE_Q) == sample_regular_point(
-        EDGE, SPACE_Q, seed=0, bound=10, max_retries=64)
-    assert sample_regular_point(EDGE, SPACE_Q, 5) == sample_regular_point(
-        EDGE, SPACE_Q, seed=5)
+    assert point_key(sample_regular_point(EDGE, SPACE_Q)) == point_key(sample_regular_point(
+        EDGE, SPACE_Q, seed=0, bound=10, max_retries=64))
+    assert point_key(sample_regular_point(EDGE, SPACE_Q, 5)) == point_key(sample_regular_point(
+        EDGE, SPACE_Q, seed=5))
 
 
 @pytest.mark.parametrize("build, message", [

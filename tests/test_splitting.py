@@ -15,16 +15,17 @@ from graphvariety import (
     color_budget,
     color_classes,
     connected_components,
+    degeneracy_order,
     palette,
     split_forest_into_matchings,
     split_into_matchings,
 )
-from graphvariety.serialization import canonical_dumps, weighting_to_obj
-from graphvariety.splitting import _expand, _leaf_peel, _split_component
-from oracles import (brick_wall_graph, brute_force_min_colors, complete_bipartite_graph,
-                     complete_graph, cycle_graph, dense_split_weights, ladder_graph, path_graph,
-                     random_connected_graph, random_tree, scan_leaf_peel,
-                     SearchSpaceTooLargeError, star_graph)
+from graphvariety.serialization import weighting_to_obj
+from graphvariety.splitting import _expand, _split_component
+from oracles import (brick_wall_graph, brute_force_min_colors, canonical_text,
+                     complete_bipartite_graph, complete_graph, cycle_graph, dense_split_weights,
+                     ladder_graph, leaf_peel_forest_split, path_graph, random_connected_graph,
+                     random_tree, SearchSpaceTooLargeError, star_graph)
 from strategies import capped_graphs, forests, graphs
 
 
@@ -373,7 +374,7 @@ GOLDEN = {
 def test_split_output_is_pinned(name):
     g, big_d, digest = GOLDEN[name]
     assert g.max_degree() == big_d
-    text = canonical_dumps(weighting_to_obj(split_into_matchings(g)))
+    text = canonical_text(weighting_to_obj(split_into_matchings(g)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -428,16 +429,34 @@ class TestForestSplitter:
         else:
             assert forest and color_classes(g, w).valid
 
-    @given(forests())
-    @settings(max_examples=100, deadline=None)
-    def test_leaf_peel_matches_scan_oracle(self, g):
-        assert _leaf_peel(g) == scan_leaf_peel(g)
+    # the degeneracy peel orders components differently from the leaf peel,
+    # and puts isolated vertices first: the weighting must not see it
+    @given(graphs(max_vertices=14))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_leaf_peel_reference_on_graphs(self, g):
+        assert outcome(split_forest_into_matchings, g) == outcome(leaf_peel_forest_split, g)
+
+    @given(forests(max_vertices=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_leaf_peel_reference_on_forests(self, g):
+        assert outcome(split_forest_into_matchings, g) == outcome(leaf_peel_forest_split, g)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_large_tree_leaf_peel_matches_scan_oracle(self, seed):
+    def test_large_tree_matches_the_leaf_peel_reference(self, seed):
         rng = random.Random(seed)
         g = random_tree(rng, rng.randint(100, 400))
-        assert _leaf_peel(g) == scan_leaf_peel(g)
+        assert split_forest_into_matchings(g) == leaf_peel_forest_split(g)
+
+    def test_matches_the_leaf_peel_reference_on_a_5000_vertex_tree(self):
+        g = random_tree(random.Random(5000), 5000)
+        assert split_forest_into_matchings(g) == leaf_peel_forest_split(g)
+
+    def test_components_interleaved_by_the_peel(self):
+        # the degeneracy peel removes 1, 6, 0, 5, 2, 3, 4 and the leaf peel
+        # 0, 1, 2, 3, 4, 5, 6: the same weighting (the CI forest pin)
+        g = Graph(7, [(0, 5), (2, 3), (3, 4)])
+        assert degeneracy_order(g) == ((1, 6, 0, 5, 2, 3, 4), 1)
+        assert split_forest_into_matchings(g) == leaf_peel_forest_split(g)
 
     @given(forests())
     @settings(max_examples=60, deadline=None)
