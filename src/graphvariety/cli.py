@@ -6,6 +6,10 @@ document.  With --out the JSON goes to that file and a one-line human summary
 goes to stdout; without it the JSON itself is printed.  Errors become a JSON
 object on stderr and exit code 1.  All output is deterministic for fixed
 inputs and seeds.
+
+A call builds the parser of the invoked subcommand alone.  Help, an empty
+argument list, an unknown command and unrecognized arguments go to the
+parser of all nine, so every help, usage and error text is the same.
 """
 
 import argparse
@@ -194,7 +198,13 @@ def cmd_equations(args):
     return equations_to_obj(g.edges, space.terms), f"{g.num_edges} edge equations emitted"
 
 
-def build_parser():
+COMMANDS = ("analyze", "sample", "check", "certify", "split", "split-tree",
+            "verify-split", "count", "equations")
+
+
+def build_parser(only=None):
+    """The parser of every subcommand, or, when `only` names one, of that
+    subcommand alone: its help, usage and errors are the same text."""
     parser = argparse.ArgumentParser(
         prog="graphvariety",
         description="Exact tools for orthogonality varieties of graphs",
@@ -212,45 +222,59 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *parents):
+        """The subcommand's parser, or None when only another one is built."""
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help, parents=[common, *parents])
         p.set_defaults(func=func)
         return p
 
     command("analyze", cmd_analyze, "combinatorial and geometric summary", space)
 
-    p = command("sample", cmd_sample, "sample a regular member point", space)
-    p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>"')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=10,
-                   help="coordinate range for rational draws")
-    p.add_argument("--retries", type=int, default=64,
-                   help="rejection retries per vertex")
+    if p := command("sample", cmd_sample, "sample a regular member point", space):
+        p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>"')
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--bound", type=int, default=10,
+                       help="coordinate range for rational draws")
+        p.add_argument("--retries", type=int, default=64,
+                       help="rejection retries per vertex")
 
-    p = command("check", cmd_check, "membership of a point file", space)
-    p.add_argument("--point", required=True, help="vertex assignment JSON file")
+    if p := command("check", cmd_check, "membership of a point file", space):
+        p.add_argument("--point", required=True, help="vertex assignment JSON file")
 
-    p = command("certify", cmd_certify, "singularity certificate at a member point", space)
-    p.add_argument("--point", required=True, help="vertex assignment JSON file")
+    if p := command("certify", cmd_certify, "singularity certificate at a member point", space):
+        p.add_argument("--point", required=True, help="vertex assignment JSON file")
 
     command("split", cmd_split, "split a graph into matchings")
     command("split-tree", cmd_split, "split a forest into max-degree matchings")
 
-    p = command("verify-split", cmd_verify_split, "verify a vertex weighting file")
-    p.add_argument("--weighting", required=True, help="vertex weighting JSON file")
+    if p := command("verify-split", cmd_verify_split, "verify a vertex weighting file"):
+        p.add_argument("--weighting", required=True, help="vertex weighting JSON file")
 
-    p = command("count", cmd_count, "exact point count over a prime field", space)
-    p.add_argument("--field", required=True, help='"Fp:<prime>"')
-    p.add_argument("--cap", type=int, default=DEFAULT_WORK_CAP,
-                   help="work cap on the enumeration estimate")
+    if p := command("count", cmd_count, "exact point count over a prime field", space):
+        p.add_argument("--field", required=True, help='"Fp:<prime>"')
+        p.add_argument("--cap", type=int, default=DEFAULT_WORK_CAP,
+                       help="work cap on the enumeration estimate")
 
-    p = command("equations", cmd_equations, "emit the defining edge equations", space)
-    p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>"')
+    if p := command("equations", cmd_equations, "emit the defining edge equations", space):
+        p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>"')
     return parser
 
 
+def _parse(argv):
+    """The parsed arguments, from the invoked subcommand's parser alone.
+    Help, an empty argv, an unknown command and unrecognized arguments go
+    to the full parser, whose text names every subcommand."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         payload, summary = args.func(args)
         if args.out:

@@ -71,6 +71,22 @@ remainder when that element is dependent.
 A step that only shrinks the frontier reads the kept tuple's key off the
 state's (`_kept_echelon`).
 
+Steps of one shape share their transitions (the transfer-matrix method,
+Stanley, Enumerative Combinatorics I, 4.7).  A step's shape is (frontier
+width, slot positions, kept positions, enters), and a state's transition,
+its new keys with their representatives and multiplicity factors, depends
+only on its key and the step's shape.  Under orbit keys, Witt's theorem
+carries one representative of a key onto any other by an isometry of the
+whole space; the isometry carries the slot vectors' perp and each
+signature class along and keeps every key.  Under raw keys the key is the
+tuple itself.  So for a shape that occurs again later the DP keeps a table
+{state key: transition}, reuses it at the shape's later steps and drops it
+after the shape's last one; a shape that does not recur stores nothing.
+Counts are those of computing every transition afresh; only the
+representatives carried may differ, and any representative of a key
+serves.  Paths, cycles, ladders, grid rows and tree levels repeat their
+shapes: on cycles the `_extensions` calls stop growing with the length.
+
 The result is an exact integer, usable as an oracle for the expected
 dimension: the ratio count / q^d should drift toward 1 as q grows when the
 variety behaves like an irreducible variety of dimension d.  The ratio is
@@ -200,41 +216,64 @@ def _kept_echelon(echelon, keep, p):
     return tuple(map(tuple, rows[: len(pivots)]))
 
 
-def _frontier_count(g, order, space):
-    """The number of member points, by the frontier DP over `order`."""
-    n, p = space.n, space.field.p
-    # Witt's extension theorem: alternating forms, or odd characteristic
-    orbit_keys = p != 2 or not any(i == j for i, j, _ in space.terms)
+def _step_shapes(g, order):
+    """Each step's shape (frontier width, slot positions, kept positions,
+    enters): the frontier positions of the vertex's earlier neighbours,
+    those of the frontier vertices that stay, and whether the vertex joins
+    the frontier."""
     position = {v: i for i, v in enumerate(order)}
     last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
-    frontier = []
-    states = {(): ((), 1)}
+    frontier, shapes = [], []
     for i, v in enumerate(order):
-        slots = [frontier.index(u) for u in g.adjacency[v] if position[u] < i]
-        keep = [k for k, u in enumerate(frontier) if last[u] > i]
-        enters = last[v] > i
-        unchanged = not enters and len(keep) == len(frontier)
-        width = len(frontier)
+        slots = tuple(sorted(frontier.index(u) for u in g.adjacency[v] if position[u] < i))
+        keep = tuple(k for k, u in enumerate(frontier) if last[u] > i)
+        shapes.append((len(frontier), slots, keep, last[v] > i))
+        frontier = [frontier[k] for k in keep] + ([v] if last[v] > i else [])
+    return shapes
+
+
+def _transition(space, orbit_keys, shape, key, rep):
+    """{new key: (new representative, multiplicity factor)} of one state
+    at a step of this shape."""
+    n, p = space.n, space.field.p
+    width, slots, keep, enters = shape
+    unchanged = not enters and len(keep) == width
+    kept = tuple(rep[k] for k in keep)
+    if orbit_keys and not unchanged:
+        # kept's Gram block, read off the state key's Gram matrix
+        gram = tuple(key[0][a * width + b] for a in keep for b in keep)
+    if enters:
+        basis = space.perp([rep[k] for k in slots])[0]
+        if orbit_keys:
+            return _extensions(space, gram, kept, basis)
+        return {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
+    # v's perp has dimension n - rank(slot vectors): the form is non-degenerate
+    size = p ** (n - len(rref([rep[k] for k in slots], n, p)[1]))
+    if unchanged or not orbit_keys:
+        return {key if unchanged else kept: (kept, size)}
+    return {(gram, _kept_echelon(key[1], keep, p)): (kept, size)}
+
+
+def _frontier_count(g, order, space):
+    """The number of member points, by the frontier DP over `order`, each
+    state's transition computed once per step shape (module docstring)."""
+    p = space.field.p
+    # Witt's extension theorem: alternating forms, or odd characteristic
+    orbit_keys = p != 2 or not any(i == j for i, j, _ in space.terms)
+    shapes = _step_shapes(g, order)
+    final = {shape: i for i, shape in enumerate(shapes)}  # each shape's last step
+    tables = {}  # shape -> {state key: transition}, for shapes still to come
+    states = {(): ((), 1)}
+    for i, shape in enumerate(shapes):
+        recurs = final[shape] > i
+        table = tables.setdefault(shape, {}) if recurs else tables.pop(shape, {})
         nxt = {}
         for key, (rep, mult) in states.items():
-            kept = tuple(rep[k] for k in keep)
-            if orbit_keys and not unchanged:
-                # kept's Gram block, read off the state key's Gram matrix
-                gram = tuple(key[0][a * width + b] for a in keep for b in keep)
-            if enters:
-                basis = space.perp([rep[k] for k in slots])[0]
-                if orbit_keys:
-                    new = _extensions(space, gram, kept, basis)
-                else:
-                    new = {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
-            else:
-                # v's perp has dimension n - rank(slot vectors): the form is
-                # non-degenerate
-                size = p ** (n - len(rref([rep[k] for k in slots], n, p)[1]))
-                if unchanged or not orbit_keys:
-                    new = {key if unchanged else kept: (kept, size)}
-                else:
-                    new = {(gram, _kept_echelon(key[1], keep, p)): (kept, size)}
+            new = table.get(key)
+            if new is None:
+                new = _transition(space, orbit_keys, shape, key, rep)
+                if recurs:
+                    table[key] = new
             for new_key, (t, size) in new.items():
                 seen = nxt.get(new_key)
                 if seen is None:
@@ -242,7 +281,6 @@ def _frontier_count(g, order, space):
                 else:
                     nxt[new_key] = (seen[0], seen[1] + mult * size)
         states = nxt
-        frontier = [frontier[k] for k in keep] + ([v] if enters else [])
     return sum(mult for _, mult in states.values())
 
 

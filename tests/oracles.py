@@ -11,6 +11,7 @@ from math import lcm
 from operator import add, mul
 
 from graphvariety import RATIONALS, BilinearSpace, Graph, VertexAssignment, degeneracy_order
+from graphvariety.counting import _extensions, _kept_echelon, _span
 from graphvariety.errors import InternalConflictError, NotAForestError
 from graphvariety.graphs import bfs_layers, connected_components, proper_vertex_numbering
 from graphvariety.linalg import kernel, rref
@@ -334,30 +335,31 @@ def naive_point_count(graph, space):
 def enumerate_point_count(graph, space):
     """Count points by walking the reversed degeneracy order and enumerating
     every admissible vector, one kernel per search-tree node; the last vertex
-    contributes q^dim(kernel) without enumeration."""
-    field = space.field
-    q = field.p
+    contributes q^dim(kernel) without enumeration.  A vector's Gram images
+    are made once, when it is assigned, and only those its later neighbours
+    read."""
+    q = space.field.p
     order = list(reversed(degeneracy_order(graph)[0]))
-    vectors = {}
+    position = {v: i for i, v in enumerate(order)}
+    gram = dense_gram(space)
+    # edge (lo, hi) reads <w(lo), w(hi)> = (gram^T w(lo)) . w(hi) = (gram w(hi)) . w(lo):
+    # a later neighbour u of v reads gram^T w(v) when u > v, gram w(v) when u < v
+    sides = {False: gram, True: tuple(zip(*gram))}
+    reads = {v: {u > v for u in graph.adjacency[v] if position[u] > position[v]} for v in order}
+    images = {}  # assigned vertex -> {u > v: the Gram image its neighbour u reads}
 
     def recurse(i):
         v = order[i]
-        rows = [
-            gram_product(space, vectors[u], transpose=v > u)
-            for u in graph.adjacency[v]
-            if u in vectors
-        ]
-        basis = reference_kernel(rows, space.n, field.p)
+        rows = [images[u][v > u] for u in graph.adjacency[v] if u in images]
+        basis = reference_kernel(rows, space.n, q)
         if i == len(order) - 1:
             return q ** len(basis)
         total = 0
-        for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-            vec = [field(0)] * space.n
-            for c, basis_vec in zip(coeffs, basis):
-                vec = [a + c * b for a, b in zip(vec, basis_vec)]
-            vectors[v] = [field(x) for x in vec]
+        for coeffs in itertools.product(range(q), repeat=len(basis)):
+            vec = [sum(map(mul, coeffs, column)) % q for column in zip(*basis)] if basis else [0] * space.n
+            images[v] = {side: [sum(map(mul, row, vec)) % q for row in sides[side]] for side in reads[v]}
             total += recurse(i + 1)
-        del vectors[v]
+        images.pop(v, None)
         return total
 
     return recurse(0) if order else 1
@@ -876,6 +878,103 @@ def forest_point_count(forest, n, q):
                 nonzero[v] *= zero[c] + (q ** (n - 1) - 1) * nonzero[c]
         total *= zero[root] + (q**n - 1) * nonzero[root]
     return total
+
+
+def reference_frontier_count(g, order, space):
+    """The point counter's frontier DP without transition reuse: every
+    state's transition computed afresh at every step."""
+    n, p = space.n, space.field.p
+    orbit_keys = p != 2 or not any(i == j for i, j, _ in space.terms)
+    position = {v: i for i, v in enumerate(order)}
+    last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
+    frontier = []
+    states = {(): ((), 1)}
+    for i, v in enumerate(order):
+        slots = [frontier.index(u) for u in g.adjacency[v] if position[u] < i]
+        keep = [k for k, u in enumerate(frontier) if last[u] > i]
+        enters = last[v] > i
+        unchanged = not enters and len(keep) == len(frontier)
+        width = len(frontier)
+        nxt = {}
+        for key, (rep, mult) in states.items():
+            kept = tuple(rep[k] for k in keep)
+            if orbit_keys and not unchanged:
+                gram = tuple(key[0][a * width + b] for a in keep for b in keep)
+            if enters:
+                basis = space.perp([rep[k] for k in slots])[0]
+                if orbit_keys:
+                    new = _extensions(space, gram, kept, basis)
+                else:
+                    new = {t: (t, 1) for t in [kept + (x,) for x in _span(basis, n, p)]}
+            else:
+                size = p ** (n - len(rref([rep[k] for k in slots], n, p)[1]))
+                if unchanged or not orbit_keys:
+                    new = {key if unchanged else kept: (kept, size)}
+                else:
+                    new = {(gram, _kept_echelon(key[1], keep, p)): (kept, size)}
+            for new_key, (t, size) in new.items():
+                seen = nxt.get(new_key)
+                if seen is None:
+                    nxt[new_key] = (t, mult * size)
+                else:
+                    nxt[new_key] = (seen[0], seen[1] + mult * size)
+        states = nxt
+        frontier = [frontier[k] for k in keep] + ([v] if enters else [])
+    return sum(mult for _, mult in states.values())
+
+
+# Transfer matrices (Stanley, Enumerative Combinatorics I, 4.7): A is the
+# q^n x q^n orthogonality matrix, A[u][v] = 1 when <u, v> = 0.  The forms are
+# symmetric or alternating, so A is symmetric and an edge's orientation does
+# not matter.
+
+
+def orthogonality_matrix(space):
+    """A over the vectors of F_q^n in `itertools.product` order, from the
+    dense Gram matrix."""
+    q = space.field.p
+    gram = dense_gram(space)
+    vecs = list(itertools.product(range(q), repeat=space.n))
+    images = [[sum(map(mul, row, v)) % q for row in gram] for v in vecs]
+    return [[int(sum(map(mul, u, image)) % q == 0) for image in images] for u in vecs]
+
+
+def _matrix_product(a, b):
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+
+
+def transfer_cycle_count(a, length):
+    """Members on the cycle of `length` >= 3 vertices: trace(A^L), the
+    closed walks of length L, by repeated squaring."""
+    power, square, e = None, a, length
+    while e:
+        if e & 1:
+            power = square if power is None else _matrix_product(power, square)
+        e >>= 1
+        if e:
+            square = _matrix_product(square, square)
+    return sum(power[i][i] for i in range(len(a)))
+
+
+def transfer_path_count(a, length):
+    """Members on the path of `length` >= 1 vertices: 1^T A^(L-1) 1."""
+    x = [1] * len(a)
+    for _ in range(length - 1):
+        x = [sum(map(mul, row, x)) for row in a]
+    return sum(x)
+
+
+def transfer_ladder_count(a, rungs):
+    """Members on `ladder_graph(rungs)`, rungs >= 1.  X[u][v] counts the
+    assignments of the rungs so far whose last rung carries (u, v); rung
+    i + 1 carries (u', v') after (u, v) when A[u][u'] A[v][v'] A[u'][v'] = 1,
+    so X_1 = A and X_(i+1) = (A X_i A) * A entrywise.  The count is the sum
+    of X_rungs."""
+    x = a
+    for _ in range(rungs - 1):
+        x = [[c * m for c, m in zip(row, mask)] for row, mask in zip(_matrix_product(_matrix_product(a, x), a), a)]
+    return sum(map(sum, x))
 
 
 def weighting_from_obj(obj):

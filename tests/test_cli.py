@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from graphvariety import edge_count_closed_form, graphs
 from graphvariety.bilinear import MAX_DIMENSION
-from graphvariety.cli import build_parser, main
+from graphvariety.cli import COMMANDS, build_parser, main
 from graphvariety.counting import DEFAULT_WORK_CAP
 from graphvariety.graphs import MAX_VERTICES
 
@@ -850,3 +851,91 @@ class TestOptionTable:
             for name, p in sub.choices.items()
         }
         assert table == self.TABLE
+
+
+def parser_text(capsys, monkeypatch, parse, argv):
+    """(exit code, stdout, stderr) of `parse(argv)` at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def text_digest(text):
+    return hashlib.sha256(json.dumps(list(text)).encode()).hexdigest()[:16]
+
+
+class TestParserTexts:
+    """Help, usage and error texts stay byte-identical now that `main`
+    builds only the invoked subcommand's parser."""
+
+    CASES = {
+        "help": ["--help"], "-h": ["-h"], "empty": [], "unknown": ["frobnicate"],
+        "option-before-command": ["--graph", "g", "analyze"],
+        "unrecognized": ["analyze", "--graph", "g", "--bogus"],
+        "missing-field": ["count", "--graph", "g"],
+        "bad-int": ["sample", "--graph", "g", "--seed", "x"],
+        **{f"{c} --help": [c, "--help"] for c in COMMANDS},
+        **{c: [c] for c in COMMANDS},  # each misses its required options
+    }
+    # sha256 of [exit code, stdout, stderr], recorded with COLUMNS=80 when
+    # every call built all nine parsers, on Python 3.10.13, 3.11.7 and
+    # 3.12.1; argparse words some texts differently on 3.13
+    PINS = {
+        "help": "ebe288ce1b12b02d", "-h": "ebe288ce1b12b02d", "empty": "94880092b3c3ef29",
+        "unknown": "53a1f7dd77dfd7d2", "option-before-command": "d00b30c1eb9ed4cf",
+        "unrecognized": "9273b1e0f0539c25", "missing-field": "9fcb0a105db023ea",
+        "bad-int": "6b0b55396d736a7e",
+        "analyze --help": "c5b5cc4eb7131dad", "sample --help": "1655eaab6d84ccba",
+        "check --help": "c183680513993819", "certify --help": "d38d57b3598312e5",
+        "split --help": "e0f2b4ff9d20afb0", "split-tree --help": "3f78e6d2f1dc2b38",
+        "verify-split --help": "00d12b528ce9e967", "count --help": "746c0321781f3d43",
+        "equations --help": "7a957711efb0ce61",
+        "analyze": "d47909be40b30636", "sample": "77ac587df9220f62", "check": "9569d3baf2332a48",
+        "certify": "bdde9188c7028e57", "split": "2884bee446e74037", "split-tree": "3290529ccf1ab464",
+        "verify-split": "93442644453f1c48", "count": "6e9c05306c89ff65", "equations": "071d5c17360dc67a",
+    }
+    PINS_313 = {
+        **PINS, "help": "3a919a5255e03dd2", "-h": "3a919a5255e03dd2", "empty": "b06d91c0db26d533",
+        "unrecognized": "aadc62770b6f7945", "verify-split --help": "27b576903e0e6faa",
+        "verify-split": "58aeb5638e90866a",
+    }
+    VERSION_PINS = {
+        "3.10.13": PINS, "3.11.7": PINS, "3.12.1": PINS,
+        "3.13.0": {**PINS_313, "unknown": "fa9b82f516f9167d", "option-before-command": "d831817127cfd077"},
+        "3.13.13": {**PINS_313, "unknown": "ecd814789a35378a", "option-before-command": "a5974d9681efd2a1"},
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_texts_are_pinned(self, capsys, monkeypatch, case):
+        pins = self.VERSION_PINS.get(platform.python_version())
+        if pins is None:
+            pytest.skip("texts recorded on Python 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13")
+        assert text_digest(parser_text(capsys, monkeypatch, main, self.CASES[case])) == pins[case]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_texts_match_the_full_parser(self, capsys, monkeypatch, case):
+        argv = self.CASES[case]
+        full = parser_text(capsys, monkeypatch, build_parser().parse_args, argv)
+        assert parser_text(capsys, monkeypatch, main, argv) == full
+
+    def test_commands_name_every_subcommand(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == COMMANDS
+
+    def test_one_parser_per_command(self, capsys, graph_file, monkeypatch):
+        calls, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        run_json(capsys, ["analyze", "--graph", graph_file("g.txt", PATH3), "--dim", "2"])
+        assert calls == ["analyze"]
+        calls.clear()
+        assert parser_text(capsys, monkeypatch, main, ["-h"])[0] == 0
+        assert calls == list(COMMANDS)

@@ -34,12 +34,18 @@ from oracles import (
     frontier_widths,
     greedy_frontier_order,
     hyperbolic_plane_count,
+    ladder_graph,
     naive_point_count,
     orbit_keys,
+    orthogonality_matrix,
     path_graph,
+    reference_frontier_count,
     space_from_rows,
     star_graph,
     symplectic_plane_count,
+    transfer_cycle_count,
+    transfer_ladder_count,
+    transfer_path_count,
 )
 from strategies import forests, graphs
 
@@ -200,6 +206,7 @@ class TestFrontierCount:
         (K4_MINUS_EDGE, "symplectic", 4, 3),
         (cycle_graph(3), "symmetric", 3, 5),
         (K4_MINUS_EDGE, "symmetric", 3, 5),
+        (cycle_graph(3), "symplectic", 4, 5),
     ])
     def test_matches_enumeration(self, graph, form, n, q):
         space = standard_space(form, n, PrimeField(q))
@@ -380,13 +387,14 @@ class TestFrontierCount:
 
     def test_closing_steps_build_no_kernel(self, monkeypatch):
         # a vertex that does not enter the frontier needs only the rank of its
-        # slot vectors: `perp` runs once per entering state, as `_extensions`
-        # does (389 `perp` calls when every state built a kernel)
+        # slot vectors: `perp` runs once per entering state key and step
+        # shape, as `_extensions` does (389 `perp` calls when every state
+        # built a kernel, 214 without transition reuse)
         perp = counted_calls(monkeypatch, BilinearSpace, "perp")
         extensions = counted_calls(monkeypatch, counting, "_extensions")
         report = count_points(CountRequest(cycle_graph(5), symmetric(2, 7), cap=7**10))
         assert report.count == 142801
-        assert perp["perp"] == extensions["_extensions"] == 214
+        assert perp["perp"] == extensions["_extensions"] == 183
 
 
 def counted_calls(monkeypatch, owner, name):
@@ -399,6 +407,85 @@ def counted_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+# (form, n, q): every form kind at n=2 over F_3, F_5 and F_7, and at n=4 over F_3
+TRANSFER_SPACES = [(form, n, q) for form in ("symplectic", "symmetric", "hyperbolic")
+                   for n, q in ((2, 3), (2, 5), (2, 7), (4, 3))]
+LENGTHS = (3, 4, 5, 6, 7, 10, 13, 20, 40)
+
+
+def uncapped(g, space):
+    return count_points(CountRequest(g, space, cap=space.field.p ** (space.n * g.num_vertices))).count
+
+
+class TestTransitionReuse:
+    """Each state's transition is computed once per step shape; cycles,
+    paths, ladders and trees repeat their step shapes."""
+
+    @pytest.mark.parametrize("form,n,q", TRANSFER_SPACES)
+    def test_cycles_and_paths_match_transfer_matrices(self, form, n, q):
+        space = standard_space(form, n, PrimeField(q))
+        a = orthogonality_matrix(space)
+        for length in LENGTHS:
+            assert uncapped(cycle_graph(length), space) == transfer_cycle_count(a, length), length
+            assert uncapped(path_graph(length), space) == transfer_path_count(a, length), length
+
+    @pytest.mark.parametrize("form,n,q,rungs", [
+        ("symplectic", 2, 5, 20), ("hyperbolic", 2, 7, 12), ("symmetric", 2, 3, 20),
+        ("symplectic", 4, 3, 10), ("symmetric", 4, 3, 6),
+    ])
+    def test_ladders_match_transfer_matrices(self, form, n, q, rungs):
+        space = standard_space(form, n, PrimeField(q))
+        a = orthogonality_matrix(space)
+        for r in (1, 2, 3, 4, 7, rungs):
+            assert uncapped(ladder_graph(r), space) == transfer_ladder_count(a, r), r
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_ladders_match_plane_counts(self, q):
+        symplectic = standard_space("symplectic", 2, PrimeField(q))
+        hyperbolic = standard_space("hyperbolic", 2, PrimeField(q))
+        for rungs in range(1, 7):
+            g = ladder_graph(rungs)
+            assert uncapped(g, symplectic) == symplectic_plane_count(g, q), rungs
+            assert uncapped(g, hyperbolic) == hyperbolic_plane_count(g, q), rungs
+
+    @pytest.mark.parametrize("num_vertices", [63, 127])
+    def test_binary_trees_match_tree_recursion(self, num_vertices):
+        tree = complete_binary_tree(num_vertices)
+        space = standard_space("symplectic", 4, PrimeField(3))
+        assert uncapped(tree, space) == forest_point_count(tree, 4, 3)
+
+    # random graphs in random orders, raw keys over F_2 included: reusing
+    # transitions must give the counts of computing each one afresh
+    @pytest.mark.parametrize("form,n,q", [case[:3] for case in TestFrontierCount.FORMS])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_orders_match_the_reference_dp(self, form, n, q, data):
+        admitted = counting._cap_exponent(q, counting.DEFAULT_WORK_CAP) // n
+        g = data.draw(graphs(min(9, admitted), min_vertices=0))
+        order = data.draw(st.permutations(range(g.num_vertices)))
+        space = standard_space(form, n, PrimeField(q))
+        assert counting._frontier_count(g, order, space) == reference_frontier_count(g, order, space)
+
+    # the `_extensions` calls stop growing with the cycle: one per entering
+    # state key and step shape
+    @pytest.mark.parametrize("form,n,q,calls", [
+        ("hyperbolic", 2, 5, 98), ("symplectic", 4, 3, 11), ("symmetric", 2, 7, 183),
+    ])
+    @pytest.mark.parametrize("length", [10, 20, 40])
+    def test_cycle_extension_calls_do_not_grow(self, monkeypatch, form, n, q, calls, length):
+        extensions = counted_calls(monkeypatch, counting, "_extensions")
+        space = standard_space(form, n, PrimeField(q))
+        a = orthogonality_matrix(space)
+        assert uncapped(cycle_graph(length), space) == transfer_cycle_count(a, length)
+        assert extensions["_extensions"] == calls
+
+    def test_step_shapes_of_a_path(self):
+        # each inner vertex closes its predecessor and enters the frontier;
+        # the last one closes the frontier
+        shapes = counting._step_shapes(path_graph(4), [0, 1, 2, 3])
+        assert shapes == [(0, (), (), True), (1, (0,), (), True), (1, (0,), (), True), (1, (0,), (), False)]
 
 
 class TestFrontierKey:
