@@ -15,13 +15,13 @@ or Gram image.
 
 The states after a step number at most q^(n w), w the frontier's width
 then, so the DP walks whichever of two orders has the smaller raw state
-bound sum_i q^(n w_i) (`_count_order`): a greedy minimum-frontier order
-(`_min_frontier_order`; vertex separation, Bodlaender, TCS 1998) or the
-reversed degeneracy order, ties going to the greedy one.  Neither is always
-the narrower.  On K2,3 the greedy order has width 2 where the reversed
-degeneracy order has 3; on the 31-vertex complete binary tree it has width
-5 against 3, and its walk takes seconds against milliseconds.  The count
-does not depend on the order.
+bound sum_i q^(n w_i) (`_count_shapes`, which reads each w_i off its step's
+shape): a greedy minimum-frontier order (`_min_frontier_order`; vertex
+separation, Bodlaender, TCS 1998) or the reversed degeneracy order, ties
+going to the greedy one.  Neither is always the narrower.  On K2,3 the
+greedy order has width 2 where the reversed degeneracy order has 3; on the
+31-vertex complete binary tree it has width 5 against 3, and its walk takes
+seconds against milliseconds.  The count does not depend on the order.
 
 The key is the isometry orbit of the frontier tuple where Witt's extension
 theorem applies, that is for alternating forms and for symmetric forms in
@@ -95,7 +95,7 @@ reported, never judged.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from operator import add, mul
 
 from .errors import WorkCapExceededError
@@ -220,7 +220,8 @@ def _step_shapes(g, order):
     """Each step's shape (frontier width, slot positions, kept positions,
     enters): the frontier positions of the vertex's earlier neighbours,
     those of the frontier vertices that stay, and whether the vertex joins
-    the frontier."""
+    the frontier.  The frontier after the step is the kept vertices and,
+    if it enters, the vertex, so its width is len(keep) + enters."""
     position = {v: i for i, v in enumerate(order)}
     last = {v: max((position[u] for u in g.adjacency[v]), default=-1) for v in order}
     frontier, shapes = [], []
@@ -254,13 +255,13 @@ def _transition(space, orbit_keys, shape, key, rep):
     return {(gram, _kept_echelon(key[1], keep, p)): (kept, size)}
 
 
-def _frontier_count(g, order, space):
-    """The number of member points, by the frontier DP over `order`, each
-    state's transition computed once per step shape (module docstring)."""
+def _frontier_count(space, shapes):
+    """The number of member points, by the frontier DP over an order's
+    step `shapes`, each state's transition computed once per step shape
+    (module docstring)."""
     p = space.field.p
     # Witt's extension theorem: alternating forms, or odd characteristic
     orbit_keys = p != 2 or not any(i == j for i, j, _ in space.terms)
-    shapes = _step_shapes(g, order)
     final = {shape: i for i, shape in enumerate(shapes)}  # each shape's last step
     tables = {}  # shape -> {state key: transition}, for shapes still to come
     states = {(): ((), 1)}
@@ -317,26 +318,18 @@ def _min_frontier_order(g):
     return order
 
 
-def _frontier_widths(g, order):
-    """w_i, the number of vertices among order[:i + 1] with a neighbour
-    after position i, for each step i of `order`."""
-    position = {v: i for i, v in enumerate(order)}
-    delta = [0] * (len(order) + 1)
-    for i, v in enumerate(order):
-        last = max((position[u] for u in g.adjacency[v]), default=-1)
-        if last > i:  # v is in the frontier after steps i..last - 1
-            delta[i] += 1
-            delta[last] -= 1
-    return list(accumulate(delta[:-1]))
-
-
-def _count_order(g, space):
-    """The order `count_points` walks: `_min_frontier_order` or the reversed
-    degeneracy order, whichever has the smaller raw state bound
-    sum_i q^(n w_i), ties going to the greedy one."""
+def _count_shapes(g, space):
+    """The step shapes `count_points` walks: those of `_min_frontier_order`
+    or of the reversed degeneracy order, whichever has the smaller raw state
+    bound sum_i q^(n w_i), w_i = len(keep) + enters, ties going to the
+    greedy one."""
     states = space.field.p ** space.n
+
+    def bound(shapes):
+        return sum(states ** (len(keep) + enters) for _, _, keep, enters in shapes)
+
     orders = (_min_frontier_order(g), degeneracy_order(g)[0][::-1])
-    return min(orders, key=lambda order: sum(states**w for w in _frontier_widths(g, order)))
+    return min((_step_shapes(g, order) for order in orders), key=bound)
 
 
 def _cap_exponent(q, cap):
@@ -348,8 +341,8 @@ def _cap_exponent(q, cap):
 
 
 def count_points(req):
-    """The exact number of member points, by a frontier DP over
-    `_count_order` (module docstring).
+    """The exact number of member points, by a frontier DP over the step
+    shapes of `_count_shapes` (module docstring).
 
     The work estimate is the worst case q^(n |V|) of a full enumeration, kept
     as the admission rule: a request over the cap is rejected up front even
@@ -361,7 +354,7 @@ def count_points(req):
     work = space.n * g.num_vertices
     if work > _cap_exponent(q, req.cap):
         raise WorkCapExceededError((q, work), req.cap)
-    count = _frontier_count(g, _count_order(g, space), space)
+    count = _frontier_count(space, _count_shapes(g, space))
     d = expected_dimension(g, space)
     return CountReport(
         count=count,

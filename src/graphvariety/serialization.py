@@ -8,14 +8,15 @@ stdout, in an `--out` file or as an error on stderr, is
 runs byte-identical, without `json`'s pure-Python indent encoder.  It
 streams the text, its top three levels member by member, so an `equations`
 document is written an edge's members at a time and the shared term list's
-text is never copied into an edge's.  Below those levels `_encode` builds
-the text: a list of strings is joined in C, in one join when no string
-needs an escape (a list is tried as strings only when it starts with one,
-and a streamed list's join is reused for its text), and a container seen
-again at the same depth, such as the one term list `equations_to_obj` gives
-every edge equation, is encoded at most twice per call: its text is kept
-from its second encoding on, so the text of a container met once is never
-held past its use.
+text is never copied into an edge's.  A list is streamed when its first
+member is a container; every list the CLI writes holds only containers or
+only scalars.  Any other value, and everything below those levels, is one
+piece that `_encode` builds: a list of strings is joined in C, in one join
+when no string needs an escape (a list is tried as strings only when it
+starts with one), and a container seen again at the same depth, such as the
+one term list `equations_to_obj` gives every edge equation, is encoded at
+most twice per call: its text is kept from its second encoding on, so the
+text of a container met once is never held past its use.
 `weighting_from_json` converts each weight vector as soon as it is parsed,
 so a weighting file's palette strings are never all held at once.
 
@@ -51,16 +52,16 @@ def write_canonical(obj, stream):
 
 
 def _write(obj, write, nl, memo, levels):
-    """Write `_encode(obj, nl, memo)`: a dict, or a list that holds
-    containers, up to `levels` deep member by member."""
-    joined = None
+    """Write `_encode(obj, nl, memo)`: a dict, or a list whose first member
+    is a container, up to `levels` deep member by member, pairing each
+    member with its prefix only as it is written; any other value in one
+    piece."""
     if levels and isinstance(obj, dict) and obj:
-        members = [(_quote(k) + ": ", v) for k, v in sorted(obj.items())]
-    elif (levels and isinstance(obj, (list, tuple)) and (joined := _joined(obj)) is None
-            and any(isinstance(x, _CONTAINERS) for x in obj)):
-        members = [("", x) for x in obj]
-    else:  # a scalar, or a list of scalars: one piece
-        write(_encode(obj, nl, memo) if joined is None else _strings(obj, joined, nl))
+        members = ((_quote(k) + ": ", v) for k, v in sorted(obj.items()))
+    elif levels and isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], _CONTAINERS):
+        members = (("", x) for x in obj)
+    else:  # past `levels`, a scalar, an empty container or a list that starts with a scalar
+        write(_encode(obj, nl, memo))
         return
     inner = nl + "  "
     open_, close = "{}" if isinstance(obj, dict) else "[]"
@@ -70,22 +71,17 @@ def _write(obj, write, nl, memo, levels):
     write(nl + close)
 
 
-def _joined(items):
-    """The items joined into one string, or None if they are not all
-    strings.  Only a list that starts with a string is tried, so a list of
+def _strings(items, nl):
+    """`_encode` of a nonempty list placed after `nl` if its items are all
+    strings, else None: joined in C, in one join when no string needs an
+    escape.  Only a list that starts with a string is tried, so a list of
     containers raises no TypeError."""
-    if not items or not isinstance(items[0], str):
+    if not isinstance(items[0], str):
         return None
     try:
-        return "".join(items)
+        joined = "".join(items)
     except TypeError:
         return None
-
-
-def _strings(items, joined, nl):
-    """`_encode` of a nonempty list of strings whose concatenation is
-    `joined`, placed after `nl`: joined in C, in one join when no string
-    needs an escape."""
     inner = nl + "  "
     if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
         body = '"' + ('",' + inner + '"').join(items) + '"'  # nothing to escape
@@ -111,10 +107,8 @@ def _encode(obj, nl, memo):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
-    if not isinstance(obj, dict):
-        joined = _joined(obj)
-        if joined is not None:  # too cheap to be worth a memo entry
-            return _strings(obj, joined, nl)
+    if not isinstance(obj, dict) and (text := _strings(obj, nl)) is not None:
+        return text  # too cheap to be worth a memo entry
     key = (id(obj), len(nl))
     seen = memo.get(key)
     if seen is not None and seen[1] is not None:

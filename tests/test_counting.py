@@ -290,15 +290,20 @@ class TestFrontierCount:
         g = data.draw(graphs(min(8, admitted), min_vertices=0))
         space = standard_space(form, n, PrimeField(q))
         degeneracy = list(reversed(degeneracy_order(g)[0]))
-        count = counting._frontier_count(g, degeneracy, space)
-        assert counting._frontier_count(g, counting._min_frontier_order(g), space) == count
+        greedy = counting._min_frontier_order(g)
+        count = counting._frontier_count(space, counting._step_shapes(g, degeneracy))
+        assert counting._frontier_count(space, counting._step_shapes(g, greedy)) == count
         assert count_points(CountRequest(g, space)).count == count
 
     @given(g=graphs(8, min_vertices=0), data=st.data())
     @settings(max_examples=50, deadline=None)
-    def test_frontier_widths_match_their_definition(self, g, data):
+    def test_step_shape_widths_match_their_definition(self, g, data):
+        # `_count_shapes` reads each step's frontier width off its shape
         order = data.draw(st.permutations(range(g.num_vertices)))
-        assert counting._frontier_widths(g, order) == frontier_widths(g, order)
+        shapes = counting._step_shapes(g, order)
+        widths = frontier_widths(g, order)
+        assert [len(keep) + enters for _, _, keep, enters in shapes] == widths
+        assert [width for width, _, _, _ in shapes] == ([0] + widths)[:-1]
 
     @pytest.mark.parametrize("form,n,q", [("symplectic", 2, 3), ("symmetric", 3, 2), ("hyperbolic", 4, 5)])
     @given(g=graphs(10, min_vertices=0))
@@ -311,8 +316,9 @@ class TestFrontierCount:
 
         greedy = counting._min_frontier_order(g)
         degeneracy = list(reversed(degeneracy_order(g)[0]))
-        chosen = list(counting._count_order(g, space))
-        assert chosen == (greedy if bound(greedy) <= bound(degeneracy) else degeneracy)
+        chosen = counting._count_shapes(g, space)
+        expected = greedy if bound(greedy) <= bound(degeneracy) else degeneracy
+        assert chosen == counting._step_shapes(g, expected)
 
     # perfbench's FULL_COUNTS graphs: the bounds tie or the greedy order is
     # narrower (K2,3: 1901 against 16901), so each walks the greedy order
@@ -326,7 +332,7 @@ class TestFrontierCount:
     ], ids=["path3", "path5", "c5", "k23", "edge", "c4"])
     def test_benchmark_graphs_walk_the_greedy_order(self, g, form, n, q):
         space = standard_space(form, n, PrimeField(q))
-        assert list(counting._count_order(g, space)) == counting._min_frontier_order(g)
+        assert counting._count_shapes(g, space) == counting._step_shapes(g, counting._min_frontier_order(g))
 
     def test_binary_tree_walks_the_reversed_degeneracy_order(self):
         # the greedy order has width 5 here and its walk takes seconds; the
@@ -334,7 +340,9 @@ class TestFrontierCount:
         tree = complete_binary_tree(31)
         space = standard_space("symplectic", 4, PrimeField(3))
         assert max(frontier_widths(tree, counting._min_frontier_order(tree))) == 5
-        assert max(frontier_widths(tree, counting._count_order(tree, space))) == 3
+        shapes = counting._count_shapes(tree, space)
+        assert shapes == counting._step_shapes(tree, list(reversed(degeneracy_order(tree)[0])))
+        assert max(len(keep) + enters for _, _, keep, enters in shapes) == 3
         report = count_points(CountRequest(tree, space, cap=10**60))
         assert report.count == forest_point_count(tree, 4, 3)
         assert report.count == 18998077436192669401499694283784358116550678321
@@ -466,7 +474,8 @@ class TestTransitionReuse:
         g = data.draw(graphs(min(9, admitted), min_vertices=0))
         order = data.draw(st.permutations(range(g.num_vertices)))
         space = standard_space(form, n, PrimeField(q))
-        assert counting._frontier_count(g, order, space) == reference_frontier_count(g, order, space)
+        shapes = counting._step_shapes(g, order)
+        assert counting._frontier_count(space, shapes) == reference_frontier_count(g, order, space)
 
     # the `_extensions` calls stop growing with the cycle: one per entering
     # state key and step shape

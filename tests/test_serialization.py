@@ -36,7 +36,7 @@ from graphvariety.serialization import (
     weighting_to_obj,
     write_canonical,
 )
-from oracles import (canonical_text, cycle_graph, cycle_singular_point, path_graph, point_key,
+from oracles import (canonical_text, cycle_graph, cycle_singular_point, ladder_graph, path_graph, point_key,
                      vectors, weighting_from_obj)
 
 
@@ -450,6 +450,21 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert sink.size > 40 * 10**6
+        assert peak < sink.size / 4
+
+    def test_split_report_edges_are_not_held_until_the_write_ends(self):
+        # a ladder's verify-split report: one `per_edge` member per edge,
+        # about 180 characters of text each
+        g = ladder_graph(1000)
+        obj = splitting_report_to_obj(color_classes(g, split_into_matchings(g)))
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            write_canonical(obj, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(obj["per_edge"]) == g.num_edges == 2998
         assert peak < sink.size / 4
 
 
