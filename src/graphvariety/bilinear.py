@@ -9,14 +9,15 @@ builds one of ints only for its degeneracy and symmetry checks.
 
 Every product with the Gram matrix runs on one integer kernel, `_image`,
 over the matrix's nonzero entries.  They are kept once, as the public
-`terms`, and as int terms (i, j, c) derived from them.
+`terms`, and as int terms (i, j, c) derived from them: the entries'
+integer form (`fields._integer_form`) is the c over `scale`.
 Over F_p each c is the entry itself, an int in [0, p), and `scale` is 1.
 Over Q each entry is c / scale for the least common denominator `scale`
 of the Gram matrix.  `_image` is the same for both fields: for an integer
 vector b it makes one pass over the int terms and returns the integers
 g = G_int b, so (gram b)_i = g_i / scale; over F_p g is not yet reduced.
-A rational vector v is written as integer numerators b over their least
-common denominator dv (`linalg._numerators`) first, so that
+A rational vector v is written as its integer form, numerators b over
+their least common denominator dv, first, so that
 (gram v)_i = g_i / (dv * scale).  From there:
 
 - `gram_times(v)` reduces g once: mod p per coordinate, or one
@@ -41,12 +42,11 @@ arithmetic, so each value equals the dense product on field scalars.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import OddDimensionError, UnsupportedCombinationError
-from .fields import RATIONALS
-from .linalg import _numerators, kernel, rref
+from .fields import RATIONALS, _integer_form
+from .linalg import kernel, rref
 
 # The largest ambient dimension accepted.  The degeneracy check's dense int
 # matrix and its `rref` grow as n^2 and worse: `analyze` on one edge, with
@@ -84,8 +84,8 @@ class BilinearSpace:
             entries[i, j] = field(x)
         terms = tuple((i, j, x) for (i, j), x in sorted(entries.items()) if x)
         # the same terms on ints c with gram[i][j] == c / scale
-        scale = 1 if field.p is not None else lcm(*(x.denominator for *_, x in terms))
-        int_terms = tuple((i, j, int(x * scale)) for i, j, x in terms)
+        numerators, scale = _integer_form(field, [x for *_, x in terms])
+        int_terms = tuple((i, j, c) for (i, j, _), c in zip(terms, numerators))
         ints = [[0] * n for _ in range(n)]
         for i, j, c in int_terms:
             ints[i][j] = c
@@ -134,7 +134,7 @@ class BilinearSpace:
         p = self.field.p
         if p is not None:
             return sum(map(mul, u, self._image(v))) % p
-        (a, du), (b, dv) = _numerators(u), _numerators(v)
+        (a, du), (b, dv) = _integer_form(self.field, u), _integer_form(self.field, v)
         return Fraction(sum(map(mul, a, self._image(b))), du * dv * self.scale)
 
     def gram_times(self, v):
@@ -143,7 +143,7 @@ class BilinearSpace:
         p = self.field.p
         if p is not None:
             return [x % p for x in self._image(v)]
-        b, d = _numerators(v)
+        b, d = _integer_form(self.field, v)
         d *= self.scale
         return [Fraction(x, d) for x in self._image(b)]
 

@@ -7,9 +7,22 @@ and over F_p it is also how raw int arithmetic is brought back into [0, p),
 which must happen before a result is compared or stored.  Floats are
 rejected at the boundary so rounding error can never leak into a rank
 computation or a certificate check.
+
+Exact work runs on integers, and `_integer_form` is the one place a vector
+of scalars becomes them: integers a over the least d > 0 with a / d the
+vector, residues over d = 1 in F_p.  Over Q an int, or an ASCII string
+`[-]digits[/digits]` with a nonzero denominator, is split by `int`; any
+other scalar goes through `RATIONALS`, which gives its value or its error.
+The vector goes over the lcm D of its denominators, and `_lowest_terms`
+divides D and the numerators D x by their gcd.  That leaves L, the lcm of
+the reduced denominators: D = k L with k dividing every D x, and no prime
+divides L and every L x, as it divides some reduced denominator q to its
+full power in L and so not the numerator of x_i = p / q times L / q.
+For reduced `Fraction`s D is L already.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # A decimal string's exponent is capped at Python's default limit on the
@@ -113,6 +126,45 @@ class PrimeField:
 
 
 RATIONALS = RationalField()
+
+
+def _rational(x):
+    """A numerator and a denominator > 0 of the scalar x over Q: an int, a
+    decimal string or a `Fraction` (module docstring)."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        # ASCII, so isdigit() means [0-9]+: the plain [-]digits[/digits]
+        if x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                num, den = int(num), int(den) if den else 1
+            except ValueError:  # past the digit limit: RATIONALS raises its error
+                den = 0
+            if den:
+                return num, den
+    x = RATIONALS(x)
+    return x.numerator, x.denominator
+
+
+def _lowest_terms(a, d):
+    """The integer vector a over d > 0 in lowest terms: (a / g as a tuple,
+    d / g) for g = gcd(d, *a)."""
+    g = gcd(d, *a)
+    if g > 1:
+        return tuple(x // g for x in a), d // g
+    return tuple(a), d
+
+
+def _integer_form(field, vec):
+    """The integer form (a, d) of the vector of scalars `vec`: a tuple of
+    ints and the least d > 0 with a / d == vec, d = 1 over F_p (module
+    docstring)."""
+    if field.p is not None:
+        return tuple(map(field, vec)), 1
+    pairs = [_rational(x) for x in vec]
+    d = lcm(*(e for _, e in pairs))
+    return _lowest_terms([x * (d // e) for x, e in pairs], d)
 
 
 def field_from_spec(label):

@@ -1,8 +1,9 @@
-"""Exact linear algebra on row lists over a field object from `fields`.
+"""Exact linear algebra over Q or F_p, on integer row lists.
 
 There is no matrix type: a matrix is a list of rows, each a sequence of
-scalars, and the caller passes the column count where it matters.  Every
-routine takes the modulus `p` (None over Q).
+ints, and the caller passes the column count where it matters.  Every
+routine takes the modulus `p` (None over Q), and takes and returns ints
+only: no `Fraction` is made here.
 
 `rref` is the one dense elimination, on integer rows for both fields:
 Gauss-Jordan with one pivot rule, the first nonzero entry of the column at
@@ -14,8 +15,9 @@ mod p, from the pivot column on.  Over Q no row operation touches a
 other row becomes piv * row - f * pivot row, divided by its content, the
 gcd of its entries.  An integer row is a nonzero multiple of the row an
 elimination on `Fraction`s would hold, so both see the same zeros and
-choose the same pivots; a caller with rationals passes each row times the
-lcm of its denominators (`_numerators`).
+choose the same pivots; a caller with rationals passes any integer
+multiple of each row, such as its numerators over its least denominator
+(`fields._integer_form`).
 
 `solve` reads the solutions of rows . x = 0 off `rref`: the free columns,
 and per pivot column its row and the factor that puts it over one
@@ -27,15 +29,7 @@ at the first dependent row; it never builds dense rows, so sparse
 Jacobians stay sparse.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
-
-
-def _numerators(u):
-    """Integers a and d > 0 with u_i == a_i / d for every i, d the least
-    common denominator of the rationals u."""
-    d = lcm(*(x.denominator for x in u))
-    return [x.numerator * (d // x.denominator) for x in u], d
 
 
 def _primitive(row):
@@ -122,11 +116,12 @@ def first_dependency(rows, p=None):
     mod a prime `p`, or any ints when `p` is None.  Each row is reduced at
     its smallest column against earlier pivot rows (zero left of their
     pivots), keeping beside it the combination of input rows it has become.
-    The first row f to reach zero returns that combination: coefficient 1 at
-    f, support in 0..f, unique as rows 0..f-1 are independent.  Over Q row
-    and combination are updated and divided by their joint content together,
-    and the combination returned is divided by its coefficient at f, as
-    `Fraction`s.
+    The first row f to reach zero returns that combination, with support in
+    0..f and a nonzero coefficient at f; it is unique up to a scalar, as
+    rows 0..f-1 are independent.  Over F_p the coefficient at f is 1.  Over
+    Q row and combination are updated and divided by their joint content
+    together, and the combination is returned on ints: divided by its
+    coefficient at f, it is the dependency with coefficient 1 there.
     """
     pivots = {}  # pivot column -> (pivot or its inverse mod p, rest of the row, combination)
     for f, row in enumerate(rows):
@@ -152,8 +147,6 @@ def first_dependency(rows, p=None):
                     else:
                         del target[k]
         else:
-            if p is None:
-                return {k: Fraction(x, combo[f]) for k, x in combo.items()}
             return combo
         x = row.pop(c)
         pivots[c] = (x if p is None else pow(x, -1, p), row, combo)

@@ -21,10 +21,11 @@ of the pivots over Q, and over F_p (pivots 1) L = 1 and x_c reduced mod p.
 That is sum_f c_f * b_f over `kernel`'s basis b_f, so the RNG calls and
 every output byte are those of drawing on the basis, at O(n * r) per draw
 for r constraints; a vertex with no older neighbour draws from F^n.  Over
-Q a candidate stands for x / L, and an accepted one is kept as its integer
-form (`VertexAssignment.from_numerators`): no `Fraction` is built.  The
-younger neighbours' constraints take the candidates themselves, as an
-integer multiple of a vector has the same orthogonal complement.  Each
+Q a candidate stands for x / L, and an accepted one is kept only as its
+integer form, x over L in lowest terms (`fields._lowest_terms`): no
+`Fraction` is built.  The younger neighbours' constraints take those
+numerators, x divided by a positive integer; `rref` divides every row by
+its content first, so `solve` gets the system x itself would give.  Each
 younger vertex keeps its partial family as echelon rows: integer rows (Q)
 or residue rows (F_p), each with its pivot column, every row zero at the
 pivots of the rows kept before it.  A candidate reduced against them by
@@ -36,12 +37,12 @@ re-ranking on field scalars.
 """
 
 import random
-from math import gcd
 from operator import mul
 
 from .errors import PreconditionViolatedError, RetriesExhaustedError, WorkCapExceededError
+from .fields import _lowest_terms
 from .graphs import degeneracy_order
-from .linalg import solve
+from .linalg import _primitive, solve
 from .splitting import WEIGHTING_CAP
 from .variety import VertexAssignment
 
@@ -85,8 +86,7 @@ def _echelon_row(rest, p):
     """A nonzero remainder of `_reduce` as a kept row (pivot column, row):
     its first nonzero column, and over Q the row divided by its content."""
     if p is None:
-        content = gcd(*rest)
-        rest = [x // content for x in rest]
+        rest = _primitive(rest)
     return next(c for c, x in enumerate(rest) if x), rest
 
 
@@ -129,11 +129,11 @@ def sample_regular_point(graph, space, seed=0, bound=10, max_retries=64):
         if p <= worst:
             raise PreconditionViolatedError(f"prime field too small: need p > {worst}, got {p}")
     rng = random.Random(seed)
-    candidates, numerators = {}, {}  # the accepted integer draws, and their integer forms
+    numerators = [None] * num_vertices  # the integer forms of the accepted draws
     echelon = [[] for _ in range(num_vertices)]  # partial older-neighbor families
     # oldest vertex first
     for v in reversed(order):
-        system = solve([space._image(candidates[u]) for u in older[v]], n, p)
+        system = solve([space._image(numerators[u][0]) for u in older[v]], n, p)
         for _ in range(max_retries):
             candidate = _draw(system, n, rng, bound, p)
             if not any(candidate):
@@ -146,7 +146,5 @@ def sample_regular_point(graph, space, seed=0, bound=10, max_retries=64):
                 f"no admissible draw for vertex {v} after {max_retries} attempts")
         for y, rest in zip(younger[v], remainders):
             echelon[y].append(_echelon_row(rest, p))
-        candidates[v] = candidate
-        content = gcd(system[1], *candidate)  # 1 over F_p
-        numerators[v] = tuple(x // content for x in candidate), system[1] // content
-    return VertexAssignment.from_numerators(field, [numerators[v] for v in range(num_vertices)])
+        numerators[v] = _lowest_terms(candidate, system[1])
+    return VertexAssignment.from_numerators(field, numerators)

@@ -15,20 +15,9 @@ on the rows before it, with coefficient 1 at f and zeros after f.
 Membership and certificates run on integers.  A `VertexAssignment` stores
 only its integer form, one (a(v), d_v) per vertex with w(v) = a(v) / d_v:
 over Q a(v) is a tuple of ints and d_v > 0 the least common denominator
-of the values; over F_p a(v) is the residues and d_v = 1.
-
-Scalars become the integer form once, in `_integer_form`.  Over F_p the
-field reduces each.  Over Q an int, or a plain ASCII string
-`[-]digits[/digits]` with a nonzero denominator, becomes its numerator and
-denominator by `int`.  Any other scalar (a
-`Fraction`, another string, or one with more digits than `int` accepts)
-goes through `RATIONALS`, which gives its value or the error a bad scalar
-has always raised; a float raises `TypeError`.  Each vector x is put over
-the lcm D of its denominators and divided by the gcd of D and the
-numerators D x.  That leaves L, the lcm of the reduced denominators: D = k L,
-so k divides D and every D x, and no prime divides L and every L x, as it
-divides some reduced denominator q to its full power in L and so not the
-numerator of x_i = p / q times L / q.
+of the values; over F_p a(v) is the residues and d_v = 1.  Scalars become
+that form once, in `fields._integer_form`, as certificate values do in
+`_certifies`.
 
 With the Gram matrix as int terms over one scale s_G (`BilinearSpace._image`),
 <w(lo), w(hi)> = a(lo) . (G_int a(hi)) / (d_lo * d_hi * s_G): one integer
@@ -45,11 +34,12 @@ dependency.  `_edge_rows` builds the integer rows J' instead: a(hi) in lo's
 block and s * a(lo) in hi's.  Then J_w = R^-1 J' C with the invertible
 R = diag(d_lo(e) * d_hi(e)) and C = diag(d_v on v's block), so each prefix
 of rows has the same rank in J_w and J' (the same first dependent row f),
-and lambda J_w = 0 exactly when (lambda R^-1) J' = 0.  If mu' is the
-dependency of J' with coefficient 1 at f and zeros after f, lambda =
-mu' R / R_f is such a dependency of J_w, and as that one is unique,
+and lambda J_w = 0 exactly when (lambda R^-1) J' = 0.  If mu' is a
+dependency of J' with zeros after f (over Q `first_dependency` gives it on
+ints, with some nonzero coefficient at f), lambda = mu' R / (mu'_f R_f) is
+the dependency of J_w with coefficient 1 at f, and as that one is unique,
 
-    lambda_e = mu'_e * d_lo(e) * d_hi(e) / (d_lo(f) * d_hi(f)).
+    lambda_e = mu'_e * d_lo(e) * d_hi(e) / (mu'_f * d_lo(f) * d_hi(f)).
 
 `singular_certificate` checks membership once, eliminates J' and re-checks
 its certificate as `verify_certificate` does, on the integer form without
@@ -58,11 +48,11 @@ its certificate as `verify_certificate` does, on the integer form without
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import NotOnVarietyError
-from .fields import RATIONALS
+from .fields import _integer_form
 from .graphs import has_even_cycle, is_forest
 from .linalg import first_dependency
 
@@ -79,7 +69,8 @@ class VertexAssignment:
     @classmethod
     def from_numerators(cls, field, numerators):
         """The assignment with integer form `numerators`: per vertex (a, d)
-        as `_integer_form` gives it, a tuple of ints and the least d > 0."""
+        as `fields._integer_form` gives it, a tuple of ints and the least
+        d > 0."""
         self = cls.__new__(cls)
         self.field = field
         self.numerators = tuple(numerators)
@@ -91,39 +82,6 @@ class VertexAssignment:
 
     def __repr__(self):
         return f"VertexAssignment({self.field!r}, {self.num_vertices} vectors)"
-
-
-def _rational(x):
-    """A numerator and a denominator > 0 of the scalar x over Q: an int, a
-    decimal string or a `Fraction`."""
-    if type(x) is int:
-        return x, 1
-    if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        # ASCII, so isdigit() means [0-9]+: the plain [-]digits[/digits]
-        if x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            try:
-                num, den = int(num), int(den) if den else 1
-            except ValueError:  # past the digit limit: RATIONALS raises its error
-                den = 0
-            if den:
-                return num, den
-    x = RATIONALS(x)
-    return x.numerator, x.denominator
-
-
-def _integer_form(field, vec):
-    """The integer form (a, d) of the vector of scalars `vec` (module
-    docstring)."""
-    if field.p is not None:
-        return tuple(map(field, vec)), 1
-    pairs = [_rational(x) for x in vec]
-    d = lcm(*(e for _, e in pairs))
-    a = [x * (d // e) for x, e in pairs]
-    g = gcd(d, *a)
-    if g > 1:
-        return tuple(x // g for x in a), d // g
-    return tuple(a), d
 
 
 class VarietyContext:
@@ -227,28 +185,25 @@ def verify_certificate(ctx, assignment, certificate):
 def _certifies(ctx, num, values):
     """The value checks of `verify_certificate` at the member point with
     integer form `num`, by one pass adding each edge's weighted neighbour
-    numerators a(u) into per-vertex integer sums.  Over Q, w(u) = a(u) / d_u,
-    and v's sum is taken times K_v, the lcm of the denominators of v's
-    coefficients value / d_u, so that each becomes an integer; over F_p the
-    sums are reduced mod p."""
-    values = [ctx.field(x) for x in values]
-    if not any(values):
+    numerators a(u) into per-vertex integer sums.  The values' integer form
+    is mu over D, and D scales every sum alike, so it is dropped; with
+    w(u) = a(u) / d_u, v's sum is taken times K_v, the lcm of the d_u of its
+    weighted neighbours, so each coefficient s * mu_e * K_v / d_u is an
+    integer.  Over F_p every d is 1, and the sums are reduced mod p."""
+    mu, _ = _integer_form(ctx.field, values)
+    if not any(mu):
         return False
     p, sign = ctx.field.p, -1 if ctx.space.kind == "symplectic" else 1
-    # each end of each weighted edge: (vertex, neighbour, value, sign)
-    ends = [end for (lo, hi), lam in zip(ctx.graph.edges, values) if lam
-            for end in ((lo, hi, lam, 1), (hi, lo, lam, sign))]
-    if p is None:
-        scale = [1] * len(num)
-        for v, u, lam, _ in ends:
-            scale[v] = lcm(scale[v], lam.denominator * num[u][1])
-        coeffs = [(v, u, s * lam.numerator * (scale[v] // (lam.denominator * num[u][1])))
-                  for v, u, lam, s in ends]
-    else:
-        coeffs = [(v, u, s * lam) for v, u, lam, s in ends]
+    # each end of each weighted edge: (vertex, neighbour, mu_e, sign)
+    ends = [end for (lo, hi), m in zip(ctx.graph.edges, mu) if m
+            for end in ((lo, hi, m, 1), (hi, lo, m, sign))]
+    scale = [1] * len(num)
+    for v, u, _, _ in ends:
+        scale[v] = lcm(scale[v], num[u][1])
     acc = [[0] * ctx.space.n for _ in num]
-    for v, u, c in coeffs:
-        acc[v] = [s + c * x for s, x in zip(acc[v], num[u][0])]
+    for v, u, m, s in ends:
+        c = s * m * (scale[v] // num[u][1])
+        acc[v] = [t + c * x for t, x in zip(acc[v], num[u][0])]
     return not any(x if p is None else x % p for vec in acc for x in vec)
 
 
@@ -268,8 +223,8 @@ def singular_certificate(ctx, assignment):
         den = [d for _, d in assignment.numerators]
         scale = [den[lo] * den[hi] for lo, hi in ctx.graph.edges]
         f = max(combo)
-        combo = {e: Fraction(x.numerator * scale[e], x.denominator * scale[f])
-                 for e, x in combo.items()}
+        pivot = combo[f] * scale[f]
+        combo = {e: Fraction(x * scale[e], pivot) for e, x in combo.items()}
     zero = ctx.field(0)
     values = tuple(combo.get(e, zero) for e in range(ctx.graph.num_edges))
     if not _certifies(ctx, assignment.numerators, values):

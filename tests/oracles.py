@@ -121,6 +121,19 @@ def reference_first_dependency(rows, p=None):
     return None
 
 
+def unit_dependency(combo):
+    """The package's `first_dependency` over Q, as `reference_first_dependency`
+    gives it: the integer combination, checked to be on nonzero ints with
+    support in 0..f for its last row f, divided by its coefficient at f, as
+    `Fraction`s.  None stays None."""
+    if combo is None:
+        return None
+    f = max(combo)
+    assert all(type(x) is int and x for x in combo.values()), combo
+    assert all(0 <= k <= f for k in combo), combo
+    return {k: Fraction(x, combo[f]) for k, x in combo.items()}
+
+
 # The package's `rref` and `kernel` take integer rows, and `kernel` and
 # `perp` give integer vectors over one denominator; tests written on field
 # scalars read them through these.

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphvariety import (
+    BilinearSpace,
     PrimeField,
     RATIONALS,
     RationalField,
     field_from_spec,
 )
-from graphvariety.fields import _is_prime
+from graphvariety.fields import _integer_form, _is_prime, _lowest_terms
 from graphvariety.linalg import first_dependency, kernel, rref
+from graphvariety.serialization import gram_terms_from_obj
 from oracles import (dot, field_kernel, field_rref, integer_sparse_row, left_kernel, rank,
-                     reference_first_dependency, reference_kernel, reference_rref, transpose)
+                     reference_first_dependency, reference_kernel, reference_rref, transpose,
+                     unit_dependency)
 
 
 class TestRationalField:
@@ -128,6 +133,77 @@ class TestFieldFromSpec:
         for bad in ("R", "Fp:", "Fp:4", "Fp:x", ""):
             with pytest.raises(ValueError):
                 field_from_spec(bad)
+
+
+@st.composite
+def scalar_texts(draw):
+    """One scalar as JSON or the library may give it: an int, a `Fraction`,
+    or a decimal string, unreduced "a/b" (as "2/4"), "0/b", a decimal point
+    or an exponent (as "1e3") included, of either sign."""
+    a, b = draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**4))
+    k = draw(st.integers(1, 12))
+    return draw(st.sampled_from([
+        a, Fraction(a, b), str(a), f"{a}/{b}", f"{a * k}/{b * k}", f"0/{b}", "2/4", "-2/4",
+        f"{a}.{b}", f"{a}e{draw(st.integers(-5, 5))}", "1e3", "-0",
+    ]))
+
+
+class TestIntegerForm:
+    """`fields._integer_form`: a vector of scalars as integers a over the
+    least d > 0, in lowest terms."""
+
+    @given(st.lists(scalar_texts(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_rationals_over_their_least_denominator(self, vec):
+        values = [Fraction(x) for x in vec]
+        a, d = _integer_form(RATIONALS, vec)
+        assert type(a) is tuple and all(type(x) is int for x in a) and type(d) is int
+        assert d > 0 and gcd(d, *a) == 1
+        assert [Fraction(x, d) for x in a] == values
+        assert d == lcm(*(x.denominator for x in values))
+
+    @pytest.mark.parametrize("p", [2, 7, 10007])
+    @given(vec=st.lists(st.one_of(st.integers(-10**6, 10**6),
+                                  st.integers(-10**6, 10**6).map(str)), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_residues_over_one(self, p, vec):
+        assert _integer_form(PrimeField(p), vec) == (tuple(int(x) % p for x in vec), 1)
+
+    def test_examples(self):
+        assert _integer_form(RATIONALS, ["2/4", "-6/8", "0"]) == ((2, -3, 0), 4)
+        assert _integer_form(RATIONALS, ["1e3", Fraction(1, 6), -2]) == ((6000, 1, -12), 6)
+        assert _integer_form(RATIONALS, ["0/5", 0]) == ((0, 0), 1)
+        assert _integer_form(RATIONALS, []) == ((), 1)
+        assert _lowest_terms([4, -6, 0], 10) == ((2, -3, 0), 5)
+
+    @pytest.mark.parametrize("bad", ["1/0", "-3/0", "1e5000", "1" * 5000, 0.5],
+                             ids=["1/0", "-3/0", "1e5000", "5000-digits", "float"])
+    def test_bad_scalars_raise_as_the_field_does(self, bad):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            RATIONALS(bad)
+        with pytest.raises(type(expected.value)) as got:
+            _integer_form(RATIONALS, ["1/2", bad])
+        assert str(got.value) == str(expected.value)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_gram_terms_match_the_lcm_scale(self, seed, n):
+        # a symmetric, diagonally dominant --gram file of fractional strings;
+        # its int terms are each entry times the lcm of the denominators
+        rng = random.Random(seed)
+        gram = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.6:
+                    gram[i][j] = gram[j][i] = Fraction(rng.randint(-20, 20), rng.randint(1, 30))
+        for i in range(n):
+            gram[i][i] = sum(map(abs, gram[i])) + Fraction(rng.randint(1, 9), rng.randint(1, 30))
+        obj = [[str(x) for x in row] for row in gram]
+        size, terms = gram_terms_from_obj(obj, RATIONALS)
+        space = BilinearSpace(size, "symmetric", terms, RATIONALS)
+        scale = lcm(*(x.denominator for *_, x in space.terms))
+        assert space.scale == scale
+        assert space._terms == tuple((i, j, int(x * scale)) for i, j, x in space.terms)
 
 
 def q_rows(rows):
@@ -313,15 +389,16 @@ class TestFractionFreeElimination:
         assert basis == reference_kernel(rows, ncols)
         assert all(all_fractions(vec) for vec in basis)
         combo = first_dependency(sparse)
-        assert combo == reference_first_dependency(sparse)
-        assert combo is None or all_fractions(combo.values())
+        assert unit_dependency(combo) == reference_first_dependency(sparse)
         assert (rows, sparse) == copies
 
     def test_planted_dependency_with_denominators(self):
         # 21, 9 and 189 times (1/3, 0, 5/7), (0, -2/9, 0) and (2/3, 4/27, 10/7),
         # the last being 2 * the first - (2/3) * the second: row 2 = 18 * row 0 - 14 * row 1
         rows = [{0: 7, 2: 15}, {1: -2}, {0: 126, 1: 28, 2: 270}]
-        assert first_dependency(rows) == {0: Fraction(-18), 1: Fraction(14), 2: Fraction(1)}
+        combo = first_dependency(rows)
+        assert combo == {0: 18, 1: -14, 2: -1}
+        assert unit_dependency(combo) == {0: Fraction(-18), 1: Fraction(14), 2: Fraction(1)}
         assert field_rref([[Fraction(2, 3), Fraction(1, 5)]], 2) == ([[1, Fraction(3, 10)]], [0])
         assert rref([[10, 3]], 2) == ([[10, 3]], [0])
 

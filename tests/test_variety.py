@@ -27,7 +27,7 @@ from graphvariety import (
     verify_certificate,
 )
 from graphvariety import bilinear
-from graphvariety.linalg import _numerators
+from graphvariety.fields import _integer_form
 from graphvariety.serialization import equations_to_obj, gram_terms_from_obj
 from oracles import (complete_bipartite_graph, cycle_graph, dense_gram, dot, field_kernel,
                      field_vectors, gram_product, isotropic_index, jacobian, origin, path_graph,
@@ -298,8 +298,9 @@ class TestPerp:
     @settings(max_examples=25, deadline=None)
     def test_perp_is_the_orthogonal_complement(self, space, data):
         family = data.draw(vector_families(space))
-        # perp takes integer vectors: the numerators of each member
-        basis = field_vectors(space.perp([_numerators(u)[0] for u in family]), space.field.p)
+        # perp takes integer vectors: the numerators of each member's integer form
+        basis = field_vectors(space.perp([_integer_form(space.field, u)[0] for u in family]),
+                              space.field.p)
         for x in basis:
             for u in family:
                 assert space.pair(x, u) == 0 and space.pair(u, x) == 0
